@@ -8,15 +8,17 @@ defaults; the effective config is echoed into every output.
 """
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import evaluation, features, ml
+from . import evaluation, ml
+from ._schema import build, field_specs, flatten, format_value, parse_value
 from ._seeds import derive_seed
-from .dataset import PairingConfig, TraceFormatError, build_pairs, ingest_traces, write_traces
-from .evaluation import ConfusionMatrix, EvalReport
+from .dataset import (
+    PairingConfig, TraceFormatError, build_pairs, csv_writer, ingest_traces, write_traces
+)
+from .evaluation import EvalReport
 from .features import FEATURE_NAMES, FeatureFormatError, read_feature_matrix, write_feature_matrix
 from .simulator import SimConfig, generate
 
@@ -32,213 +34,71 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Run configuration: flat key=value file, overridable by flags
+# Run configuration: flat key=value file, overridable by flags.  The keys,
+# their types, defaults and ranges come from the stage-config dataclasses;
+# `seed` is the run seed, from which each stage's seed derives.
+
+CONFIG_KEYS = field_specs(SimConfig) | field_specs(PairingConfig) | field_specs(ml.TrainConfig)
 
 
-def _parse_bool(text):
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _parse_optional_int(text):
-    return None if text.lower() == "none" else int(text)
-
-
-def _parse_trees_max_features(text):
-    return "sqrt" if text.lower() == "sqrt" else int(text)
-
-
-def _parse_optional_float(text):
-    return None if text.lower() in ("scale", "none") else float(text)
-
-
-def _parse_xy(text):
-    x, y = text.split(",")
-    return (float(x), float(y))
-
-
-def _parse_ap_positions(text):
-    positions = tuple(_parse_xy(part) for part in text.split(";"))
-    if len(positions) != 3:
-        raise ValueError("expected three access-point positions")
-    return positions
-
-
-def _format_value(value):
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple) and value and isinstance(value[0], tuple):
-        return ";".join(f"{x!r},{y!r}" for x, y in value)
-    if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
-    return str(value)
-
-
-_PARSERS = {
-    "seed": int,
-    "ap_positions": _parse_ap_positions,
-    "room_left": _parse_xy,
-    "room_right": _parse_xy,
-    "devices_per_room": int,
-    "trials": int,
-    "samples_per_trial": int,
-    "interval_s": float,
-    "gamma": float,
-    "pl0_dbm": float,
-    "d0_m": float,
-    "wall_loss_db": float,
-    "noise_sigma_db": float,
-    "n_positive": int,
-    "n_negative": int,
-    "trial_matching": str,
-    "algorithm": str,
-    "lr_learning_rate": float,
-    "lr_iterations": int,
-    "knn_k": int,
-    "dt_min_samples_split": int,
-    "dt_max_depth": _parse_optional_int,
-    "dt_max_features": _parse_optional_int,
-    "rf_n_trees": int,
-    "rf_max_features": _parse_trees_max_features,
-    "rf_bootstrap": _parse_bool,
-    "svm_c": float,
-    "svm_gamma": _parse_optional_float,
-    "svm_tol": float,
-    "svm_max_passes": int,
-    "train_fraction": float,
-    "cv_folds": int,
-}
-
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Merged view of simulator, pairing, training, and evaluation settings."""
+    """The run seed and the stage configs seeded from it."""
 
-    seed: int = 0
-    ap_positions: tuple = ((0.0, 0.0), (0.0, 21.0), (32.0, 0.0))
-    room_left: tuple = (33.0, 25.0)
-    room_right: tuple = (35.0, 25.0)
-    devices_per_room: int = 10
-    trials: int = 10
-    samples_per_trial: int = 8
-    interval_s: float = 4.0
-    gamma: float = 2.5
-    pl0_dbm: float = -40.0
-    d0_m: float = 1.0
-    wall_loss_db: float = 5.0
-    noise_sigma_db: float = 4.0
-    n_positive: int = 100
-    n_negative: int = 200
-    trial_matching: str = "equal"
-    algorithm: str = "rf"
-    lr_learning_rate: float = 0.1
-    lr_iterations: int = 1000
-    knn_k: int = 5
-    dt_min_samples_split: int = 2
-    dt_max_depth: int | None = None
-    dt_max_features: int | None = None
-    rf_n_trees: int = 100
-    rf_max_features: object = "sqrt"
-    rf_bootstrap: bool = True
-    svm_c: float = 1.0
-    svm_gamma: float | None = None
-    svm_tol: float = 1e-3
-    svm_max_passes: int = 10
-    train_fraction: float = 0.75
-    cv_folds: int = 10
-
-    def stage_seed(self, stage: str) -> int:
-        return derive_seed(self.seed, stage)
-
-    def sim_config(self) -> SimConfig:
-        try:
-            return SimConfig(
-                ap_positions=self.ap_positions,
-                room_right=self.room_right,
-                room_left=self.room_left,
-                devices_per_room=self.devices_per_room,
-                trials=self.trials,
-                samples_per_trial=self.samples_per_trial,
-                interval_s=self.interval_s,
-                gamma=self.gamma,
-                pl0_dbm=self.pl0_dbm,
-                d0_m=self.d0_m,
-                wall_loss_db=self.wall_loss_db,
-                noise_sigma_db=self.noise_sigma_db,
-                seed=self.stage_seed("simulate"),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def pairing_config(self) -> PairingConfig:
-        try:
-            return PairingConfig(self.n_positive, self.n_negative, self.trial_matching)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def train_config(self, algorithm: str | None = None) -> ml.TrainConfig:
-        try:
-            return ml.TrainConfig(
-                algorithm=algorithm or self.algorithm,
-                seed=self.stage_seed("train"),
-                lr=ml.LRParams(self.lr_learning_rate, self.lr_iterations),
-                knn=ml.KNNParams(self.knn_k),
-                dt=ml.DTParams(
-                    self.dt_min_samples_split, self.dt_max_depth, self.dt_max_features
-                ),
-                rf=ml.RFParams(self.rf_n_trees, self.rf_max_features, self.rf_bootstrap),
-                svm=ml.SVMParams(
-                    self.svm_c, self.svm_gamma, self.svm_tol, self.svm_max_passes
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    seed: int
+    sim: SimConfig
+    pairing: PairingConfig
+    train: ml.TrainConfig
 
     def echo(self) -> dict:
         """Effective configuration as ordered key=value strings."""
-        return {f.name: _format_value(getattr(self, f.name)) for f in fields(self)}
+        values = {"seed": self.seed} | flatten(self.sim) | flatten(self.pairing)
+        return {k: format_value(v) for k, v in (values | flatten(self.train)).items()}
 
 
-def parse_config_file(path) -> dict:
-    """Read a flat key=value config file ('#' comments and blank lines ignored)."""
+def parse_config(lines, source) -> dict:
+    """Typed values from key=value lines ('#' comments and blank lines ignored)."""
     values = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
+            raise ConfigError(f"{source}:{line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _PARSERS:
-            raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{source}:{line_no}: unknown config key {key!r}")
         try:
-            values[key] = _PARSERS[key](value)
+            values[key] = parse_value(value, CONFIG_KEYS[key])
         except ValueError as exc:
-            raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
+            raise ConfigError(f"{source}:{line_no}: bad value for {key}: {exc}") from None
     return values
 
 
+def build_run_config(values: dict) -> RunConfig:
+    """Every stage config, range-checked; absent keys take the dataclass defaults."""
+    seed = values.get("seed", 0)
+    try:
+        return RunConfig(
+            seed,
+            build(SimConfig, values, seed=derive_seed(seed, "simulate")),
+            build(PairingConfig, values),
+            build(ml.TrainConfig, values, seed=derive_seed(seed, "train")),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def load_run_config(config_path=None, **overrides) -> RunConfig:
-    values = parse_config_file(config_path) if config_path else {}
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = RunConfig(**values)
-    if cfg.algorithm not in ml.ALGORITHMS:
-        raise ConfigError(f"algorithm must be one of {ml.ALGORITHMS}, got {cfg.algorithm!r}")
-    if not 0 < cfg.train_fraction < 1:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {cfg.train_fraction}")
-    return cfg
+    values = {}
+    if config_path:
+        try:
+            text = Path(config_path).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {config_path}") from None
+        values = parse_config(text.splitlines(), config_path)
+    return build_run_config(values | {k: v for k, v in overrides.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -252,95 +112,39 @@ def _out_dir(args) -> Path:
 
 
 def _load_config(args) -> RunConfig:
-    overrides = {"seed": getattr(args, "seed", None)}
-    if getattr(args, "algorithm", None):
-        overrides["algorithm"] = args.algorithm
-    return load_run_config(getattr(args, "config", None), **overrides)
+    return load_run_config(args.config, seed=args.seed, algorithm=getattr(args, "algorithm", None))
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    points = generate(cfg.sim_config())
-    write_traces(points, out / "traces.csv", comments=cfg.echo())
-    print(out / "traces.csv")
-    return 0
+def _simulate(cfg: RunConfig, out: Path) -> Path:
+    path = out / "traces.csv"
+    write_traces(generate(cfg.sim), path, comments=cfg.echo())
+    return path
 
 
-def _featurize(cfg: RunConfig, traces_path):
+def _featurize(cfg: RunConfig, traces_path, out: Path) -> Path:
     points = ingest_traces(traces_path)
-    return build_pairs(points, cfg.pairing_config(), seed=cfg.stage_seed("featurize"))
-
-
-def cmd_featurize(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    dataset = _featurize(cfg, args.traces)
+    dataset = build_pairs(points, cfg.pairing, seed=derive_seed(cfg.seed, "featurize"))
+    path = out / "features.csv"
     write_feature_matrix(
-        dataset.feature_matrix(), dataset.labels(), out / "features.csv", comments=cfg.echo()
+        dataset.feature_matrix(), dataset.labels(), path, comments=cfg.echo()
     )
-    print(out / "features.csv")
-    return 0
+    return path
 
 
-def _train_pipeline(X, y, cfg: RunConfig, algorithm: str):
-    """Shared split + standardize + fit used by train, evaluate, and benchmark."""
-    train_cfg = cfg.train_config(algorithm)
-    seed = cfg.stage_seed("train")
-    train_idx, _ = evaluation.train_test_split(y, cfg.train_fraction, seed)
-    scaler = evaluation.standardize_fit(X[train_idx])
-    model = ml.train(evaluation.standardize_apply(scaler, X[train_idx]), y[train_idx], train_cfg)
-    return model, scaler, train_cfg, seed
-
-
-def _save_model(model, scaler, cfg: RunConfig, algorithm, seed, path):
+def _save_model(fitted, cfg: RunConfig, path):
+    model, scaler = fitted
     ml.save_model(
         model,
         path,
         extra={
             "pipeline": {
-                "seed": seed,
-                "train_fraction": cfg.train_fraction,
-                "cv_folds": cfg.cv_folds,
+                "seed": cfg.train.seed,
+                "train_fraction": cfg.train.train_fraction,
+                "cv_folds": cfg.train.cv_folds,
                 "standardizer": scaler.to_dict(),
             },
-            "config": cfg.echo() | {"algorithm": algorithm},
+            "config": cfg.echo(),
         },
-    )
-
-
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    X, y = read_feature_matrix(args.features)
-    algorithm = cfg.algorithm
-    model, scaler, _, seed = _train_pipeline(X, y, cfg, algorithm)
-    path = out / f"model_{algorithm}.json"
-    _save_model(model, scaler, cfg, algorithm, seed, path)
-    print(path)
-    return 0
-
-
-def _evaluate_loaded(X, y, model, scaler, train_cfg, seed, train_fraction, cv_folds):
-    """Holdout metrics for an already-fitted model plus CV by refitting."""
-    train_idx, test_idx = evaluation.train_test_split(y, train_fraction, seed)
-    pred = ml.predict(model, evaluation.standardize_apply(scaler, X[test_idx]))
-    cm = ConfusionMatrix.from_labels(y[test_idx], pred)
-    cv = evaluation.cross_validate(
-        X[train_idx], y[train_idx], train_cfg, k=cv_folds, seed=derive_seed(seed, "cv")
-    )
-    importance = None
-    if train_cfg.algorithm == "rf":
-        importance = tuple(float(v) for v in ml.mdi_importance(model))
-    return EvalReport(
-        algorithm=train_cfg.algorithm,
-        seed=seed,
-        confusion=cm,
-        accuracy=evaluation.accuracy(cm),
-        f1_class0=evaluation.f1(cm, positive_class=0),
-        f1_class1=evaluation.f1(cm, positive_class=1),
-        cv_accuracies=tuple(float(a) for a in cv),
-        importance=importance,
     )
 
 
@@ -353,48 +157,54 @@ def _write_report(report: EvalReport, cfg: RunConfig, out: Path) -> Path:
     return path
 
 
-def _write_importance_csv(report: EvalReport, cfg: RunConfig, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in cfg.echo().items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("feature,importance\n")
-        for name, value in zip(FEATURE_NAMES, report.importance):
-            fh.write(f"{name},{value!r}\n")
+def cmd_simulate(args) -> int:
+    cfg = _load_config(args)
+    print(_simulate(cfg, _out_dir(args)))
+    return 0
+
+
+def cmd_featurize(args) -> int:
+    cfg = _load_config(args)
+    print(_featurize(cfg, args.traces, _out_dir(args)))
+    return 0
+
+
+def cmd_train(args) -> int:
+    cfg = _load_config(args)
+    out = _out_dir(args)
+    X, y = read_feature_matrix(args.features)
+    path = out / f"model_{cfg.train.algorithm}.json"
+    _save_model(evaluation.fit_holdout(X, y, cfg.train, seed=cfg.train.seed), cfg, path)
+    print(path)
+    return 0
+
+
+def _load_fitted(path):
+    """A saved model, its standardizer, and the train config its echo records."""
+    model, doc = ml.load_model(path)
+    try:
+        echo = (f"{key}={value}" for key, value in doc["config"].items())
+        train = build_run_config(parse_config(echo, path)).train
+        scaler = evaluation.Standardizer.from_dict(doc["pipeline"]["standardizer"])
+    except (KeyError, TypeError, AttributeError, ConfigError) as exc:
+        raise ml.ModelFormatError(f"model document lacks pipeline info ({exc})") from None
+    return (model, scaler), train
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     X, y = read_feature_matrix(args.features)
-
-    if args.model:
-        model, doc = ml.load_model(args.model)
-        try:
-            pipeline = doc["pipeline"]
-            echo = doc["config"]
-            train_cfg = ml.TrainConfig.from_hyperparams(
-                doc["algorithm"], pipeline["seed"], _typed_hyperparams(echo)
-            )
-            scaler = evaluation.Standardizer.from_dict(pipeline["standardizer"])
-            report = _evaluate_loaded(
-                X, y, model, scaler, train_cfg,
-                pipeline["seed"], pipeline["train_fraction"], pipeline["cv_folds"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise ml.ModelFormatError(f"model document lacks pipeline info ({exc})") from None
-    else:
-        report = evaluation.evaluate(
-            X, y, cfg.train_config(), seed=cfg.stage_seed("train"),
-            train_fraction=cfg.train_fraction, cv_folds=cfg.cv_folds,
-        )
-
-    if args.importance and report.importance is None:
+    fitted, train = _load_fitted(args.model) if args.model else (None, cfg.train)
+    if args.importance and train.algorithm != "rf":
         raise ConfigError("--importance requires the rf algorithm")
 
-    path = _write_report(report, cfg, out)
-    print(path)
+    report = evaluation.evaluate(X, y, train, seed=train.seed, fitted=fitted)
+    print(_write_report(report, cfg, out))
     if args.importance:
-        _write_importance_csv(report, cfg, out / "importance.csv")
+        with csv_writer(out / "importance.csv", "feature,importance", cfg.echo()) as fh:
+            for name, value in zip(FEATURE_NAMES, report.importance):
+                fh.write(f"{name},{value!r}\n")
         print(out / "importance.csv")
     if args.kde:
         indices = [FEATURE_NAMES.index(name) for name in KDE_EXPORT_FEATURES]
@@ -405,48 +215,22 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _typed_hyperparams(echo: dict) -> dict:
-    """Parse the hyperparameter subset of a config echo back to typed values."""
-    return {
-        key: _PARSERS[key](str(echo[key]))
-        for key in (
-            "lr_learning_rate", "lr_iterations", "knn_k", "dt_min_samples_split",
-            "dt_max_depth", "dt_max_features", "rf_n_trees", "rf_max_features",
-            "rf_bootstrap", "svm_c", "svm_gamma", "svm_tol", "svm_max_passes",
-        )
-    }
-
-
 def cmd_benchmark(args) -> int:
     """Full pipeline over all five classifiers; writes every stage output."""
     cfg = _load_config(args)
     out = _out_dir(args)
-
-    points = generate(cfg.sim_config())
-    write_traces(points, out / "traces.csv", comments=cfg.echo())
-    dataset = _featurize(cfg, out / "traces.csv")
-    write_feature_matrix(
-        dataset.feature_matrix(), dataset.labels(), out / "features.csv", comments=cfg.echo()
-    )
-    X, y = read_feature_matrix(out / "features.csv")
-
-    rows = []
-    for algorithm in ml.ALGORITHMS:
-        model, scaler, train_cfg, seed = _train_pipeline(X, y, cfg, algorithm)
-        _save_model(model, scaler, cfg, algorithm, seed, out / f"model_{algorithm}.json")
-        report = _evaluate_loaded(
-            X, y, model, scaler, train_cfg, seed, cfg.train_fraction, cfg.cv_folds
-        )
-        _write_report(report, cfg, out)
-        rows.append((algorithm, report.accuracy, report.f1_class0, report.f1_class1))
+    X, y = read_feature_matrix(_featurize(cfg, _simulate(cfg, out), out))
 
     table = out / "benchmark.csv"
-    with open(table, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in cfg.echo().items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("algorithm,accuracy,f1_class0,f1_class1\n")
-        for algorithm, acc, f1_0, f1_1 in rows:
-            fh.write(f"{algorithm},{acc!r},{f1_0!r},{f1_1!r}\n")
+    with csv_writer(table, "algorithm,accuracy,f1_class0,f1_class1", cfg.echo()) as fh:
+        for algorithm in ml.ALGORITHMS:
+            run = replace(cfg, train=replace(cfg.train, algorithm=algorithm))
+            fitted = evaluation.fit_holdout(X, y, run.train, seed=run.train.seed)
+            _save_model(fitted, run, out / f"model_{algorithm}.json")
+            report = evaluation.evaluate(X, y, run.train, seed=run.train.seed, fitted=fitted)
+            _write_report(report, cfg, out)
+            scores = (report.accuracy, report.f1_class0, report.f1_class1)
+            fh.write(",".join([algorithm, *map(repr, scores)]) + "\n")
     print(table)
     return 0
 
@@ -462,39 +246,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help_text, *positional):
+        """A subcommand with its (name, help) positional arguments and the common flags."""
+        p = sub.add_parser(name, help=help_text)
+        for arg, arg_help in positional:
+            p.add_argument(arg, help=arg_help)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, help="top-level seed (derives all stage seeds)")
         p.add_argument("--out", default="out", help="output directory (default: out)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="generate synthetic RSSI traces")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("featurize", help="build the labeled feature matrix from traces")
-    p.add_argument("traces", help="trace CSV produced by simulate (or compatible)")
-    common(p)
-    p.set_defaults(func=cmd_featurize)
-
-    p = sub.add_parser("train", help="train one classifier on a feature matrix")
-    p.add_argument("features", help="feature CSV produced by featurize")
-    common(p)
-    p.add_argument("--algorithm", choices=ml.ALGORITHMS, help="classifier (default: rf)")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="evaluate a classifier on a feature matrix")
-    p.add_argument("features", help="feature CSV produced by featurize")
-    common(p)
-    p.add_argument("--algorithm", choices=ml.ALGORITHMS, help="classifier (default: rf)")
+    features = ("features", "feature CSV produced by featurize")
+    algorithm = {
+        "choices": ml.ALGORITHMS, "help": f"classifier (default: {ml.TrainConfig.algorithm})"
+    }
+    command("simulate", cmd_simulate, "generate synthetic RSSI traces")
+    command("featurize", cmd_featurize, "build the labeled feature matrix from traces",
+            ("traces", "trace CSV produced by simulate (or compatible)"))
+    p = command("train", cmd_train, "train one classifier on a feature matrix", features)
+    p.add_argument("--algorithm", **algorithm)
+    p = command("evaluate", cmd_evaluate, "evaluate a classifier on a feature matrix", features)
+    p.add_argument("--algorithm", **algorithm)
     p.add_argument("--model", help="evaluate a saved model JSON instead of retraining")
     p.add_argument("--importance", action="store_true", help="write importance.csv (rf only)")
     p.add_argument("--kde", action="store_true", help="write class-conditional KDE curves")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("benchmark", help="simulate, featurize, and evaluate all classifiers")
-    common(p)
-    p.set_defaults(func=cmd_benchmark)
-
+    command("benchmark", cmd_benchmark, "simulate, featurize, and evaluate all classifiers")
     return parser
 
 
@@ -505,10 +282,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (TraceFormatError, FeatureFormatError, ml.ModelFormatError) as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
-        return EXIT_BAD_FILE
-    except FileNotFoundError as exc:
+    except (TraceFormatError, FeatureFormatError, ml.ModelFormatError, FileNotFoundError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -5,6 +5,8 @@ room and a negative ("distant") sample otherwise.  Room membership is encoded
 in the sign of the x coordinate: x < 0 is the left room, x > 0 the right one.
 """
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,11 +143,52 @@ def unique_values(trace) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Trace file I/O
-#
-# CSV with header `point_x,point_y,ap_id,trial,seq,rssi_dbm`.  UTF-8, LF line
-# endings, '#'-prefixed comment lines ignored.  Coordinates are signed feet,
-# rssi_dbm an integer <= 0.
+# CSV files (traces, feature matrices, KDE curves, tables): UTF-8, LF line
+# endings, '#'-prefixed comment lines ignored, then a fixed header line.
+
+
+@contextmanager
+def csv_reader(source, header, error):
+    """The data rows of `source` as (line number, fields), after its header.
+
+    `source` may be a path, an open text file, or an iterable of lines.
+    Blank and '#' comment lines are skipped; a missing or different header
+    raises `error(line_no, message)`.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8", newline="") as fh:
+            with csv_reader(fh, header, error) as rows:
+                yield rows
+        return
+    lines = ((n, raw.strip()) for n, raw in enumerate(source, start=1))
+    lines = ((n, line) for n, line in lines if line and not line.startswith("#"))
+    line_no, first = next(lines, (1, None))
+    if first != header:
+        raise error(line_no, f"expected header {header!r}")
+    yield ((n, line.split(",")) for n, line in lines)
+
+
+@contextmanager
+def csv_writer(dest, header, comments=None):
+    """Open `dest` (a path or an open text file) for a CSV body.
+
+    `comments` is an optional mapping echoed as leading `# key=value` lines;
+    the header line follows.  Paths are written UTF-8 with LF line endings.
+    """
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+            with csv_writer(fh, header, comments) as out:
+                yield out
+        return
+    for key, value in (comments or {}).items():
+        dest.write(f"# {key}={value}\n")
+    dest.write(header + "\n")
+    yield dest
+
+
+# ---------------------------------------------------------------------------
+# Trace file: header `point_x,point_y,ap_id,trial,seq,rssi_dbm`.  Coordinates
+# are finite signed feet, rssi_dbm an integer <= 0.
 
 
 def _parse_row(line_no, fields):
@@ -156,6 +199,8 @@ def _parse_row(line_no, fields):
         ap_id, trial, seq, rssi = (int(f) for f in fields[2:])
     except ValueError as exc:
         raise TraceFormatError(line_no, f"unparseable field ({exc})") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise TraceFormatError(line_no, f"non-finite coordinate ({x}, {y})")
     if x == 0:
         raise TraceFormatError(line_no, "point_x = 0 lies on the partition wall")
     try:
@@ -171,26 +216,14 @@ def ingest_traces(source) -> list[PointRecord]:
     Readings are grouped into traces by (point, ap_id, trial) and ordered by
     seq; the room label comes from the sign of x.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as fh:
-            return ingest_traces(fh)
-
     readings = {}
-    header_seen = False
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != TRACE_HEADER:
-                raise TraceFormatError(line_no, f"expected header {TRACE_HEADER!r}")
-            header_seen = True
-            continue
-        reading = _parse_row(line_no, line.split(","))
-        key = (reading.point, reading.ap_id, reading.trial, reading.seq)
-        if key in readings:
-            raise TraceFormatError(line_no, f"duplicate reading key {key}")
-        readings[key] = reading
+    with csv_reader(source, TRACE_HEADER, TraceFormatError) as rows:
+        for line_no, fields in rows:
+            reading = _parse_row(line_no, fields)
+            key = (reading.point, reading.ap_id, reading.trial, reading.seq)
+            if key in readings:
+                raise TraceFormatError(line_no, f"duplicate reading key {key}")
+            readings[key] = reading
 
     grouped = {}
     for reading in readings.values():
@@ -209,24 +242,13 @@ def ingest_traces(source) -> list[PointRecord]:
 
 
 def write_traces(points, dest, comments=None):
-    """Write PointRecords in the trace-file format (deterministic row order).
-
-    `comments` is an optional mapping echoed as leading `# key=value` lines.
-    """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_traces(points, fh, comments)
-        return
-
-    for key, value in (comments or {}).items():
-        dest.write(f"# {key}={value}\n")
-    dest.write(TRACE_HEADER + "\n")
-    for record in sorted(points, key=lambda p: p.point):
-        x, y = record.point
-        for (ap_id, trial) in sorted(record.traces):
-            trace = record.traces[(ap_id, trial)]
-            for seq, rssi in enumerate(trace.values):
-                dest.write(f"{x!r},{y!r},{ap_id},{trial},{seq},{rssi}\n")
+    """Write PointRecords in the trace-file format (deterministic row order)."""
+    with csv_writer(dest, TRACE_HEADER, comments) as out:
+        for record in sorted(points, key=lambda p: p.point):
+            x, y = record.point
+            for (ap_id, trial) in sorted(record.traces):
+                for seq, rssi in enumerate(record.traces[(ap_id, trial)].values):
+                    out.write(f"{x!r},{y!r},{ap_id},{trial},{seq},{rssi}\n")
 
 
 # ---------------------------------------------------------------------------

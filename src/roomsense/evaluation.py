@@ -8,13 +8,13 @@ on training data only.
 
 import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import ml
 from ._seeds import derive_seed, generator
+from .dataset import csv_writer
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +233,7 @@ class EvalReport:
         return {
             "algorithm": self.algorithm,
             "seed": self.seed,
-            "confusion": {
-                "tp": self.confusion.tp,
-                "fp": self.confusion.fp,
-                "fn": self.confusion.fn,
-                "tn": self.confusion.tn,
-            },
+            "confusion": asdict(self.confusion),
             "accuracy": self.accuracy,
             "f1": {"class0": self.f1_class0, "class1": self.f1_class1},
             "cv_accuracies": list(self.cv_accuracies),
@@ -265,47 +260,56 @@ class EvalReport:
         )
 
 
+def _fit(X, y, cfg: ml.TrainConfig):
+    """Standardizer fit on the given rows and the classifier trained on them."""
+    scaler = standardize_fit(X)
+    return ml.train(standardize_apply(scaler, X), y, cfg), scaler
+
+
+def _confusion(fitted, X, y) -> ConfusionMatrix:
+    model, scaler = fitted
+    return ConfusionMatrix.from_labels(y, ml.predict(model, standardize_apply(scaler, X)))
+
+
 def cross_validate(X, y, cfg: ml.TrainConfig, k: int = 10, seed: int = 0) -> np.ndarray:
     """Per-fold validation accuracies; each fold refits its own standardizer."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     accuracies = []
     for train_idx, val_idx in kfold(y, k=k, seed=seed):
-        scaler = standardize_fit(X[train_idx])
-        model = ml.train(standardize_apply(scaler, X[train_idx]), y[train_idx], cfg)
-        pred = ml.predict(model, standardize_apply(scaler, X[val_idx]))
-        accuracies.append(accuracy(ConfusionMatrix.from_labels(y[val_idx], pred)))
+        fitted = _fit(X[train_idx], y[train_idx], cfg)
+        accuracies.append(accuracy(_confusion(fitted, X[val_idx], y[val_idx])))
     return np.array(accuracies)
 
 
-def evaluate(
-    X,
-    y,
-    cfg: ml.TrainConfig,
-    seed: int = 0,
-    train_fraction: float = 0.75,
-    cv_folds: int = 10,
-) -> EvalReport:
-    """Split, standardize, train, and score one classifier.
+def fit_holdout(X, y, cfg: ml.TrainConfig, seed: int = 0):
+    """(model, standardizer) fit on the training side of the stratified holdout split."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    train_idx, _ = train_test_split(y, cfg.train_fraction, seed)
+    return _fit(X[train_idx], y[train_idx], cfg)
 
-    Pipeline: stratified holdout split -> standardizer fit on train ->
-    train -> predict on standardized test -> metrics.  CV accuracies come
-    from stratified folds inside the training portion.  Random forests also
-    report impurity-based feature importance.
+
+def evaluate(X, y, cfg: ml.TrainConfig, seed: int = 0, fitted=None) -> EvalReport:
+    """Score one classifier on the held-out rows of the stratified split.
+
+    `fitted` is the (model, standardizer) pair `fit_holdout` returns for the
+    same (X, y, cfg, seed), e.g. a saved model; without it the classifier is
+    fit here.  CV accuracies come from cfg.cv_folds stratified folds inside
+    the training portion.  Random forests also report impurity-based
+    feature importance.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    train_idx, test_idx = train_test_split(y, train_fraction, seed)
-    scaler = standardize_fit(X[train_idx])
-    model = ml.train(standardize_apply(scaler, X[train_idx]), y[train_idx], cfg)
-    pred = ml.predict(model, standardize_apply(scaler, X[test_idx]))
-    cm = ConfusionMatrix.from_labels(y[test_idx], pred)
+    fitted = fit_holdout(X, y, cfg, seed) if fitted is None else fitted
+    train_idx, test_idx = train_test_split(y, cfg.train_fraction, seed)
+    cm = _confusion(fitted, X[test_idx], y[test_idx])
     cv = cross_validate(
-        X[train_idx], y[train_idx], cfg, k=cv_folds, seed=derive_seed(seed, "cv")
+        X[train_idx], y[train_idx], cfg, k=cfg.cv_folds, seed=derive_seed(seed, "cv")
     )
     importance = None
     if cfg.algorithm == "rf":
-        importance = tuple(float(v) for v in ml.mdi_importance(model))
+        importance = tuple(float(v) for v in ml.mdi_importance(fitted[0]))
     return EvalReport(
         algorithm=cfg.algorithm,
         seed=seed,
@@ -323,25 +327,18 @@ def write_kde_csv(X, y, feature_names, feature_indices, dest, points: int = 256,
     """Class-conditional KDE curves as CSV rows `feature,class,x,density`."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_kde_csv(X, y, feature_names, feature_indices, fh, points, comments)
-        return
-    for key, value in (comments or {}).items():
-        dest.write(f"# {key}={value}\n")
-    dest.write("feature,class,x,density\n")
-    for idx in feature_indices:
-        name = feature_names[idx]
-        per_class = [X[y == cls, idx] for cls in (0, 1)]
-        try:
-            grid = density_grid(*per_class, points=points)
-        except ValueError:
-            # degenerate column: all values identical within a class
+    with csv_writer(dest, "feature,class,x,density", comments) as out:
+        for idx in feature_indices:
+            name = feature_names[idx]
+            per_class = [X[y == cls, idx] for cls in (0, 1)]
+            try:
+                grid = density_grid(*per_class, points=points)
+            except ValueError:
+                # degenerate column: all values identical within a class
+                for cls, values in zip((0, 1), per_class):
+                    if len(values) and float(np.ptp(values)) == 0.0:
+                        out.write(f"# {name} class {cls}: point mass at {float(values[0])!r}\n")
+                continue
             for cls, values in zip((0, 1), per_class):
-                if len(values) and float(np.ptp(values)) == 0.0:
-                    dest.write(f"# {name} class {cls}: point mass at {float(values[0])!r}\n")
-            continue
-        for cls, values in zip((0, 1), per_class):
-            density = kde(values, grid)
-            for gx, d in zip(grid, density):
-                dest.write(f"{name},{cls},{float(gx)!r},{float(d)!r}\n")
+                for gx, d in zip(grid, kde(values, grid)):
+                    out.write(f"{name},{cls},{float(gx)!r},{float(d)!r}\n")

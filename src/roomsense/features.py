@@ -9,12 +9,12 @@ Concatenating the six features over the three APs yields the 18-value vector,
 which is symmetric in the two points.
 """
 
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import AP_IDS, PointRecord, unique_values
+from .dataset import AP_IDS, PointRecord, csv_reader, csv_writer, unique_values
 from .dtw import dtw_distance
 
 HIGH_STRENGTH_DBM = -50
@@ -143,7 +143,7 @@ def featurize_pair(
 
 # ---------------------------------------------------------------------------
 # Feature matrix file: CSV with header `label,md_1,...,dtw_3`, one sample per
-# row, '#'-prefixed comment lines ignored.
+# row of finite values, '#'-prefixed comment lines ignored.
 
 
 def write_feature_matrix(X, y, dest, comments=None):
@@ -154,48 +154,29 @@ def write_feature_matrix(X, y, dest, comments=None):
         raise ValueError(f"expected an n x {len(FEATURE_NAMES)} matrix, got {X.shape}")
     if len(y) != len(X):
         raise ValueError("label count does not match row count")
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_feature_matrix(X, y, fh, comments)
-        return
-    for key, value in (comments or {}).items():
-        dest.write(f"# {key}={value}\n")
-    dest.write(FEATURE_CSV_HEADER + "\n")
-    for label, row in zip(y, X):
-        dest.write(f"{int(label)}," + ",".join(repr(float(v)) for v in row) + "\n")
+    with csv_writer(dest, FEATURE_CSV_HEADER, comments) as out:
+        for label, row in zip(y, X):
+            out.write(f"{int(label)}," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def read_feature_matrix(source):
     """Read a feature-matrix CSV back into (X, y)."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as fh:
-            return read_feature_matrix(fh)
-
     rows, labels = [], []
-    header_seen = False
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != FEATURE_CSV_HEADER:
-                raise FeatureFormatError(line_no, "unexpected feature CSV header")
-            header_seen = True
-            continue
-        fields = line.split(",")
-        if len(fields) != 1 + len(FEATURE_NAMES):
-            raise FeatureFormatError(
-                line_no, f"expected {1 + len(FEATURE_NAMES)} fields, got {len(fields)}"
-            )
-        try:
-            label = int(fields[0])
-            values = [float(f) for f in fields[1:]]
-        except ValueError as exc:
-            raise FeatureFormatError(line_no, f"unparseable field ({exc})") from None
-        if label not in (0, 1):
-            raise FeatureFormatError(line_no, f"label must be 0 or 1, got {label}")
-        labels.append(label)
-        rows.append(values)
-    if not header_seen:
-        raise FeatureFormatError(1, "empty feature file")
+    with csv_reader(source, FEATURE_CSV_HEADER, FeatureFormatError) as lines:
+        for line_no, fields in lines:
+            if len(fields) != 1 + len(FEATURE_NAMES):
+                raise FeatureFormatError(
+                    line_no, f"expected {1 + len(FEATURE_NAMES)} fields, got {len(fields)}"
+                )
+            try:
+                label = int(fields[0])
+                values = [float(f) for f in fields[1:]]
+            except ValueError as exc:
+                raise FeatureFormatError(line_no, f"unparseable field ({exc})") from None
+            if label not in (0, 1):
+                raise FeatureFormatError(line_no, f"label must be 0 or 1, got {label}")
+            if not all(map(math.isfinite, values)):
+                raise FeatureFormatError(line_no, "non-finite feature value")
+            labels.append(label)
+            rows.append(values)
     return np.array(rows, dtype=float), np.array(labels, dtype=int)

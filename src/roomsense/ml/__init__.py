@@ -3,7 +3,10 @@
 The roster covers logistic regression (lr), k-nearest neighbors (knn),
 a random forest (rf), an RBF-kernel SVM (svm), and a single decision tree
 (dt).  Training is a pure function of (X, y, config, seed); models are
-immutable once fitted and serialize to versioned JSON documents.
+immutable once fitted and serialize to versioned JSON documents.  Each
+classifier class builds itself from a TrainConfig (`from_config`) and
+converts its fitted state to and from JSON-ready params
+(`to_params`/`from_params`); MODELS maps each algorithm tag to its class.
 """
 
 import json
@@ -12,18 +15,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .forest import RandomForest, mdi_importance
-from .knn import KNearestNeighbors
-from .logistic import LogisticRegression
-from .svm import SupportVectorMachine
-from .tree import DecisionTree, Node, gini
+from .._schema import build, flatten
+from .forest import RandomForest, RFParams, mdi_importance
+from .knn import KNearestNeighbors, KNNParams
+from .logistic import LogisticRegression, LRParams
+from .svm import SupportVectorMachine, SVMParams
+from .tree import DecisionTree, DTParams, gini
 
-ALGORITHMS = ("lr", "knn", "rf", "svm", "dt")
+MODELS = {
+    "lr": LogisticRegression,
+    "knn": KNearestNeighbors,
+    "rf": RandomForest,
+    "svm": SupportVectorMachine,
+    "dt": DecisionTree,
+}
+ALGORITHMS = tuple(MODELS)
 
 MODEL_FORMAT_VERSION = 1
 
 __all__ = [
     "ALGORITHMS",
+    "MODELS",
     "DecisionTree",
     "KNearestNeighbors",
     "LogisticRegression",
@@ -52,41 +64,9 @@ class ModelFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class LRParams:
-    learning_rate: float = 0.1
-    iterations: int = 1000
-
-
-@dataclass(frozen=True)
-class KNNParams:
-    k: int = 5
-
-
-@dataclass(frozen=True)
-class DTParams:
-    min_samples_split: int = 2
-    max_depth: int | None = None  # None grows until leaves are pure
-    max_features: int | None = None  # None considers every feature
-
-
-@dataclass(frozen=True)
-class RFParams:
-    n_trees: int = 100
-    max_features: int | str = "sqrt"  # "sqrt" resolves to floor(sqrt(n_features))
-    bootstrap: bool = True
-
-
-@dataclass(frozen=True)
-class SVMParams:
-    c: float = 1.0
-    gamma: float | None = None  # None scales as 1 / (n_features * var(X))
-    tol: float = 1e-3
-    max_passes: int = 10
-
-
-@dataclass(frozen=True)
 class TrainConfig:
-    """Algorithm choice plus per-algorithm hyperparameters and the seed."""
+    """Algorithm choice, per-algorithm hyperparameters, the seed, and the
+    holdout fraction and CV fold count used to evaluate the classifier."""
 
     algorithm: str = "rf"
     seed: int = 0
@@ -95,57 +75,24 @@ class TrainConfig:
     dt: DTParams = field(default_factory=DTParams)
     rf: RFParams = field(default_factory=RFParams)
     svm: SVMParams = field(default_factory=SVMParams)
+    train_fraction: float = 0.75
+    cv_folds: int = 10
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.knn.k < 1 or self.knn.k % 2 == 0:
-            raise ValueError(f"knn.k must be odd and >= 1, got {self.knn.k}")
-        if self.rf.n_trees < 1:
-            raise ValueError(f"rf.n_trees must be >= 1, got {self.rf.n_trees}")
-        if self.svm.c <= 0:
-            raise ValueError(f"svm.c must be > 0, got {self.svm.c}")
-        if self.lr.iterations < 1:
-            raise ValueError(f"lr.iterations must be >= 1, got {self.lr.iterations}")
+        if not 0 < self.train_fraction < 1:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
 
     def hyperparams(self) -> dict:
-        """Flat hyperparameter echo for provenance and serialization."""
-        return {
-            "lr_learning_rate": self.lr.learning_rate,
-            "lr_iterations": self.lr.iterations,
-            "knn_k": self.knn.k,
-            "dt_min_samples_split": self.dt.min_samples_split,
-            "dt_max_depth": self.dt.max_depth,
-            "dt_max_features": self.dt.max_features,
-            "rf_n_trees": self.rf.n_trees,
-            "rf_max_features": self.rf.max_features,
-            "rf_bootstrap": self.rf.bootstrap,
-            "svm_c": self.svm.c,
-            "svm_gamma": self.svm.gamma,
-            "svm_tol": self.svm.tol,
-            "svm_max_passes": self.svm.max_passes,
-        }
+        """Flat `<key>: value` echo (`rf_n_trees`, ...) for provenance; no seed."""
+        return flatten(self)
 
     @classmethod
     def from_hyperparams(cls, algorithm, seed, params: dict) -> "TrainConfig":
-        return cls(
-            algorithm=algorithm,
-            seed=seed,
-            lr=LRParams(params["lr_learning_rate"], params["lr_iterations"]),
-            knn=KNNParams(params["knn_k"]),
-            dt=DTParams(
-                params["dt_min_samples_split"],
-                params["dt_max_depth"],
-                params["dt_max_features"],
-            ),
-            rf=RFParams(
-                params["rf_n_trees"], params["rf_max_features"], params["rf_bootstrap"]
-            ),
-            svm=SVMParams(
-                params["svm_c"], params["svm_gamma"], params["svm_tol"],
-                params["svm_max_passes"],
-            ),
-        )
+        return build(cls, params, algorithm=algorithm, seed=seed)
 
 
 def _validate_training_input(X, y, algorithm):
@@ -170,35 +117,7 @@ def _validate_training_input(X, y, algorithm):
 def train(X, y, cfg: TrainConfig):
     """Train the configured classifier; deterministic in (X, y, cfg, seed)."""
     X, y = _validate_training_input(X, y, cfg.algorithm)
-    if cfg.algorithm == "lr":
-        model = LogisticRegression(cfg.lr.learning_rate, cfg.lr.iterations)
-    elif cfg.algorithm == "knn":
-        model = KNearestNeighbors(cfg.knn.k)
-    elif cfg.algorithm == "dt":
-        model = DecisionTree(
-            min_samples_split=cfg.dt.min_samples_split,
-            max_depth=cfg.dt.max_depth,
-            max_features=cfg.dt.max_features,
-            seed=cfg.seed,
-        )
-    elif cfg.algorithm == "rf":
-        model = RandomForest(
-            n_trees=cfg.rf.n_trees,
-            max_features=cfg.rf.max_features,
-            bootstrap=cfg.rf.bootstrap,
-            min_samples_split=cfg.dt.min_samples_split,
-            max_depth=cfg.dt.max_depth,
-            seed=cfg.seed,
-        )
-    else:
-        model = SupportVectorMachine(
-            c=cfg.svm.c,
-            gamma=cfg.svm.gamma,
-            tol=cfg.svm.tol,
-            max_passes=cfg.svm.max_passes,
-            seed=cfg.seed,
-        )
-    return model.fit(X, y)
+    return MODELS[cfg.algorithm].from_config(cfg).fit(X, y)
 
 
 def predict(model, X) -> np.ndarray:
@@ -210,80 +129,14 @@ def predict(model, X) -> np.ndarray:
 # Serialization: versioned JSON documents
 
 
-def _node_to_dict(node: Node):
-    if node.is_leaf:
-        return {"value": node.value, "n": node.n_samples}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "n": node.n_samples,
-        "decrease": node.impurity_decrease,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(d) -> Node:
-    if "value" in d:
-        return Node(value=d["value"], n_samples=d["n"])
-    return Node(
-        feature=d["feature"],
-        threshold=d["threshold"],
-        n_samples=d["n"],
-        impurity_decrease=d["decrease"],
-        left=_node_from_dict(d["left"]),
-        right=_node_from_dict(d["right"]),
-    )
-
-
-def _algorithm_of(model) -> str:
-    for tag, cls in (
-        ("lr", LogisticRegression),
-        ("knn", KNearestNeighbors),
-        ("rf", RandomForest),
-        ("svm", SupportVectorMachine),
-        ("dt", DecisionTree),
-    ):
-        if isinstance(model, cls):
-            return tag
-    raise ValueError(f"unknown model type {type(model).__name__}")
-
-
 def model_to_dict(model) -> dict:
-    algorithm = _algorithm_of(model)
-    if algorithm == "lr":
-        params = {
-            "weights": [float(w) for w in model.weights_],
-            "bias": model.bias_,
-        }
-    elif algorithm == "knn":
-        params = {
-            "k": model.k,
-            "X": model.X_.tolist(),
-            "y": model.y_.tolist(),
-        }
-    elif algorithm == "dt":
-        params = {"n_features": model.n_features_, "tree": _node_to_dict(model.root_)}
-    elif algorithm == "rf":
-        params = {
-            "n_features": model.n_features_,
-            "seed": model.seed,
-            "trees": [_node_to_dict(t.root_) for t in model.trees_],
-        }
-    else:
-        mask = model.support_mask_
-        params = {
-            "gamma": model.gamma_,
-            "bias": model.bias_,
-            "n_features": model.X_.shape[1],
-            "support_vectors": model.X_[mask].tolist(),
-            "alphas": model.alphas_[mask].tolist(),
-            "y_signed": model.y_signed_[mask].tolist(),
-        }
+    algorithm = next((tag for tag, cls in MODELS.items() if type(model) is cls), None)
+    if algorithm is None:
+        raise ValueError(f"unknown model type {type(model).__name__}")
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "algorithm": algorithm,
-        "params": params,
+        "params": model.to_params(),
     }
 
 
@@ -293,43 +146,11 @@ def model_from_dict(doc: dict):
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(f"unsupported model format version {version}")
         algorithm = doc["algorithm"]
-        params = doc["params"]
-        if algorithm == "lr":
-            model = LogisticRegression()
-            model.weights_ = np.array(params["weights"], dtype=float)
-            model.bias_ = float(params["bias"])
-        elif algorithm == "knn":
-            model = KNearestNeighbors(params["k"])
-            model.X_ = np.array(params["X"], dtype=float)
-            model.y_ = np.array(params["y"], dtype=int)
-        elif algorithm == "dt":
-            model = DecisionTree()
-            model.n_features_ = params["n_features"]
-            model.root_ = _node_from_dict(params["tree"])
-        elif algorithm == "rf":
-            model = RandomForest(n_trees=len(params["trees"]), seed=params["seed"])
-            model.n_features_ = params["n_features"]
-            model.trees_ = []
-            for tree_doc in params["trees"]:
-                tree = DecisionTree()
-                tree.n_features_ = params["n_features"]
-                tree.root_ = _node_from_dict(tree_doc)
-                model.trees_.append(tree)
-        elif algorithm == "svm":
-            model = SupportVectorMachine()
-            model.gamma_ = float(params["gamma"])
-            model.bias_ = float(params["bias"])
-            n_features = int(params["n_features"])
-            model.X_ = np.array(params["support_vectors"], dtype=float).reshape(
-                -1, n_features
-            )
-            model.alphas_ = np.array(params["alphas"], dtype=float)
-            model.y_signed_ = np.array(params["y_signed"], dtype=float)
-        else:
+        if algorithm not in MODELS:
             raise ModelFormatError(f"unknown algorithm {algorithm!r}")
+        return MODELS[algorithm].from_params(doc["params"])
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"malformed model document ({exc})") from None
-    return model
 
 
 def save_model(model, path, extra: dict | None = None):

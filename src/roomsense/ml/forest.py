@@ -1,11 +1,27 @@
 """Random forest of Gini trees with impurity-based feature importance."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .._seeds import generator
 from .tree import DecisionTree
+
+
+@dataclass(frozen=True)
+class RFParams:
+    n_trees: int = 100
+    max_features: int | str = "sqrt"  # "sqrt" resolves to floor(sqrt(n_features))
+    bootstrap: bool = True
+
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError(f"rf_n_trees must be >= 1, got {self.n_trees}")
+        if self.max_features != "sqrt" and not (
+            isinstance(self.max_features, int) and self.max_features >= 1
+        ):
+            raise ValueError(f"rf_max_features must be sqrt or >= 1, got {self.max_features!r}")
 
 
 class RandomForest:
@@ -36,6 +52,35 @@ class RandomForest:
         self.seed = seed
         self.trees_ = None
         self.n_features_ = None
+
+    @classmethod
+    def from_config(cls, cfg):
+        """Forest settings from cfg.rf; the per-tree growth limits from cfg.dt."""
+        return cls(
+            n_trees=cfg.rf.n_trees,
+            max_features=cfg.rf.max_features,
+            bootstrap=cfg.rf.bootstrap,
+            min_samples_split=cfg.dt.min_samples_split,
+            max_depth=cfg.dt.max_depth,
+            seed=cfg.seed,
+        )
+
+    def to_params(self) -> dict:
+        return {
+            "n_features": self.n_features_,
+            "seed": self.seed,
+            "trees": [tree.root_.to_dict() for tree in self.trees_],
+        }
+
+    @classmethod
+    def from_params(cls, params):
+        model = cls(n_trees=len(params["trees"]), seed=params["seed"])
+        model.n_features_ = params["n_features"]
+        model.trees_ = [
+            DecisionTree.from_params({"n_features": model.n_features_, "tree": tree})
+            for tree in params["trees"]
+        ]
+        return model
 
     def _resolved_max_features(self, n_features):
         if self.max_features == "sqrt":

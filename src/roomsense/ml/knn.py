@@ -1,6 +1,17 @@
 """k-nearest-neighbors classifier over Euclidean distance."""
 
+from dataclasses import asdict, dataclass
+
 import numpy as np
+
+
+@dataclass(frozen=True)
+class KNNParams:
+    k: int = 5
+
+    def __post_init__(self):
+        if self.k < 1 or self.k % 2 == 0:
+            raise ValueError(f"knn_k must be odd and >= 1, got {self.k}")
 
 
 class KNearestNeighbors:
@@ -11,11 +22,24 @@ class KNearestNeighbors:
     """
 
     def __init__(self, k=5):
-        if k < 1 or k % 2 == 0:
-            raise ValueError(f"k must be odd and >= 1, got {k}")
+        KNNParams(k)  # range checks
         self.k = k
         self.X_ = None
         self.y_ = None
+
+    @classmethod
+    def from_config(cls, cfg):
+        return cls(**asdict(cfg.knn))
+
+    def to_params(self) -> dict:
+        return {"k": self.k, "X": self.X_.tolist(), "y": self.y_.tolist()}
+
+    @classmethod
+    def from_params(cls, params):
+        model = cls(params["k"])
+        model.X_ = np.array(params["X"], dtype=float)
+        model.y_ = np.array(params["y"], dtype=int)
+        return model
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)

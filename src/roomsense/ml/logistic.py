@@ -1,6 +1,20 @@
 """Logistic regression trained by batch gradient descent."""
 
+from dataclasses import asdict, dataclass
+
 import numpy as np
+
+
+@dataclass(frozen=True)
+class LRParams:
+    learning_rate: float = 0.1
+    iterations: int = 1000
+
+    def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise ValueError(f"lr_learning_rate must be > 0, got {self.learning_rate}")
+        if self.iterations < 1:
+            raise ValueError(f"lr_iterations must be >= 1, got {self.iterations}")
 
 
 def _sigmoid(z):
@@ -15,15 +29,26 @@ class LogisticRegression:
     """
 
     def __init__(self, learning_rate=0.1, iterations=1000):
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        LRParams(learning_rate, iterations)  # range checks
         self.learning_rate = learning_rate
         self.iterations = iterations
         self.weights_ = None
         self.bias_ = None
         self.loss_history_ = None
+
+    @classmethod
+    def from_config(cls, cfg):
+        return cls(**asdict(cfg.lr))
+
+    def to_params(self) -> dict:
+        return {"weights": [float(w) for w in self.weights_], "bias": self.bias_}
+
+    @classmethod
+    def from_params(cls, params):
+        model = cls()
+        model.weights_ = np.array(params["weights"], dtype=float)
+        model.bias_ = float(params["bias"])
+        return model
 
     @staticmethod
     def _loss(z, y):

@@ -1,8 +1,29 @@
 """RBF-kernel support vector machine trained with simplified SMO."""
 
+from dataclasses import asdict, dataclass, field
+
 import numpy as np
 
 from .._seeds import generator
+
+
+@dataclass(frozen=True)
+class SVMParams:
+    c: float = 1.0
+    # None scales as 1 / (n_features * var(X)); a config file may spell it "scale"
+    gamma: float | None = field(default=None, metadata={"none": "scale"})
+    tol: float = 1e-3
+    max_passes: int = 10
+
+    def __post_init__(self):
+        if not self.c > 0:
+            raise ValueError(f"svm_c must be > 0, got {self.c}")
+        if self.gamma is not None and not self.gamma > 0:
+            raise ValueError(f"svm_gamma must be > 0, got {self.gamma}")
+        if not self.tol >= 0:
+            raise ValueError(f"svm_tol must be >= 0, got {self.tol}")
+        if self.max_passes < 1:
+            raise ValueError(f"svm_max_passes must be >= 1, got {self.max_passes}")
 
 
 def rbf_kernel(A, B, gamma):
@@ -25,8 +46,7 @@ class SupportVectorMachine:
     """
 
     def __init__(self, c=1.0, gamma=None, tol=1e-3, max_passes=10, seed=0, max_sweeps=1000):
-        if c <= 0:
-            raise ValueError("c must be > 0")
+        SVMParams(c, gamma, tol, max_passes)  # range checks
         self.c = c
         self.gamma = gamma
         self.tol = tol
@@ -38,6 +58,34 @@ class SupportVectorMachine:
         self.alphas_ = None
         self.bias_ = None
         self.gamma_ = None
+
+    @classmethod
+    def from_config(cls, cfg):
+        return cls(**asdict(cfg.svm), seed=cfg.seed)
+
+    def to_params(self) -> dict:
+        """Only the support vectors are kept; they alone enter the decision function."""
+        mask = self.support_mask_
+        return {
+            "gamma": self.gamma_,
+            "bias": self.bias_,
+            "n_features": self.X_.shape[1],
+            "support_vectors": self.X_[mask].tolist(),
+            "alphas": self.alphas_[mask].tolist(),
+            "y_signed": self.y_signed_[mask].tolist(),
+        }
+
+    @classmethod
+    def from_params(cls, params):
+        model = cls()
+        model.gamma_ = float(params["gamma"])
+        model.bias_ = float(params["bias"])
+        model.X_ = np.array(params["support_vectors"], dtype=float).reshape(
+            -1, int(params["n_features"])
+        )
+        model.alphas_ = np.array(params["alphas"], dtype=float)
+        model.y_signed_ = np.array(params["y_signed"], dtype=float)
+        return model
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)

@@ -1,10 +1,25 @@
 """Binary classification tree grown on Gini impurity."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .._seeds import generator
+
+
+@dataclass(frozen=True)
+class DTParams:
+    min_samples_split: int = 2
+    max_depth: int | None = None  # None grows until leaves are pure
+    max_features: int | None = None  # None considers every feature
+
+    def __post_init__(self):
+        if self.min_samples_split < 2:
+            raise ValueError(f"dt_min_samples_split must be >= 2, got {self.min_samples_split}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError(f"dt_max_depth must be >= 0, got {self.max_depth}")
+        if self.max_features is not None and self.max_features < 1:
+            raise ValueError(f"dt_max_features must be >= 1, got {self.max_features}")
 
 
 def gini(labels) -> float:
@@ -34,6 +49,31 @@ class Node:
     @property
     def is_leaf(self):
         return self.value is not None
+
+    def to_dict(self) -> dict:
+        if self.is_leaf:
+            return {"value": self.value, "n": self.n_samples}
+        return {
+            "feature": self.feature,
+            "threshold": self.threshold,
+            "n": self.n_samples,
+            "decrease": self.impurity_decrease,
+            "left": self.left.to_dict(),
+            "right": self.right.to_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, d) -> "Node":
+        if "value" in d:
+            return cls(value=d["value"], n_samples=d["n"])
+        return cls(
+            feature=d["feature"],
+            threshold=d["threshold"],
+            n_samples=d["n"],
+            impurity_decrease=d["decrease"],
+            left=cls.from_dict(d["left"]),
+            right=cls.from_dict(d["right"]),
+        )
 
 
 def _best_split(X, y, feature_indices, parent_impurity):
@@ -80,14 +120,27 @@ class DecisionTree:
     """
 
     def __init__(self, min_samples_split=2, max_depth=None, max_features=None, seed=0):
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
+        DTParams(min_samples_split, max_depth, max_features)  # range checks
         self.min_samples_split = min_samples_split
         self.max_depth = max_depth
         self.max_features = max_features
         self.seed = seed
         self.root_ = None
         self.n_features_ = None
+
+    @classmethod
+    def from_config(cls, cfg):
+        return cls(**asdict(cfg.dt), seed=cfg.seed)
+
+    def to_params(self) -> dict:
+        return {"n_features": self.n_features_, "tree": self.root_.to_dict()}
+
+    @classmethod
+    def from_params(cls, params):
+        tree = cls()
+        tree.n_features_ = params["n_features"]
+        tree.root_ = Node.from_dict(params["tree"])
+        return tree
 
     def fit(self, X, y, rng=None):
         X = np.asarray(X, dtype=float)

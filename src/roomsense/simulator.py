@@ -31,8 +31,8 @@ class SimConfig:
     """
 
     ap_positions: tuple[tuple[float, float], ...] = ((0.0, 0.0), (0.0, 21.0), (32.0, 0.0))
-    room_right: tuple[float, float] = (35.0, 25.0)
     room_left: tuple[float, float] = (33.0, 25.0)
+    room_right: tuple[float, float] = (35.0, 25.0)
     devices_per_room: int = 10
     trials: int = 10
     samples_per_trial: int = 8
@@ -45,15 +45,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.d0_m <= 0:
-            raise ValueError(f"d0_m must be > 0, got {self.d0_m}")
-        if self.noise_sigma_db < 0:
+        # `not x > 0` rather than `x <= 0`, so NaN fails each check
+        for name in ("gamma", "d0_m", "interval_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.noise_sigma_db >= 0:
             raise ValueError(f"noise_sigma_db must be >= 0, got {self.noise_sigma_db}")
-        for name in ("room_right", "room_left"):
+        for name in ("room_left", "room_right"):
             width, depth = getattr(self, name)
-            if width <= 0 or depth <= 0:
+            if not (width > 0 and depth > 0):
                 raise ValueError(f"{name} dimensions must be positive, got {width}x{depth}")
         if len(self.ap_positions) != 3:
             raise ValueError("expected exactly three access points")

@@ -203,15 +203,36 @@ def test_malformed_trace_file_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("point_x,point_y,ap_id,trial,seq,rssi_dbm\n1,1,1,0,0,99\n")
     assert run("featurize", str(bad), "--out", str(tmp_path)) == 2
+    bad.write_text("point_x,point_y,ap_id,trial,seq,rssi_dbm\nnan,1,1,0,0,-50\n")
+    assert run("featurize", str(bad), "--out", str(tmp_path)) == 2
 
 
-def test_bad_config_exits_3(tmp_path, config_path):
+@pytest.mark.parametrize(
+    "line",
+    [
+        "not_a_key=1",
+        "gamma=-1",
+        "noise_sigma_db=nan",
+        "noise_sigma_db=inf",
+        "interval_s=0",
+        "svm_gamma=-1",
+        "svm_gamma=0",
+        "svm_tol=-1",
+        "svm_max_passes=0",
+        "lr_learning_rate=-1",
+        "cv_folds=1",
+        "dt_min_samples_split=1",
+        "dt_max_depth=-1",
+        "dt_max_features=0",
+        "rf_max_features=0",
+    ],
+)
+def test_bad_config_exits_3(tmp_path, line):
     bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text("not_a_key=1\n", encoding="utf-8")
-    assert run("simulate", "--config", str(bad_cfg), "--out", str(tmp_path)) == 3
-    bad_value = tmp_path / "bad2.cfg"
-    bad_value.write_text("gamma=-1\n", encoding="utf-8")
-    assert run("simulate", "--config", str(bad_value), "--out", str(tmp_path)) == 3
+    bad_cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("simulate", "--config", str(bad_cfg), "--out", str(out)) == 3
+    assert not out.exists()  # rejected before any output is written
 
 
 def test_importance_without_rf_exits_3(tmp_path, config_path):
@@ -238,9 +259,56 @@ def test_unreachable_pair_counts_exit_1(tmp_path, config_path):
     assert code == 1
 
 
+# a non-default value for every config key, in echo order
+NON_DEFAULT_CONFIG = {
+    "seed": "9",
+    "ap_positions": "1.0,2.0;3.0,22.0;30.0,1.5",
+    "room_left": "30.0,20.0",
+    "room_right": "31.0,21.0",
+    "devices_per_room": "6",
+    "trials": "4",
+    "samples_per_trial": "5",
+    "interval_s": "2.0",
+    "gamma": "3.0",
+    "pl0_dbm": "-35.0",
+    "d0_m": "2.0",
+    "wall_loss_db": "6.5",
+    "noise_sigma_db": "0.0",
+    "n_positive": "20",
+    "n_negative": "30",
+    "trial_matching": "random",
+    "algorithm": "svm",
+    "lr_learning_rate": "0.05",
+    "lr_iterations": "500",
+    "knn_k": "3",
+    "dt_min_samples_split": "4",
+    "dt_max_depth": "6",
+    "dt_max_features": "2",
+    "rf_n_trees": "50",
+    "rf_max_features": "3",
+    "rf_bootstrap": "false",
+    "svm_c": "2.0",
+    "svm_gamma": "0.3",
+    "svm_tol": "0.0001",
+    "svm_max_passes": "7",
+    "train_fraction": "0.5",
+    "cv_folds": "5",
+}
+
+
 def test_parse_config_round_trip(tmp_path):
     cfg = cli.load_run_config(None, seed=9)
     echo = cfg.echo()
     path = tmp_path / "echo.cfg"
     path.write_text("".join(f"{k}={v}\n" for k, v in echo.items()), encoding="utf-8")
     assert cli.load_run_config(str(path)) == cfg
+
+    defaults = cli.load_run_config(None).echo()
+    assert list(NON_DEFAULT_CONFIG) == list(defaults)
+    assert all(NON_DEFAULT_CONFIG[k] != defaults[k] for k in defaults)
+    path.write_text("".join(f"{k}={v}\n" for k, v in NON_DEFAULT_CONFIG.items()))
+    cfg = cli.load_run_config(str(path))
+    assert cfg.echo() == NON_DEFAULT_CONFIG
+    assert cfg.train.svm.gamma == 0.3 and cfg.train.dt.max_depth == 6
+    assert cfg.train.dt.max_features == 2 and cfg.train.rf.max_features == 3
+    assert cfg.train.rf.bootstrap is False

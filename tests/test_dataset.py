@@ -97,6 +97,7 @@ def test_ingest_skips_comments_and_blank_lines():
         ("5,5,1,0,0,10", "negative dBm"),
         ("0,5,1,0,0,-50", "partition wall"),
         ("5,5,9,0,0,-50", "ap_id"),
+        ("nan,5,1,0,0,-50", "non-finite"),
     ],
 )
 def test_ingest_rejects_bad_rows(row, match):

@@ -188,3 +188,6 @@ def test_feature_matrix_errors():
     bad_label = FEATURE_CSV_HEADER + "\n7," + ",".join(["0.0"] * 18) + "\n"
     with pytest.raises(FeatureFormatError, match="label"):
         read_feature_matrix(io.StringIO(bad_label))
+    bad_value = FEATURE_CSV_HEADER + "\n1," + ",".join(["0.0"] * 17 + ["inf"]) + "\n"
+    with pytest.raises(FeatureFormatError, match="non-finite"):
+        read_feature_matrix(io.StringIO(bad_value))
