@@ -12,7 +12,6 @@ from .dataset import (
     PairingConfig,
     PairSample,
     PointRecord,
-    RssiReading,
     Trace,
     build_pairs,
     ingest_traces,
@@ -32,7 +31,6 @@ __all__ = [
     "PairingConfig",
     "PairSample",
     "PointRecord",
-    "RssiReading",
     "Trace",
     "build_pairs",
     "ingest_traces",

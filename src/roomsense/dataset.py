@@ -37,38 +37,12 @@ def room_of(x) -> str:
 
 
 @dataclass(frozen=True)
-class RssiReading:
-    """One timestamped RSSI sample from one access point at one device point."""
-
-    point: tuple[float, float]
-    ap_id: int
-    trial: int
-    seq: int
-    rssi: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", (float(self.point[0]), float(self.point[1])))
-        if self.ap_id not in AP_IDS:
-            raise ValueError(f"ap_id must be one of {AP_IDS}, got {self.ap_id}")
-        if self.trial < 0:
-            raise ValueError(f"trial must be >= 0, got {self.trial}")
-        if self.seq < 0:
-            raise ValueError(f"seq must be >= 0, got {self.seq}")
-        if self.rssi > 0:
-            raise ValueError(f"rssi is reported in negative dBm, got {self.rssi}")
-
-
-@dataclass(frozen=True)
 class Trace:
-    """Ordered RSSI sequence for one (point, access point, trial) triple."""
+    """Ordered RSSI sequence of one (access point, trial) at a device point."""
 
-    point: tuple[float, float]
-    ap_id: int
-    trial: int
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "point", (float(self.point[0]), float(self.point[1])))
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
         if len(self.values) == 0:
             raise ValueError("a trace must hold at least one reading")
@@ -79,13 +53,15 @@ class PointRecord:
     """A device location with its traces, keyed by (ap_id, trial)."""
 
     point: tuple[float, float]
-    room: str
     traces: dict[tuple[int, int], Trace]
 
     def __post_init__(self):
         object.__setattr__(self, "point", (float(self.point[0]), float(self.point[1])))
-        if self.room != room_of(self.point[0]):
-            raise ValueError(f"room {self.room!r} contradicts x = {self.point[0]}")
+        room_of(self.point[0])  # rejects a point on the partition wall
+
+    @property
+    def room(self) -> str:
+        return room_of(self.point[0])
 
     def trial_ids(self) -> list[int]:
         """Trials for which this point has a trace from every access point."""
@@ -112,16 +88,15 @@ class PairSample:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered pair samples plus the (positive, negative) class counts."""
+    """Ordered pair samples."""
 
     samples: tuple[PairSample, ...]
-    counts: tuple[int, int]
 
-    def __post_init__(self):
-        n_pos = sum(1 for s in self.samples if s.label == 1)
-        n_neg = len(self.samples) - n_pos
-        if self.counts != (n_pos, n_neg):
-            raise ValueError(f"counts {self.counts} do not match labels ({n_pos}, {n_neg})")
+    @property
+    def counts(self) -> tuple[int, int]:
+        """(positive, negative) class counts."""
+        n_pos = sum(s.label for s in self.samples)
+        return n_pos, len(self.samples) - n_pos
 
     def feature_matrix(self) -> np.ndarray:
         return np.array([s.features for s in self.samples], dtype=float)
@@ -203,10 +178,15 @@ def _parse_row(line_no, fields):
         raise TraceFormatError(line_no, f"non-finite coordinate ({x}, {y})")
     if x == 0:
         raise TraceFormatError(line_no, "point_x = 0 lies on the partition wall")
-    try:
-        return RssiReading((x, y), ap_id, trial, seq, rssi)
-    except ValueError as exc:
-        raise TraceFormatError(line_no, str(exc)) from None
+    if ap_id not in AP_IDS:
+        raise TraceFormatError(line_no, f"ap_id must be one of {AP_IDS}, got {ap_id}")
+    if trial < 0:
+        raise TraceFormatError(line_no, f"trial must be >= 0, got {trial}")
+    if seq < 0:
+        raise TraceFormatError(line_no, f"seq must be >= 0, got {seq}")
+    if rssi > 0:
+        raise TraceFormatError(line_no, f"rssi is reported in negative dBm, got {rssi}")
+    return (x, y), ap_id, trial, seq, rssi
 
 
 def ingest_traces(source) -> list[PointRecord]:
@@ -216,29 +196,20 @@ def ingest_traces(source) -> list[PointRecord]:
     Readings are grouped into traces by (point, ap_id, trial) and ordered by
     seq; the room label comes from the sign of x.
     """
-    readings = {}
+    grouped = {}  # point -> (ap_id, trial) -> seq -> rssi
     with csv_reader(source, TRACE_HEADER, TraceFormatError) as rows:
         for line_no, fields in rows:
-            reading = _parse_row(line_no, fields)
-            key = (reading.point, reading.ap_id, reading.trial, reading.seq)
-            if key in readings:
+            point, ap_id, trial, seq, rssi = _parse_row(line_no, fields)
+            readings = grouped.setdefault(point, {}).setdefault((ap_id, trial), {})
+            if seq in readings:
+                key = (point, ap_id, trial, seq)
                 raise TraceFormatError(line_no, f"duplicate reading key {key}")
-            readings[key] = reading
-
-    grouped = {}
-    for reading in readings.values():
-        grouped.setdefault(reading.point, {}).setdefault(
-            (reading.ap_id, reading.trial), []
-        ).append(reading)
-
-    records = []
-    for point in sorted(grouped):
-        traces = {}
-        for (ap_id, trial), group in grouped[point].items():
-            group.sort(key=lambda r: r.seq)
-            traces[(ap_id, trial)] = Trace(point, ap_id, trial, [r.rssi for r in group])
-        records.append(PointRecord(point, room_of(point[0]), traces))
-    return records
+            readings[seq] = rssi
+    return [
+        PointRecord(point, {key: Trace([by_seq[s] for s in sorted(by_seq)])
+                            for key, by_seq in traces.items()})
+        for point, traces in sorted(grouped.items())
+    ]
 
 
 def write_traces(points, dest, comments=None):
@@ -346,4 +317,4 @@ def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> D
 
     positives = draw(same_pairs, config.n_positive, 1)
     negatives = draw(cross_pairs, config.n_negative, 0)
-    return Dataset(tuple(positives + negatives), (len(positives), len(negatives)))
+    return Dataset(tuple(positives + negatives))

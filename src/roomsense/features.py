@@ -10,7 +10,6 @@ which is symmetric in the two points.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,65 +79,36 @@ def signal_similarity(u, v) -> float:
     return dtw_distance(u, v).distance
 
 
-@dataclass(frozen=True)
-class ApFeatures:
-    """The six features for one access point."""
-
-    md: float
-    s_avg: float
-    s_min: float
-    rssi_high: float
-    rssi_avg: float
-    dtw: float
-
-    def as_tuple(self):
-        return (self.md, self.s_avg, self.s_min, self.rssi_high, self.rssi_avg, self.dtw)
-
-
-@dataclass(frozen=True)
-class PairFeatures:
-    """Per-AP feature blocks for a pair, in access-point order 1, 2, 3."""
-
-    per_ap: tuple[ApFeatures, ApFeatures, ApFeatures]
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([x for ap in self.per_ap for x in ap.as_tuple()], dtype=float)
-
-
-def ap_features(u, v) -> ApFeatures:
-    """All six features for one AP from two unique-value sequences."""
-    return ApFeatures(
-        md=mean_difference(u, v),
-        s_avg=mean_strength(u, v),
-        s_min=min_strength(u, v),
-        rssi_high=high_strength_ratio(u, v),
-        rssi_avg=avg_strength_ratio(u, v),
-        dtw=signal_similarity(u, v),
+def ap_features(u, v) -> tuple[float, ...]:
+    """The six features for one AP from two unique-value sequences, in AP_FEATURE_NAMES order."""
+    return (
+        mean_difference(u, v),
+        mean_strength(u, v),
+        min_strength(u, v),
+        high_strength_ratio(u, v),
+        avg_strength_ratio(u, v),
+        signal_similarity(u, v),
     )
 
 
-def pair_features(
+def featurize_pair(
     a: PointRecord, b: PointRecord, trial_a: int = 0, trial_b: int | None = None
-) -> PairFeatures:
-    """Features for a pair of points at the chosen trials (trial_b defaults to trial_a)."""
+) -> np.ndarray:
+    """18-value feature vector, AP-major in the order md, savg, smin, high, avg, dtw.
+
+    The pair is compared at the chosen trials; trial_b defaults to trial_a.
+    """
     if trial_b is None:
         trial_b = trial_a
-    blocks = []
+    values = []
     for ap_id in AP_IDS:
         try:
             trace_a = a.traces[(ap_id, trial_a)]
             trace_b = b.traces[(ap_id, trial_b)]
         except KeyError as exc:
             raise ValueError(f"missing trace for (ap_id, trial) {exc.args[0]}") from None
-        blocks.append(ap_features(unique_values(trace_a), unique_values(trace_b)))
-    return PairFeatures(tuple(blocks))
-
-
-def featurize_pair(
-    a: PointRecord, b: PointRecord, trial_a: int = 0, trial_b: int | None = None
-) -> np.ndarray:
-    """18-value feature vector, AP-major in the order md, savg, smin, high, avg, dtw."""
-    return pair_features(a, b, trial_a, trial_b).as_vector()
+        values += ap_features(unique_values(trace_a), unique_values(trace_b))
+    return np.array(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .._schema import build, flatten
 from .forest import RandomForest, RFParams, mdi_importance
 from .knn import KNearestNeighbors, KNNParams
 from .logistic import LogisticRegression, LRParams
@@ -86,14 +85,6 @@ class TrainConfig:
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
 
-    def hyperparams(self) -> dict:
-        """Flat `<key>: value` echo (`rf_n_trees`, ...) for provenance; no seed."""
-        return flatten(self)
-
-    @classmethod
-    def from_hyperparams(cls, algorithm, seed, params: dict) -> "TrainConfig":
-        return build(cls, params, algorithm=algorithm, seed=seed)
-
 
 def _validate_training_input(X, y, algorithm):
     X = np.asarray(X, dtype=float)
@@ -149,7 +140,9 @@ def model_from_dict(doc: dict):
         if algorithm not in MODELS:
             raise ModelFormatError(f"unknown algorithm {algorithm!r}")
         return MODELS[algorithm].from_params(doc["params"])
-    except (KeyError, TypeError) as exc:
+    except ModelFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document ({exc})") from None
 
 

@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 from ._seeds import generator
-from .dataset import PointRecord, Trace, room_of
+from .dataset import PointRecord, Trace
 
 FT_TO_M = 0.3048
 
@@ -45,6 +45,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        finite = (self.pl0_dbm, self.wall_loss_db, self.gamma, self.d0_m, self.interval_s,
+                  self.noise_sigma_db, *self.room_left, *self.room_right,
+                  *(c for ap in self.ap_positions for c in ap))
+        if not all(map(math.isfinite, finite)):
+            raise ValueError("signal parameters, room sizes and AP coordinates must be finite")
         # `not x > 0` rather than `x <= 0`, so NaN fails each check
         for name in ("gamma", "d0_m", "interval_s"):
             if not getattr(self, name) > 0:
@@ -147,6 +152,6 @@ def generate(cfg: SimConfig) -> list[PointRecord]:
                 values = [
                     sample_rssi(point, ap, cfg, rng) for _ in range(cfg.samples_per_trial)
                 ]
-                traces[(ap_id, trial)] = Trace(point, ap_id, trial, values)
-        records.append(PointRecord(point, room_of(point[0]), traces))
+                traces[(ap_id, trial)] = Trace(values)
+        records.append(PointRecord(point, traces))
     return records

@@ -1,15 +1,11 @@
 """Shared builders for trace and point-record fixtures."""
 
-from roomsense.dataset import PointRecord, Trace, room_of
+from roomsense.dataset import PointRecord, Trace
 
 
 def make_point(x, y, per_ap_trial):
     """PointRecord from a {(ap_id, trial): [rssi, ...]} mapping."""
-    traces = {
-        (ap_id, trial): Trace((x, y), ap_id, trial, values)
-        for (ap_id, trial), values in per_ap_trial.items()
-    }
-    return PointRecord((x, y), room_of(x), traces)
+    return PointRecord((x, y), {key: Trace(values) for key, values in per_ap_trial.items()})
 
 
 def make_point_same_traces(x, y, values, trials=(0,)):

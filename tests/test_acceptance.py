@@ -138,7 +138,7 @@ def test_c2_feature_correctness():
     assert len(FEATURE_FIXTURES) == 20
     for trace_x, trace_y, frozen in FEATURE_FIXTURES:
         u, v = unique_values(trace_x), unique_values(trace_y)
-        block = np.array(ap_features(u, v).as_tuple())
+        block = np.array(ap_features(u, v))
         assert np.allclose(block, frozen, atol=1e-9), (trace_x, trace_y)
         assert np.allclose(block, naive_features(trace_x, trace_y), atol=1e-9)
 
@@ -146,8 +146,8 @@ def test_c2_feature_correctness():
     for _ in range(1000):
         u = list(rng.integers(-100, 1, size=rng.integers(1, 12)))
         v = list(rng.integers(-100, 1, size=rng.integers(1, 12)))
-        forward = ap_features(u, v).as_tuple()
-        backward = ap_features(v, u).as_tuple()
+        forward = ap_features(u, v)
+        backward = ap_features(v, u)
         assert forward == backward
         assert forward[3] >= forward[4]  # rssi_high >= rssi_avg
     print("ACCEPTANCE 2 PASS: 20 frozen fixtures at 1e-9; symmetry and "

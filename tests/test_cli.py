@@ -1,6 +1,8 @@
 """Command-line pipeline: stage outputs, composability, determinism, exit codes."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +130,19 @@ def test_evaluate_importance_and_kde_outputs(tmp_path, config_path):
     # degenerate (zero-spread) features are reported as point-mass comments
     assert names <= set(cli.KDE_EXPORT_FEATURES)
     assert names
+
+
+def test_stage_outputs_match_pinned_digests(tmp_path):
+    # traces.csv and features.csv involve no BLAS, so their seed-42 digests
+    # hold on any CPU; the model and report files are pinned by perfbench only
+    pinned = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "digests.json").read_text(encoding="utf-8")
+    )["paper-default"]["*"]
+    assert run("simulate", "--seed", "42", "--out", str(tmp_path)) == 0
+    assert run("featurize", str(tmp_path / "traces.csv"), "--seed", "42",
+               "--out", str(tmp_path)) == 0
+    for name in ("traces.csv", "features.csv"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned[name], name
 
 
 def test_benchmark_is_deterministic(tmp_path, config_path):

@@ -7,10 +7,8 @@ import pytest
 
 from conftest import make_point_same_traces
 from roomsense.dataset import (
-    Dataset,
     PairingConfig,
     PairSample,
-    RssiReading,
     Trace,
     TraceFormatError,
     build_pairs,
@@ -30,18 +28,9 @@ def test_room_of():
         room_of(0)
 
 
-def test_reading_invariants():
-    with pytest.raises(ValueError):
-        RssiReading((1, 1), ap_id=4, trial=0, seq=0, rssi=-50)
-    with pytest.raises(ValueError):
-        RssiReading((1, 1), ap_id=1, trial=0, seq=0, rssi=5)
-    with pytest.raises(ValueError):
-        RssiReading((1, 1), ap_id=1, trial=-1, seq=0, rssi=-50)
-
-
 def test_trace_must_be_nonempty():
     with pytest.raises(ValueError):
-        Trace((1, 1), 1, 0, [])
+        Trace([])
 
 
 def test_ingest_empty_stream():
@@ -98,6 +87,8 @@ def test_ingest_skips_comments_and_blank_lines():
         ("0,5,1,0,0,-50", "partition wall"),
         ("5,5,9,0,0,-50", "ap_id"),
         ("nan,5,1,0,0,-50", "non-finite"),
+        ("5,5,1,-1,0,-50", "trial"),
+        ("5,5,1,0,-1,-50", "seq"),
     ],
 )
 def test_ingest_rejects_bad_rows(row, match):
@@ -140,7 +131,7 @@ def test_unique_values_accepts_trace_and_is_subsequence():
     rng = np.random.default_rng(5)
     for _ in range(100):
         values = list(rng.integers(-90, -40, size=rng.integers(1, 30)))
-        uniq = unique_values(Trace((1, 1), 1, 0, values))
+        uniq = unique_values(Trace(values))
         assert len(set(uniq)) == len(uniq)
         it = iter(values)
         assert all(v in it for v in uniq)  # subsequence check
@@ -245,9 +236,3 @@ def test_pair_sample_invariants():
         PairSample((0, 1), (2, 3), (1.0,) * 7, 1)
     with pytest.raises(ValueError, match="label"):
         PairSample((0, 1), (2, 3), (1.0,) * 18, 2)
-
-
-def test_dataset_count_validation():
-    sample = PairSample((0, 1), (2, 3), (1.0,) * 18, 1)
-    with pytest.raises(ValueError, match="counts"):
-        Dataset((sample,), (0, 1))

@@ -18,7 +18,6 @@ from roomsense.features import (
     mean_difference,
     mean_strength,
     min_strength,
-    pair_features,
     read_feature_matrix,
     signal_similarity,
     write_feature_matrix,
@@ -79,7 +78,7 @@ def test_empty_inputs_rejected():
 def test_ap_features_against_naive_oracle():
     x, y = [-45, -52, -67], [-71, -88, -90, -64, -55]
     block = ap_features(x, y)
-    assert np.allclose(block.as_tuple(), naive_features(x, y), atol=1e-9)
+    assert np.allclose(block, naive_features(x, y), atol=1e-9)
 
 
 def test_featurize_identical_traces_zeroes_md_and_dtw():
@@ -149,14 +148,6 @@ def test_missing_ap_trace_is_an_error():
     b = make_point_same_traces(6, 4, [-55])
     with pytest.raises(ValueError, match="missing trace"):
         featurize_pair(a, b)
-
-
-def test_pair_features_block_order():
-    a = make_point_same_traces(-3, 2, [-50])
-    b = make_point_same_traces(6, 4, [-70])
-    pf = pair_features(a, b)
-    assert len(pf.per_ap) == 3
-    assert pf.as_vector().tolist() == featurize_pair(a, b).tolist()
 
 
 def test_feature_names_layout():

@@ -1,9 +1,12 @@
 """Classifier behavior: Gini, trees, forest, KNN, LR, SVM, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from roomsense import ml
+from roomsense._schema import build, flatten
 from roomsense.evaluation import standardize_apply, standardize_fit
 from roomsense.ml import (
     DecisionTree,
@@ -310,7 +313,7 @@ def test_train_config_hyperparams_round_trip():
         svm=ml.SVMParams(c=2.0, gamma=0.3, tol=1e-4, max_passes=7),
         dt=ml.DTParams(min_samples_split=4, max_depth=6, max_features=2),
     )
-    assert TrainConfig.from_hyperparams("svm", 5, cfg.hyperparams()) == cfg
+    assert build(TrainConfig, flatten(cfg), algorithm="svm", seed=5) == cfg
 
 
 @pytest.mark.parametrize("algorithm", ml.ALGORITHMS)
@@ -336,6 +339,14 @@ def test_load_model_rejects_garbage(tmp_path):
     path.write_text('{"format_version": 99, "algorithm": "lr", "params": {}}', encoding="utf-8")
     with pytest.raises(ml.ModelFormatError):
         ml.load_model(path)
+    Xs, y = separable_clusters(seed=21)
+    for algorithm, key, bad in (("knn", "k", 4), ("svm", "gamma", "abc")):
+        model = ml.train(Xs, y, TrainConfig(algorithm=algorithm, seed=1))
+        doc = ml.model_to_dict(model)
+        doc["params"][key] = bad
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ml.ModelFormatError, match="malformed"):
+            ml.load_model(path)
 
 
 def test_rf_importance_survives_serialization(tmp_path):

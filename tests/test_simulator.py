@@ -80,6 +80,21 @@ def test_config_validation():
         SimConfig(room_left=(0.0, 25.0))
     with pytest.raises(ValueError):
         SimConfig(ap_positions=((0.0, 0.0),))
+    # non-finite values fail here, not deep inside generate()
+    for bad in (
+        dict(pl0_dbm=math.inf),
+        dict(pl0_dbm=math.nan),
+        dict(wall_loss_db=math.nan),
+        dict(wall_loss_db=-math.inf),
+        dict(ap_positions=((0.0, 0.0), (0.0, math.nan), (32.0, 0.0))),
+        dict(ap_positions=((math.inf, 0.0), (0.0, 21.0), (32.0, 0.0))),
+        dict(room_left=(math.inf, 25.0)),
+        dict(room_right=(35.0, math.nan)),
+        dict(gamma=math.inf),
+        dict(noise_sigma_db=math.inf),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(**bad)
 
 
 def test_generate_counts_small():
