@@ -1,5 +1,6 @@
 """RBF-kernel support vector machine trained with simplified SMO."""
 
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -40,7 +41,10 @@ class SupportVectorMachine:
     """Binary SVM with an RBF kernel, optimized pairwise (simplified SMO).
 
     Training stops after max_passes consecutive full sweeps without an alpha
-    update (with a hard sweep cap as a safety net).  gamma=None scales as
+    update (with a hard sweep cap as a safety net).  After fit, n_sweeps_
+    holds the sweeps run and converged_ whether the max_passes clean sweeps
+    were reached; stopping at max_sweeps instead warns with a
+    RuntimeWarning.  Neither is serialized.  gamma=None scales as
     1 / (n_features * var(X)).  A decision value of exactly 0 classifies as
     class 0.
     """
@@ -58,6 +62,8 @@ class SupportVectorMachine:
         self.alphas_ = None
         self.bias_ = None
         self.gamma_ = None
+        self.n_sweeps_ = None
+        self.converged_ = None
 
     @classmethod
     def from_config(cls, cfg):
@@ -100,28 +106,35 @@ class SupportVectorMachine:
 
         K = rbf_kernel(X, X, gamma)
         alphas = np.zeros(n)
+        ay = np.zeros(n)  # alphas * y_signed, kept in step with alphas
         b = 0.0
         rng = generator(self.seed, "svm")
         C, tol = self.c, self.tol
 
+        # The strided K[:, i] views, made once.  A contiguous copy would be
+        # faster but switches the dot product to a BLAS kernel whose sums
+        # round differently.  Scalars are read from a list: same doubles.
+        columns = list(K.T)
+        ys = y_signed.tolist()
+
         def f(i):
-            return float((alphas * y_signed) @ K[:, i] + b)
+            return float(ay @ columns[i] + b)
 
         passes = 0
         sweeps = 0
         while passes < self.max_passes and sweeps < self.max_sweeps:
             changed = 0
             for i in range(n):
-                E_i = f(i) - y_signed[i]
-                r_i = y_signed[i] * E_i
+                E_i = f(i) - ys[i]
+                r_i = ys[i] * E_i
                 if not ((r_i < -tol and alphas[i] < C) or (r_i > tol and alphas[i] > 0)):
                     continue
                 j = int(rng.integers(n - 1))
                 if j >= i:
                     j += 1
-                E_j = f(j) - y_signed[j]
+                E_j = f(j) - ys[j]
                 a_i_old, a_j_old = alphas[i], alphas[j]
-                if y_signed[i] != y_signed[j]:
+                if ys[i] != ys[j]:
                     L = max(0.0, a_j_old - a_i_old)
                     H = min(C, C + a_j_old - a_i_old)
                 else:
@@ -132,22 +145,22 @@ class SupportVectorMachine:
                 eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
                 if eta >= 0:
                     continue
-                a_j = a_j_old - y_signed[j] * (E_i - E_j) / eta
+                a_j = a_j_old - ys[j] * (E_i - E_j) / eta
                 a_j = min(H, max(L, a_j))
                 if abs(a_j - a_j_old) < 1e-5:
                     continue
-                a_i = a_i_old + y_signed[i] * y_signed[j] * (a_j_old - a_j)
+                a_i = a_i_old + ys[i] * ys[j] * (a_j_old - a_j)
                 b1 = (
                     b
                     - E_i
-                    - y_signed[i] * (a_i - a_i_old) * K[i, i]
-                    - y_signed[j] * (a_j - a_j_old) * K[i, j]
+                    - ys[i] * (a_i - a_i_old) * K[i, i]
+                    - ys[j] * (a_j - a_j_old) * K[i, j]
                 )
                 b2 = (
                     b
                     - E_j
-                    - y_signed[i] * (a_i - a_i_old) * K[i, j]
-                    - y_signed[j] * (a_j - a_j_old) * K[j, j]
+                    - ys[i] * (a_i - a_i_old) * K[i, j]
+                    - ys[j] * (a_j - a_j_old) * K[j, j]
                 )
                 if 0 < a_i < C:
                     b = b1
@@ -156,6 +169,7 @@ class SupportVectorMachine:
                 else:
                     b = (b1 + b2) / 2.0
                 alphas[i], alphas[j] = a_i, a_j
+                ay[i], ay[j] = a_i * ys[i], a_j * ys[j]
                 changed += 1
             passes = passes + 1 if changed == 0 else 0
             sweeps += 1
@@ -165,6 +179,15 @@ class SupportVectorMachine:
         self.alphas_ = alphas
         self.bias_ = float(b)
         self.gamma_ = float(gamma)
+        self.n_sweeps_ = sweeps
+        self.converged_ = passes >= self.max_passes
+        if not self.converged_:
+            warnings.warn(
+                f"SMO stopped at max_sweeps={self.max_sweeps} before "
+                f"{self.max_passes} consecutive sweeps without an update",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         return self
 
     @property

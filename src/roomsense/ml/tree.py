@@ -22,16 +22,25 @@ class DTParams:
             raise ValueError(f"dt_max_features must be >= 1, got {self.max_features}")
 
 
+def _check_labels(labels):
+    if labels.size == 0:
+        raise ValueError("empty label set")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+
+
+def _impurity(ones, n):
+    """Gini impurity of n labels of which `ones` are 1."""
+    p1 = ones / n
+    p0 = 1.0 - p1
+    return 1.0 - p0 * p0 - p1 * p1
+
+
 def gini(labels) -> float:
     """Gini impurity 1 - p0^2 - p1^2 of a {0,1} label multiset."""
     labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("gini of an empty label set")
-    if not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    p1 = float(np.mean(labels == 1))
-    p0 = 1.0 - p1
-    return 1.0 - p0 * p0 - p1 * p1
+    _check_labels(labels)
+    return _impurity(int(np.count_nonzero(labels == 1)), labels.size)
 
 
 @dataclass
@@ -82,33 +91,30 @@ def _best_split(X, y, feature_indices, parent_impurity):
     Thresholds are midpoints between consecutive sorted unique values.  Ties
     resolve to the lowest feature index, then the lowest threshold; zero-gain
     splits are allowed so impure nodes keep splitting (XOR-style structure
-    needs them).
+    needs them).  All candidate features are scored in one array pass: row c
+    of the sorted columns is the cut after the first c + 1 samples.
     """
     n = len(y)
-    best = None
-    best_decrease = -np.inf
-    for f in feature_indices:
-        order = np.argsort(X[:, f], kind="stable")
-        col = X[order, f]
-        ones = np.cumsum(y[order])
-        cut = np.nonzero(col[1:] > col[:-1])[0]  # split after these positions
-        if cut.size == 0:
-            continue
-        n_left = cut + 1.0
-        n_right = n - n_left
-        p_left = ones[cut] / n_left
-        p_right = (ones[-1] - ones[cut]) / n_right
-        child_impurity = (
-            n_left * 2.0 * p_left * (1.0 - p_left)
-            + n_right * 2.0 * p_right * (1.0 - p_right)
-        ) / n
-        decrease = parent_impurity - child_impurity
-        k = int(np.argmax(decrease))  # first maximum: lowest threshold wins ties
-        if decrease[k] > best_decrease:
-            best_decrease = float(decrease[k])
-            threshold = (col[cut[k]] + col[cut[k] + 1]) / 2.0
-            best = (int(f), float(threshold), best_decrease)
-    return best
+    sub = X[:, feature_indices]
+    order = np.argsort(sub, axis=0, kind="stable")
+    cols = sub[order, np.arange(sub.shape[1])]
+    ones = np.cumsum(y[order], axis=0)
+    valid = cols[1:] > cols[:-1]  # a cut between equal values splits nothing
+    if not valid.any():
+        return None
+    n_left = np.arange(1.0, n)[:, None]
+    n_right = n - n_left
+    p_left = ones[:-1] / n_left
+    p_right = (ones[-1] - ones[:-1]) / n_right
+    child_impurity = (
+        n_left * 2.0 * p_left * (1.0 - p_left)
+        + n_right * 2.0 * p_right * (1.0 - p_right)
+    ) / n
+    decrease = np.where(valid, parent_impurity - child_impurity, -np.inf)
+    # first maximum in (feature, cut) order: lowest feature, then lowest threshold
+    f, c = divmod(int(np.argmax(decrease.T)), n - 1)
+    threshold = (cols[c, f] + cols[c + 1, f]) / 2.0
+    return int(feature_indices[f]), float(threshold), float(decrease[c, f])
 
 
 class DecisionTree:
@@ -116,7 +122,8 @@ class DecisionTree:
 
     max_features, when set, samples that many candidate features per node
     from the supplied RNG (used by the random forest); by default every
-    feature is considered.  Leaf class ties go to class 0.
+    feature is considered.  Leaf class ties go to class 0.  Labels are
+    checked once per fit, not per node.
     """
 
     def __init__(self, min_samples_split=2, max_depth=None, max_features=None, seed=0):
@@ -145,15 +152,16 @@ class DecisionTree:
     def fit(self, X, y, rng=None):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
+        _check_labels(y)
         if rng is None:
             rng = generator(self.seed, "dt")
         self.n_features_ = X.shape[1]
         self.root_ = self._grow(X, y, depth=0, rng=rng)
         return self
 
-    def _leaf(self, y):
-        counts = np.bincount(y, minlength=2)
-        return Node(value=int(np.argmax(counts)), n_samples=len(y))
+    @staticmethod
+    def _leaf(ones, n):
+        return Node(value=int(2 * ones > n), n_samples=n)  # a tie goes to class 0
 
     def _candidate_features(self, rng):
         if self.max_features is None or self.max_features >= self.n_features_:
@@ -163,16 +171,17 @@ class DecisionTree:
 
     def _grow(self, X, y, depth, rng):
         n = len(y)
-        impurity = gini(y)
+        ones = int(np.count_nonzero(y))
+        impurity = _impurity(ones, n)
         if (
             impurity == 0.0
             or n < self.min_samples_split
             or (self.max_depth is not None and depth >= self.max_depth)
         ):
-            return self._leaf(y)
+            return self._leaf(ones, n)
         split = _best_split(X, y, self._candidate_features(rng), impurity)
         if split is None:
-            return self._leaf(y)
+            return self._leaf(ones, n)
         feature, threshold, decrease = split
         mask = X[:, feature] <= threshold
         node = Node(
@@ -189,12 +198,20 @@ class DecisionTree:
         X = np.asarray(X, dtype=float)
         if X.shape[1] != self.n_features_:
             raise ValueError(f"expected {self.n_features_} features, got {X.shape[1]}")
+        columns = X.T.copy()  # contiguous per feature: cheaper row gathers below
         out = np.empty(len(X), dtype=int)
-        for i, row in enumerate(X):
-            node = self.root_
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
+        pending = [(self.root_, np.arange(len(X)))]  # (node, rows that reach it)
+        while pending:
+            node, rows = pending.pop()
+            if node.is_leaf:
+                out[rows] = node.value
+                continue
+            left = columns[node.feature][rows] <= node.threshold
+            rows_left = rows[left]
+            if rows_left.size:
+                pending.append((node.left, rows_left))
+            if rows_left.size < rows.size:
+                pending.append((node.right, rows[~left]))
         return out
 
     def depth(self):

@@ -3,11 +3,14 @@
 Everything here deliberately avoids the library's code paths: warping paths
 are enumerated explicitly, features are recomputed with plain Python sets and
 statistics, metrics are recounted from raw label pairs, and integrals use the
-trapezoid rule over explicit grids.
+trapezoid rule over explicit grids.  The tree split search, SMO and tree
+prediction keep their per-feature, per-check and per-row loop forms.
 """
 
 from fractions import Fraction
 from statistics import mean
+
+import numpy as np
 
 
 def enumerate_warp_paths(n, m):
@@ -42,8 +45,6 @@ def brute_force_dtw(x, y):
 
 def path_cost_matrices(n, m):
     """0/1 visit matrix (flattened) per enumerated path, for vectorized oracles."""
-    import numpy as np
-
     paths = enumerate_warp_paths(n, m)
     mats = np.zeros((len(paths), n * m))
     for p_idx, path in enumerate(paths):
@@ -113,3 +114,112 @@ def trapezoid(ys, xs):
     for k in range(1, len(xs)):
         total += (ys[k] + ys[k - 1]) * (xs[k] - xs[k - 1]) / 2.0
     return total
+
+
+# ---------------------------------------------------------------------------
+# Training kernels as loops: the forms the vectorized library code replaced.
+# Same arithmetic in the same order, so results must match exactly.
+
+
+def best_split_oracle(X, y, feature_indices, parent_impurity):
+    """Best (feature, threshold, decrease) scanning one feature at a time."""
+    n = len(y)
+    best = None
+    best_decrease = -np.inf
+    for f in feature_indices:
+        order = np.argsort(X[:, f], kind="stable")
+        col = X[order, f]
+        ones = np.cumsum(y[order])
+        cut = np.nonzero(col[1:] > col[:-1])[0]  # split after these positions
+        if cut.size == 0:
+            continue
+        n_left = cut + 1.0
+        n_right = n - n_left
+        p_left = ones[cut] / n_left
+        p_right = (ones[-1] - ones[cut]) / n_right
+        child_impurity = (
+            n_left * 2.0 * p_left * (1.0 - p_left)
+            + n_right * 2.0 * p_right * (1.0 - p_right)
+        ) / n
+        decrease = parent_impurity - child_impurity
+        k = int(np.argmax(decrease))  # first maximum: lowest threshold wins ties
+        if decrease[k] > best_decrease:
+            best_decrease = float(decrease[k])
+            threshold = (col[cut[k]] + col[cut[k] + 1]) / 2.0
+            best = (int(f), float(threshold), best_decrease)
+    return best
+
+
+def smo_oracle(K, y_signed, C, tol, max_passes, max_sweeps, rng):
+    """(alphas, bias) of simplified SMO that recomputes alphas * y per check."""
+    n = len(y_signed)
+    alphas = np.zeros(n)
+    b = 0.0
+
+    def f(i):
+        return float((alphas * y_signed) @ K[:, i] + b)
+
+    passes = 0
+    sweeps = 0
+    while passes < max_passes and sweeps < max_sweeps:
+        changed = 0
+        for i in range(n):
+            E_i = f(i) - y_signed[i]
+            r_i = y_signed[i] * E_i
+            if not ((r_i < -tol and alphas[i] < C) or (r_i > tol and alphas[i] > 0)):
+                continue
+            j = int(rng.integers(n - 1))
+            if j >= i:
+                j += 1
+            E_j = f(j) - y_signed[j]
+            a_i_old, a_j_old = alphas[i], alphas[j]
+            if y_signed[i] != y_signed[j]:
+                L = max(0.0, a_j_old - a_i_old)
+                H = min(C, C + a_j_old - a_i_old)
+            else:
+                L = max(0.0, a_i_old + a_j_old - C)
+                H = min(C, a_i_old + a_j_old)
+            if L == H:
+                continue
+            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+            if eta >= 0:
+                continue
+            a_j = a_j_old - y_signed[j] * (E_i - E_j) / eta
+            a_j = min(H, max(L, a_j))
+            if abs(a_j - a_j_old) < 1e-5:
+                continue
+            a_i = a_i_old + y_signed[i] * y_signed[j] * (a_j_old - a_j)
+            b1 = (
+                b
+                - E_i
+                - y_signed[i] * (a_i - a_i_old) * K[i, i]
+                - y_signed[j] * (a_j - a_j_old) * K[i, j]
+            )
+            b2 = (
+                b
+                - E_j
+                - y_signed[i] * (a_i - a_i_old) * K[i, j]
+                - y_signed[j] * (a_j - a_j_old) * K[j, j]
+            )
+            if 0 < a_i < C:
+                b = b1
+            elif 0 < a_j < C:
+                b = b2
+            else:
+                b = (b1 + b2) / 2.0
+            alphas[i], alphas[j] = a_i, a_j
+            changed += 1
+        passes = passes + 1 if changed == 0 else 0
+        sweeps += 1
+    return alphas, float(b)
+
+
+def tree_predict_oracle(root, X):
+    """Class of each row by walking the tree one row at a time."""
+    out = []
+    for row in X:
+        node = root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        out.append(node.value)
+    return np.array(out, dtype=int)

@@ -1,11 +1,14 @@
 """Classifier behavior: Gini, trees, forest, KNN, LR, SVM, and serialization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from oracles import best_split_oracle, smo_oracle, tree_predict_oracle
 
 from roomsense import ml
+from roomsense._seeds import generator
 from roomsense._schema import build, flatten
 from roomsense.evaluation import standardize_apply, standardize_fit
 from roomsense.ml import (
@@ -18,7 +21,8 @@ from roomsense.ml import (
     gini,
     mdi_importance,
 )
-from roomsense.ml.tree import Node
+from roomsense.ml.svm import rbf_kernel
+from roomsense.ml.tree import Node, _best_split
 
 
 def separable_clusters(n=60, seed=0):
@@ -116,6 +120,72 @@ def test_decision_tree_splits_are_optimal_and_leaves_terminal():
     walk(tree.root_, X, y)
 
 
+def test_tree_and_forest_reject_non_binary_labels():
+    X = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        DecisionTree().fit(X, [0, 2, 1, 0])
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        RandomForest(n_trees=3).fit(X, [0, 1, 2, 1])
+
+
+def _split_cases():
+    """~500 seeded (X, y, feature_indices) nodes, including degenerate ones."""
+    rng = np.random.default_rng(2024)
+    for _ in range(420):
+        n = int(rng.integers(2, 40))
+        n_features = int(rng.integers(1, 19))
+        X = np.round(rng.normal(size=(n, n_features)), 1)  # coarse values force ties
+        if rng.random() < 0.2:
+            X[:, rng.integers(n_features)] = 1.5  # one constant column
+        y = rng.integers(0, 2, size=n)
+        if rng.random() < 0.1:
+            y[:] = rng.integers(0, 2)  # single-class node
+        if n_features >= 4 and rng.random() < 0.5:
+            features = np.sort(rng.choice(n_features, size=4, replace=False))
+        else:
+            features = np.arange(n_features)
+        yield X, y, features
+    for n in (2, 5, 30):
+        for _ in range(20):
+            y = rng.integers(0, 2, size=n)
+            yield np.full((n, 6), -0.3), y, np.arange(6)  # every column constant
+    for _ in range(20):
+        yield np.round(rng.normal(size=(2, 5)), 1), np.array([0, 1]), np.arange(5)
+
+
+def test_best_split_matches_per_feature_oracle():
+    cases = list(_split_cases())
+    assert len(cases) >= 500
+    for X, y, features in cases:
+        parent = gini(y)
+        assert _best_split(X, y, features, parent) == best_split_oracle(X, y, features, parent)
+    constant = [c for c in cases if np.all(c[0] == c[0][0])]
+    assert constant and all(_best_split(X, y, f, gini(y)) is None for X, y, f in constant)
+
+
+def test_tree_predict_matches_per_row_walk():
+    rng = np.random.default_rng(17)
+    X = np.round(rng.normal(size=(80, 4)), 1)
+    y = rng.integers(0, 2, size=80)
+    tree = DecisionTree().fit(X, y)
+    thresholds = []
+
+    def collect(node):
+        if not node.is_leaf:
+            thresholds.append((node.feature, node.threshold))
+            collect(node.left)
+            collect(node.right)
+
+    collect(tree.root_)
+    queries = np.round(rng.normal(size=(300, 4)), 2)
+    for row, (feature, threshold) in zip(queries, thresholds * 2):
+        row[feature] = threshold  # rows lying exactly on a split threshold
+    assert len(thresholds) > 10
+    assert np.array_equal(tree.predict(queries), tree_predict_oracle(tree.root_, queries))
+    assert np.array_equal(tree.predict(X), tree_predict_oracle(tree.root_, X))
+    assert tree.predict(np.zeros((0, 4))).shape == (0,)
+
+
 def test_random_forest_trees_are_order_independent():
     # tree t's RNG stream depends only on (seed, t), so a one-tree forest
     # reproduces the first tree of a larger forest exactly
@@ -207,6 +277,44 @@ def test_svm_duals_bounded_and_kkt_satisfied():
             assert margin <= model.tol
         else:
             assert abs(margin) <= model.tol
+
+
+def _svm_matrix(seed):
+    rng = np.random.default_rng(100 + seed)
+    X = rng.normal(size=(120, 6))
+    y = (X[:, 0] + 0.5 * X[:, 1] ** 2 + rng.normal(0.0, 0.7, size=120) > 0.5).astype(int)
+    return standardize_apply(standardize_fit(X), X), y
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_svm_fit_matches_smo_oracle(seed):
+    Xs, y = _svm_matrix(seed)
+    model = SupportVectorMachine(seed=seed).fit(Xs, y)
+    alphas, bias = smo_oracle(
+        rbf_kernel(Xs, Xs, model.gamma_),
+        np.where(y == 1, 1.0, -1.0),
+        model.c,
+        model.tol,
+        model.max_passes,
+        model.max_sweeps,
+        generator(seed, "svm"),
+    )
+    assert np.array_equal(model.alphas_, alphas)
+    assert model.bias_ == bias
+    assert model.support_mask_.sum() > 0
+
+
+def test_svm_reports_convergence():
+    Xs, y = _svm_matrix(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = SupportVectorMachine(seed=0).fit(Xs, y)
+    assert model.converged_ is True
+    assert model.max_passes <= model.n_sweeps_ < model.max_sweeps
+    with pytest.warns(RuntimeWarning, match="max_sweeps=1"):
+        capped = SupportVectorMachine(seed=0, max_sweeps=1).fit(Xs, y)
+    assert capped.converged_ is False
+    assert capped.n_sweeps_ == 1
 
 
 def test_random_forest_even_vote_tie_goes_to_class_zero():
