@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._seeds import generator
-from .tree import DecisionTree
+from .tree import DecisionTree, _check_labels
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,7 @@ class RandomForest:
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
+        _check_labels(y)  # on all rows, not only those a bootstrap draws
         n = len(y)
         self.n_features_ = X.shape[1]
         max_features = self._resolved_max_features(self.n_features_)

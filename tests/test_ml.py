@@ -126,6 +126,10 @@ def test_tree_and_forest_reject_non_binary_labels():
         DecisionTree().fit(X, [0, 2, 1, 0])
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
         RandomForest(n_trees=3).fit(X, [0, 1, 2, 1])
+    # the one bootstrap drawn with seed 4 misses row 2, whose label is bad
+    assert 2 not in generator(4, "rf-tree", 0).integers(0, 4, size=4)
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        RandomForest(n_trees=1, seed=4).fit(X, [0, 1, 2, 1])
 
 
 def _split_cases():
