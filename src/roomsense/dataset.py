@@ -5,6 +5,7 @@ room and a negative ("distant") sample otherwise.  Room membership is encoded
 in the sign of the x coordinate: x < 0 is the left room, x > 0 the right one.
 """
 
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -65,9 +66,8 @@ class PointRecord:
 
     def trial_ids(self) -> list[int]:
         """Trials for which this point has a trace from every access point."""
-        per_ap = {ap: {t for (a, t) in self.traces if a == ap} for ap in AP_IDS}
-        common = set.intersection(*per_ap.values()) if per_ap else set()
-        return sorted(common)
+        per_ap = ({t for (a, t) in self.traces if a == ap} for ap in AP_IDS)
+        return sorted(set.intersection(*per_ap))
 
 
 @dataclass(frozen=True)
@@ -246,14 +246,6 @@ class PairingConfig:
             raise ValueError(f"unknown trial_matching {self.trial_matching!r}")
 
 
-def _pair_assignments(a: PointRecord, b: PointRecord, matching: str):
-    """All (trial_a, trial_b) choices available to a pair."""
-    if matching == "equal":
-        common = sorted(set(a.trial_ids()) & set(b.trial_ids()))
-        return [(t, t) for t in common]
-    return [(ta, tb) for ta in a.trial_ids() for tb in b.trial_ids()]
-
-
 def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> Dataset:
     """Construct the labeled pair dataset from point records.
 
@@ -268,53 +260,40 @@ def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> D
 
     config = config or PairingConfig()
     points = sorted(points, key=lambda p: p.point)
-    for record in points:
-        if not record.trial_ids():
+    trials = [record.trial_ids() for record in points]
+    for record, ids in zip(points, trials):
+        if not ids:
             raise ValueError(f"point {record.point} lacks a trace for every access point")
 
-    by_room = {}
-    for idx, record in enumerate(points):
-        by_room.setdefault(record.room, []).append(idx)
-    for room, members in by_room.items():
-        if len(members) < 2:
-            raise ValueError(f"room {room!r} has {len(members)} point(s); need >= 2")
+    rooms = [record.room for record in points]
+    for room in dict.fromkeys(rooms):
+        if rooms.count(room) < 2:
+            raise ValueError(f"room {room!r} has {rooms.count(room)} point(s); need >= 2")
 
-    same_pairs, cross_pairs = [], []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            target = same_pairs if points[i].room == points[j].room else cross_pairs
-            target.append((i, j))
+    # (i, j, trial_a, trial_b) per label, pairs in (i, j) order, then trials
+    combos = {1: [], 0: []}
+    for i, j in itertools.combinations(range(len(points)), 2):
+        if config.trial_matching == "equal":
+            assignments = [(t, t) for t in trials[i] if t in trials[j]]
+        else:
+            assignments = itertools.product(trials[i], trials[j])
+        combos[int(rooms[i] == rooms[j])] += [(i, j, ta, tb) for ta, tb in assignments]
 
-    def draw(pairs, count, label):
-        if count == 0:
-            return []
-        combos = [
-            (i, j, ta, tb)
-            for (i, j) in pairs
-            for (ta, tb) in _pair_assignments(points[i], points[j], config.trial_matching)
-        ]
-        kind = "positive" if label == 1 else "negative"
-        if count > len(combos):
+    def draw(count, label):
+        if count > len(combos[label]):
+            kind = "positive" if label == 1 else "negative"
             raise ValueError(
-                f"{count} {kind} samples requested but only {len(combos)} distinct "
+                f"{count} {kind} samples requested but only {len(combos[label])} distinct "
                 "(pair, trial) combinations exist"
             )
         rng = generator(seed, "pairs", label)
-        picked = rng.choice(len(combos), size=count, replace=False)
         samples = []
-        for idx in picked:
-            i, j, ta, tb = combos[idx]
+        for idx in rng.choice(len(combos[label]), size=count, replace=False):
+            i, j, ta, tb = combos[label][idx]
             features = featurize_pair(points[i], points[j], trial_a=ta, trial_b=tb)
-            samples.append(
-                PairSample(
-                    points[i].point,
-                    points[j].point,
-                    tuple(float(v) for v in features),
-                    label,
-                )
-            )
+            samples.append(PairSample(
+                points[i].point, points[j].point, tuple(float(v) for v in features), label
+            ))
         return samples
 
-    positives = draw(same_pairs, config.n_positive, 1)
-    negatives = draw(cross_pairs, config.n_negative, 0)
-    return Dataset(tuple(positives + negatives))
+    return Dataset(tuple(draw(config.n_positive, 1) + draw(config.n_negative, 0)))

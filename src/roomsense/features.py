@@ -1,12 +1,12 @@
 """Six per-access-point features for a pair of device points.
 
-Every operation consumes the two points' unique-RSSI sequences for one AP.
-Statistical features work on absolute dBm magnitudes (so "minimum strength"
-names the strongest observed signal); the ratio features count values at or
-below the -50 dBm (high) and -70 dBm (average) marks over the deduplicated
-union; signal similarity is the DTW distance between the ordered sequences.
-Concatenating the six features over the three APs yields the 18-value vector,
-which is symmetric in the two points.
+`ap_features` computes all six from the two points' unique-RSSI sequences for
+one AP.  Statistical features work on absolute dBm magnitudes (so "minimum
+strength" names the strongest observed signal); the ratio features count
+values at or below the -50 dBm (high) and -70 dBm (average) marks over the
+deduplicated union; signal similarity is the DTW distance between the ordered
+sequences.  Concatenating the six features over the three APs yields the
+18-value vector, which is symmetric in the two points.
 """
 
 import math
@@ -32,62 +32,26 @@ class FeatureFormatError(ValueError):
         self.line_no = line_no
 
 
-def _check_nonempty(u, v):
+def ap_features(u, v) -> tuple[float, ...]:
+    """The six features for one AP from two unique-value sequences, in AP_FEATURE_NAMES order.
+
+    md is the gap between the two points' mean absolute RSSI; savg and smin
+    are the mean and smallest absolute RSSI over the union of both points'
+    values; high and avg are the fractions of that union at or below -50 and
+    -70 dBm; dtw is the DTW distance between u and v.
+    """
     if len(u) == 0 or len(v) == 0:
         raise ValueError("feature inputs must be nonempty")
-
-
-def _union(u, v):
-    return set(u) | set(v)
-
-
-def mean_difference(u, v) -> float:
-    """Gap between the two points' mean absolute RSSI values."""
-    _check_nonempty(u, v)
-    return abs(float(np.mean(np.abs(u))) - float(np.mean(np.abs(v))))
-
-
-def mean_strength(u, v) -> float:
-    """Mean absolute RSSI over the deduplicated union of both points' values."""
-    _check_nonempty(u, v)
-    return float(np.mean([abs(s) for s in _union(u, v)]))
-
-
-def min_strength(u, v) -> float:
-    """Smallest absolute RSSI over the union, i.e. the strongest signal seen."""
-    _check_nonempty(u, v)
-    return float(min(abs(s) for s in _union(u, v)))
-
-
-def high_strength_ratio(u, v) -> float:
-    """Fraction of the union at or below -50 dBm."""
-    _check_nonempty(u, v)
-    union = _union(u, v)
-    return sum(1 for s in union if s <= HIGH_STRENGTH_DBM) / len(union)
-
-
-def avg_strength_ratio(u, v) -> float:
-    """Fraction of the union at or below -70 dBm."""
-    _check_nonempty(u, v)
-    union = _union(u, v)
-    return sum(1 for s in union if s <= AVG_STRENGTH_DBM) / len(union)
-
-
-def signal_similarity(u, v) -> float:
-    """DTW distance between the two ordered unique-value sequences."""
-    _check_nonempty(u, v)
-    return dtw_distance(u, v).distance
-
-
-def ap_features(u, v) -> tuple[float, ...]:
-    """The six features for one AP from two unique-value sequences, in AP_FEATURE_NAMES order."""
+    union = set(u) | set(v)
+    strengths = [abs(s) for s in union]
+    n = len(union)
     return (
-        mean_difference(u, v),
-        mean_strength(u, v),
-        min_strength(u, v),
-        high_strength_ratio(u, v),
-        avg_strength_ratio(u, v),
-        signal_similarity(u, v),
+        float(abs(sum(map(abs, u)) / len(u) - sum(map(abs, v)) / len(v))),
+        float(sum(strengths) / n),
+        float(min(strengths)),
+        sum(1 for s in union if s <= HIGH_STRENGTH_DBM) / n,
+        sum(1 for s in union if s <= AVG_STRENGTH_DBM) / n,
+        dtw_distance(u, v).distance,
     )
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._input import check_fit_input
 from .forest import RandomForest, RFParams, mdi_importance
 from .knn import KNearestNeighbors, KNNParams
 from .logistic import LogisticRegression, LRParams
@@ -86,28 +87,14 @@ class TrainConfig:
             raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
 
 
-def _validate_training_input(X, y, algorithm):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if X.ndim != 2:
-        raise ValueError("X must be a 2-D matrix")
-    if len(X) != len(y):
-        raise ValueError(f"{len(X)} rows but {len(y)} labels")
-    if len(y) < 2:
-        raise ValueError("training needs at least 2 samples")
-    if np.isnan(X).any():
-        raise ValueError("X contains NaN")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    # knn degenerates gracefully with one class; the others cannot learn from it
-    if algorithm != "knn" and len(np.unique(y)) < 2:
-        raise ValueError(f"{algorithm} requires both classes in the training data")
-    return X, y
-
-
 def train(X, y, cfg: TrainConfig):
     """Train the configured classifier; deterministic in (X, y, cfg, seed)."""
-    X, y = _validate_training_input(X, y, cfg.algorithm)
+    X, y = check_fit_input(X, y)
+    if len(y) < 2:
+        raise ValueError("training needs at least 2 samples")
+    # knn degenerates gracefully with one class; the others cannot learn from it
+    if cfg.algorithm != "knn" and len(np.unique(y)) < 2:
+        raise ValueError(f"{cfg.algorithm} requires both classes in the training data")
     return MODELS[cfg.algorithm].from_config(cfg).fit(X, y)
 
 

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._seeds import generator
-from .tree import DecisionTree, _check_labels
+from ._input import check_fit_input
+from .tree import DecisionTree
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,7 @@ class RandomForest:
         return int(self.max_features)
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        _check_labels(y)  # on all rows, not only those a bootstrap draws
+        X, y = check_fit_input(X, y)  # all rows, not only those a bootstrap draws
         n = len(y)
         self.n_features_ = X.shape[1]
         max_features = self._resolved_max_features(self.n_features_)

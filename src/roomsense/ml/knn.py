@@ -4,6 +4,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._input import check_fit_input
+
 
 @dataclass(frozen=True)
 class KNNParams:
@@ -42,8 +44,7 @@ class KNearestNeighbors:
         return model
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
+        X, y = check_fit_input(X, y)
         if self.k > len(y):
             raise ValueError(f"k={self.k} exceeds the {len(y)} training samples")
         self.X_ = X.copy()

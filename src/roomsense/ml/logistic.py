@@ -4,6 +4,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._input import check_fit_input
+
 
 @dataclass(frozen=True)
 class LRParams:
@@ -56,8 +58,8 @@ class LogisticRegression:
         return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
+        X, y = check_fit_input(X, y)
+        y = y.astype(float)  # float labels keep the loop's arithmetic in one dtype
         n, d = X.shape
         w = np.zeros(d)
         b = 0.0

@@ -6,6 +6,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .._seeds import generator
+from ._input import check_fit_input
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,7 @@ class SupportVectorMachine:
         return model
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
+        X, y = check_fit_input(X, y)
         n = len(y)
         y_signed = np.where(y == 1, 1.0, -1.0)
 

@@ -5,6 +5,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .._seeds import generator
+from ._input import check_fit_input, check_labels
 
 
 @dataclass(frozen=True)
@@ -22,13 +23,6 @@ class DTParams:
             raise ValueError(f"dt_max_features must be >= 1, got {self.max_features}")
 
 
-def _check_labels(labels):
-    if labels.size == 0:
-        raise ValueError("empty label set")
-    if not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-
-
 def _impurity(ones, n):
     """Gini impurity of n labels of which `ones` are 1."""
     p1 = ones / n
@@ -39,7 +33,7 @@ def _impurity(ones, n):
 def gini(labels) -> float:
     """Gini impurity 1 - p0^2 - p1^2 of a {0,1} label multiset."""
     labels = np.asarray(labels)
-    _check_labels(labels)
+    check_labels(labels)
     return _impurity(int(np.count_nonzero(labels == 1)), labels.size)
 
 
@@ -150,9 +144,7 @@ class DecisionTree:
         return tree
 
     def fit(self, X, y, rng=None):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        _check_labels(y)
+        X, y = check_fit_input(X, y)
         if rng is None:
             rng = generator(self.seed, "dt")
         self.n_features_ = X.shape[1]

@@ -145,6 +145,29 @@ def test_stage_outputs_match_pinned_digests(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned[name], name
 
 
+# features.csv of a small run with trial_matching=random (seed 5); the
+# pinned seed-42 digests above cover only the "equal" trial matching
+RANDOM_MATCHING_CONFIG = """\
+devices_per_room=4
+trials=3
+samples_per_trial=4
+n_positive=40
+n_negative=60
+trial_matching=random
+"""
+RANDOM_MATCHING_FEATURES_SHA256 = "4d2d669ed9bde784b9de6a30a5f03ae2aff6832e19444b930365a4e05ef410b0"
+
+
+def test_random_trial_matching_features_match_pinned_digest(tmp_path):
+    cfg = tmp_path / "random.cfg"
+    cfg.write_text(RANDOM_MATCHING_CONFIG, encoding="utf-8")
+    assert run("simulate", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path)) == 0
+    assert run("featurize", str(tmp_path / "traces.csv"), "--config", str(cfg),
+               "--seed", "5", "--out", str(tmp_path)) == 0
+    digest = hashlib.sha256((tmp_path / "features.csv").read_bytes()).hexdigest()
+    assert digest == RANDOM_MATCHING_FEATURES_SHA256
+
+
 def test_benchmark_is_deterministic(tmp_path, config_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

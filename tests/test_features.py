@@ -8,71 +8,53 @@ import pytest
 from conftest import make_point, make_point_same_traces
 from oracles import naive_features
 from roomsense.features import (
+    AP_FEATURE_NAMES,
     FEATURE_CSV_HEADER,
     FEATURE_NAMES,
     FeatureFormatError,
     ap_features,
-    avg_strength_ratio,
     featurize_pair,
-    high_strength_ratio,
-    mean_difference,
-    mean_strength,
-    min_strength,
     read_feature_matrix,
-    signal_similarity,
     write_feature_matrix,
 )
 
 
-def test_mean_difference_examples():
-    assert mean_difference([-50, -60], [-50, -60]) == 0
-    assert mean_difference([-50, -60], [-70, -80]) == 20  # |55 - 75|
-    assert mean_difference([-60], [-60]) == 0
+# (feature name, u, v, expected): worked examples for each of the six features
+AP_FEATURE_EXAMPLES = [
+    ("md", [-50, -60], [-50, -60], 0),
+    ("md", [-50, -60], [-70, -80], 20),  # |55 - 75|
+    ("md", [-60], [-60], 0),
+    ("savg", [-50], [-50], 50),
+    ("savg", [-50, -60], [-70], 60),
+    ("savg", [-40, -80], [-40, -80], 60),  # union dedups
+    ("smin", [-50], [-50], 50),
+    ("smin", [-50, -60], [-70, -80], 50),
+    ("smin", [-100], [-41], 41),
+    ("high", [-50, -60], [-80], 1.0),
+    ("high", [-40, -55], [-60, -80], 0.75),
+    ("high", [-40], [-45], 0.0),
+    ("avg", [-40, -55], [-60, -80], 0.25),
+    ("avg", [-70, -80], [-90], 1.0),
+    ("avg", [-40], [-40], 0.0),
+    ("dtw", [-50, -60], [-50, -60], 0.0),
+    ("dtw", [0], [5], 5.0),
+    ("dtw", [1, 2, 3], [2, 2, 2, 3, 4], 2.0),
+]
 
 
-def test_mean_strength_examples():
-    assert mean_strength([-50], [-50]) == 50
-    assert mean_strength([-50, -60], [-70]) == 60
-    assert mean_strength([-40, -80], [-40, -80]) == 60  # union dedups
+@pytest.mark.parametrize(
+    "name, u, v, expected",
+    AP_FEATURE_EXAMPLES,
+    ids=[f"{row[0]}-{k % 3}" for k, row in enumerate(AP_FEATURE_EXAMPLES)],
+)
+def test_ap_features_examples(name, u, v, expected):
+    assert ap_features(u, v)[AP_FEATURE_NAMES.index(name)] == expected
 
 
-def test_min_strength_examples():
-    assert min_strength([-50], [-50]) == 50
-    assert min_strength([-50, -60], [-70, -80]) == 50
-    assert min_strength([-100], [-41]) == 41
-
-
-def test_high_strength_ratio_examples():
-    assert high_strength_ratio([-50, -60], [-80]) == 1.0
-    assert high_strength_ratio([-40, -55], [-60, -80]) == 0.75
-    assert high_strength_ratio([-40], [-45]) == 0.0
-
-
-def test_avg_strength_ratio_examples():
-    assert avg_strength_ratio([-40, -55], [-60, -80]) == 0.25
-    assert avg_strength_ratio([-70, -80], [-90]) == 1.0
-    assert avg_strength_ratio([-40], [-40]) == 0.0
-
-
-def test_signal_similarity_examples():
-    assert signal_similarity([-50, -60], [-50, -60]) == 0.0
-    assert signal_similarity([0], [5]) == 5.0
-    assert signal_similarity([1, 2, 3], [2, 2, 2, 3, 4]) == 2.0
-
-
-def test_empty_inputs_rejected():
-    for op in (
-        mean_difference,
-        mean_strength,
-        min_strength,
-        high_strength_ratio,
-        avg_strength_ratio,
-        signal_similarity,
-    ):
-        with pytest.raises(ValueError):
-            op([], [-50])
-        with pytest.raises(ValueError):
-            op([-50], [])
+@pytest.mark.parametrize("u, v", [([], [-50]), ([-50], [])], ids=["u-empty", "v-empty"])
+def test_ap_features_rejects_empty_inputs(u, v):
+    with pytest.raises(ValueError, match="nonempty"):
+        ap_features(u, v)
 
 
 def test_ap_features_against_naive_oracle():

@@ -132,6 +132,21 @@ def test_tree_and_forest_reject_non_binary_labels():
         RandomForest(n_trees=1, seed=4).fit(X, [0, 1, 2, 1])
 
 
+@pytest.mark.parametrize("algorithm", ml.ALGORITHMS)
+def test_fit_rejects_bad_input(algorithm):
+    X = np.arange(8.0).reshape(4, 2)
+    cases = [
+        (X, [0, 1, 0], "4 rows but 3 labels"),
+        (X, [0, 2, 1, 0], "labels must be 0 or 1"),
+        (np.where(X == 5.0, np.nan, X), [0, 1, 1, 0], "NaN"),
+        (np.arange(4.0), [0, 1, 1, 0], "2-D"),
+        (np.zeros((0, 2)), [], "empty label set"),
+    ]
+    for X_bad, y_bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ml.MODELS[algorithm]().fit(X_bad, y_bad)
+
+
 def _split_cases():
     """~500 seeded (X, y, feature_indices) nodes, including degenerate ones."""
     rng = np.random.default_rng(2024)
