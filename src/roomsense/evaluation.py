@@ -271,12 +271,12 @@ def _confusion(fitted, X, y) -> ConfusionMatrix:
     return ConfusionMatrix.from_labels(y, ml.predict(model, standardize_apply(scaler, X)))
 
 
-def cross_validate(X, y, cfg: ml.TrainConfig, k: int = 10, seed: int = 0) -> np.ndarray:
-    """Per-fold validation accuracies; each fold refits its own standardizer."""
+def cross_validate(X, y, cfg: ml.TrainConfig, seed: int = 0) -> np.ndarray:
+    """Accuracies on cfg.cv_folds stratified folds; each fold refits its own standardizer."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     accuracies = []
-    for train_idx, val_idx in kfold(y, k=k, seed=seed):
+    for train_idx, val_idx in kfold(y, k=cfg.cv_folds, seed=seed):
         fitted = _fit(X[train_idx], y[train_idx], cfg)
         accuracies.append(accuracy(_confusion(fitted, X[val_idx], y[val_idx])))
     return np.array(accuracies)
@@ -304,9 +304,7 @@ def evaluate(X, y, cfg: ml.TrainConfig, seed: int = 0, fitted=None) -> EvalRepor
     fitted = fit_holdout(X, y, cfg, seed) if fitted is None else fitted
     train_idx, test_idx = train_test_split(y, cfg.train_fraction, seed)
     cm = _confusion(fitted, X[test_idx], y[test_idx])
-    cv = cross_validate(
-        X[train_idx], y[train_idx], cfg, k=cfg.cv_folds, seed=derive_seed(seed, "cv")
-    )
+    cv = cross_validate(X[train_idx], y[train_idx], cfg, seed=derive_seed(seed, "cv"))
     importance = None
     if cfg.algorithm == "rf":
         importance = tuple(float(v) for v in ml.mdi_importance(fitted[0]))

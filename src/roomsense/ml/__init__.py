@@ -4,9 +4,12 @@ The roster covers logistic regression (lr), k-nearest neighbors (knn),
 a random forest (rf), an RBF-kernel SVM (svm), and a single decision tree
 (dt).  Training is a pure function of (X, y, config, seed); models are
 immutable once fitted and serialize to versioned JSON documents.  Each
-classifier class builds itself from a TrainConfig (`from_config`) and
-converts its fitted state to and from JSON-ready params
-(`to_params`/`from_params`); MODELS maps each algorithm tag to its class.
+classifier is built from its Params record (the forest from RFParams and
+DTParams), which holds every hyperparameter's default and range;
+`from_config` picks those records out of a TrainConfig.  Fitted state
+converts to and from JSON-ready params (`to_params`/`from_params`, which
+rejects params its `predict` cannot use); MODELS maps each algorithm tag to
+its class.
 """
 
 import json
@@ -100,7 +103,7 @@ def train(X, y, cfg: TrainConfig):
 
 def predict(model, X) -> np.ndarray:
     """One {0,1} label per row of X."""
-    return model.predict(np.asarray(X, dtype=float))
+    return model.predict(X)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Training-input checks shared by every classifier's `fit` and by `ml.train`."""
+"""Input checks shared by every classifier's `fit`, `predict` and `from_params`."""
 
 import numpy as np
 
@@ -11,15 +11,39 @@ def check_labels(labels):
         raise ValueError("labels must be 0 or 1")
 
 
-def check_fit_input(X, y):
-    """(X, y) as a float matrix and int labels, after the shape, NaN and label checks."""
+def _matrix(X):
+    """X as a 2-D float matrix, after the shape and NaN checks."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
     if X.ndim != 2:
         raise ValueError("X must be a 2-D matrix")
-    if len(X) != len(y):
-        raise ValueError(f"{len(X)} rows but {len(y)} labels")
     if np.isnan(X).any():
         raise ValueError("X contains NaN")
+    return X
+
+
+def check_fit_input(X, y):
+    """(X, y) as a float matrix and int labels, after the shape, NaN and label checks."""
+    X = _matrix(X)
+    y = np.asarray(y, dtype=int)
+    if len(X) != len(y):
+        raise ValueError(f"{len(X)} rows but {len(y)} labels")
     check_labels(y)
     return X, y
+
+
+def check_predict_input(X, n_features):
+    """X as a float matrix of n_features columns, after the shape and NaN checks."""
+    X = _matrix(X)
+    if X.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} features, got {X.shape[1]}")
+    return X
+
+
+def check_finite(name, values, ndim):
+    """A saved-model field as a finite float array of ndim dimensions."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != ndim:
+        raise ValueError(f"{name} must have {ndim} dimension(s)")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values

@@ -1,13 +1,13 @@
 """Random forest of Gini trees with impurity-based feature importance."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .._seeds import generator
-from ._input import check_fit_input
-from .tree import DecisionTree
+from ._input import check_fit_input, check_predict_input
+from .tree import DecisionTree, DTParams
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,7 @@ class RFParams:
         if self.n_trees < 1:
             raise ValueError(f"rf_n_trees must be >= 1, got {self.n_trees}")
         if self.max_features != "sqrt" and not (
-            isinstance(self.max_features, int) and self.max_features >= 1
+            type(self.max_features) is int and self.max_features >= 1  # not a bool
         ):
             raise ValueError(f"rf_max_features must be sqrt or >= 1, got {self.max_features!r}")
 
@@ -29,42 +29,23 @@ class RandomForest:
     """Bagged Gini trees; majority vote with even-vote ties going to class 0.
 
     max_features="sqrt" (the default) samples floor(sqrt(n_features))
-    candidate features per split.  Each tree draws its bootstrap sample and
-    feature subsets from a stream keyed by (seed, tree index), so training
-    could run per-tree in parallel without changing the result.
+    candidate features per split.  The trees grow under tree_params, whose
+    max_features the forest's own setting replaces.  Each tree draws its
+    bootstrap sample and feature subsets from a stream keyed by (seed, tree
+    index), so training could run per-tree in parallel without changing the
+    result.
     """
 
-    def __init__(
-        self,
-        n_trees=100,
-        max_features="sqrt",
-        bootstrap=True,
-        min_samples_split=2,
-        max_depth=None,
-        seed=0,
-    ):
-        if n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        self.n_trees = n_trees
-        self.max_features = max_features
-        self.bootstrap = bootstrap
-        self.min_samples_split = min_samples_split
-        self.max_depth = max_depth
+    def __init__(self, params=RFParams(), tree_params=DTParams(), seed=0):
+        self.params = params
+        self.tree_params = tree_params
         self.seed = seed
         self.trees_ = None
         self.n_features_ = None
 
     @classmethod
     def from_config(cls, cfg):
-        """Forest settings from cfg.rf; the per-tree growth limits from cfg.dt."""
-        return cls(
-            n_trees=cfg.rf.n_trees,
-            max_features=cfg.rf.max_features,
-            bootstrap=cfg.rf.bootstrap,
-            min_samples_split=cfg.dt.min_samples_split,
-            max_depth=cfg.dt.max_depth,
-            seed=cfg.seed,
-        )
+        return cls(cfg.rf, cfg.dt, cfg.seed)
 
     def to_params(self) -> dict:
         return {
@@ -75,7 +56,7 @@ class RandomForest:
 
     @classmethod
     def from_params(cls, params):
-        model = cls(n_trees=len(params["trees"]), seed=params["seed"])
+        model = cls(RFParams(n_trees=len(params["trees"])), seed=params["seed"])
         model.n_features_ = params["n_features"]
         model.trees_ = [
             DecisionTree.from_params({"n_features": model.n_features_, "tree": tree})
@@ -83,40 +64,28 @@ class RandomForest:
         ]
         return model
 
-    def _resolved_max_features(self, n_features):
-        if self.max_features == "sqrt":
-            return max(1, math.floor(math.sqrt(n_features)))
-        if self.max_features is None:
-            return n_features
-        return int(self.max_features)
-
     def fit(self, X, y):
         X, y = check_fit_input(X, y)  # all rows, not only those a bootstrap draws
         n = len(y)
         self.n_features_ = X.shape[1]
-        max_features = self._resolved_max_features(self.n_features_)
+        max_features = self.params.max_features
+        if max_features == "sqrt":
+            max_features = max(1, math.floor(math.sqrt(self.n_features_)))
+        tree_params = replace(self.tree_params, max_features=max_features)
         self.trees_ = []
-        for t in range(self.n_trees):
+        for t in range(self.params.n_trees):
             rng = generator(self.seed, "rf-tree", t)
-            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree = DecisionTree(
-                min_samples_split=self.min_samples_split,
-                max_depth=self.max_depth,
-                max_features=max_features,
-            )
-            tree.fit(X[idx], y[idx], rng=rng)
-            self.trees_.append(tree)
+            idx = rng.integers(0, n, size=n) if self.params.bootstrap else np.arange(n)
+            self.trees_.append(DecisionTree(tree_params).fit(X[idx], y[idx], rng=rng))
         return self
 
     def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.n_features_:
-            raise ValueError(f"expected {self.n_features_} features, got {X.shape[1]}")
+        X = check_predict_input(X, self.n_features_)
         votes = np.zeros(len(X), dtype=int)
         for tree in self.trees_:
             votes += tree.predict(X)
         # strict majority for class 1; an exact tie falls back to class 0
-        return (2 * votes > self.n_trees).astype(int)
+        return (2 * votes > len(self.trees_)).astype(int)
 
 
 def mdi_importance(model: RandomForest) -> np.ndarray:

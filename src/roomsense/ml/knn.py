@@ -1,10 +1,11 @@
 """k-nearest-neighbors classifier over Euclidean distance."""
 
-from dataclasses import asdict, dataclass
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._input import check_fit_input
+from ._input import check_fit_input, check_predict_input
 
 
 @dataclass(frozen=True)
@@ -23,42 +24,35 @@ class KNearestNeighbors:
     neighbor break toward the lower training-row index (stable sort).
     """
 
-    def __init__(self, k=5):
-        KNNParams(k)  # range checks
-        self.k = k
+    def __init__(self, params=KNNParams()):
+        self.params = params
         self.X_ = None
         self.y_ = None
 
     @classmethod
     def from_config(cls, cfg):
-        return cls(**asdict(cfg.knn))
+        return cls(cfg.knn)
 
     def to_params(self) -> dict:
-        return {"k": self.k, "X": self.X_.tolist(), "y": self.y_.tolist()}
+        return {"k": self.params.k, "X": self.X_.tolist(), "y": self.y_.tolist()}
 
     @classmethod
     def from_params(cls, params):
-        model = cls(params["k"])
-        model.X_ = np.array(params["X"], dtype=float)
-        model.y_ = np.array(params["y"], dtype=int)
-        return model
+        """Refit on the saved rows, which runs every check the stored state needs."""
+        return cls(KNNParams(operator.index(params["k"]))).fit(params["X"], params["y"])
 
     def fit(self, X, y):
         X, y = check_fit_input(X, y)
-        if self.k > len(y):
-            raise ValueError(f"k={self.k} exceeds the {len(y)} training samples")
+        if self.params.k > len(y):
+            raise ValueError(f"k={self.params.k} exceeds the {len(y)} training samples")
         self.X_ = X.copy()
         self.y_ = y.copy()
         return self
 
     def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.X_.shape[1]:
-            raise ValueError(f"expected {self.X_.shape[1]} features, got {X.shape[1]}")
+        X = check_predict_input(X, self.X_.shape[1])
+        k = self.params.k
         diff = X[:, None, :] - self.X_[None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=2))
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
-        out = np.empty(len(X), dtype=int)
-        for i, idx in enumerate(nearest):
-            out[i] = int(np.argmax(np.bincount(self.y_[idx], minlength=2)))
-        return out
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        return (2 * self.y_[nearest].sum(axis=1) > k).astype(int)  # k is odd: no ties

@@ -1,10 +1,10 @@
 """Logistic regression trained by batch gradient descent."""
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._input import check_fit_input
+from ._input import check_finite, check_fit_input, check_predict_input
 
 
 @dataclass(frozen=True)
@@ -30,17 +30,15 @@ class LogisticRegression:
     (iterations + 1 values).  A probability of exactly 0.5 classifies as 1.
     """
 
-    def __init__(self, learning_rate=0.1, iterations=1000):
-        LRParams(learning_rate, iterations)  # range checks
-        self.learning_rate = learning_rate
-        self.iterations = iterations
+    def __init__(self, params=LRParams()):
+        self.params = params
         self.weights_ = None
         self.bias_ = None
         self.loss_history_ = None
 
     @classmethod
     def from_config(cls, cfg):
-        return cls(**asdict(cfg.lr))
+        return cls(cfg.lr)
 
     def to_params(self) -> dict:
         return {"weights": [float(w) for w in self.weights_], "bias": self.bias_}
@@ -48,8 +46,8 @@ class LogisticRegression:
     @classmethod
     def from_params(cls, params):
         model = cls()
-        model.weights_ = np.array(params["weights"], dtype=float)
-        model.bias_ = float(params["bias"])
+        model.weights_ = check_finite("weights", params["weights"], ndim=1)
+        model.bias_ = float(check_finite("bias", params["bias"], ndim=0))
         return model
 
     @staticmethod
@@ -64,12 +62,12 @@ class LogisticRegression:
         w = np.zeros(d)
         b = 0.0
         history = []
-        for _ in range(self.iterations):
+        for _ in range(self.params.iterations):
             z = X @ w + b
             history.append(self._loss(z, y))
             residual = _sigmoid(z) - y
-            w -= self.learning_rate * (X.T @ residual) / n
-            b -= self.learning_rate * float(np.mean(residual))
+            w -= self.params.learning_rate * (X.T @ residual) / n
+            b -= self.params.learning_rate * float(np.mean(residual))
         history.append(self._loss(X @ w + b, y))
         self.weights_ = w
         self.bias_ = b
@@ -77,9 +75,7 @@ class LogisticRegression:
         return self
 
     def decision_function(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != len(self.weights_):
-            raise ValueError(f"expected {len(self.weights_)} features, got {X.shape[1]}")
+        X = check_predict_input(X, len(self.weights_))
         return X @ self.weights_ + self.bias_
 
     def predict(self, X):

@@ -1,12 +1,15 @@
 """RBF-kernel support vector machine trained with simplified SMO."""
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .._seeds import generator
-from ._input import check_fit_input
+from ._input import check_finite, check_fit_input, check_predict_input
+
+# Hard cap on SMO sweeps, a safety net behind max_passes.
+MAX_SWEEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -42,21 +45,15 @@ class SupportVectorMachine:
     """Binary SVM with an RBF kernel, optimized pairwise (simplified SMO).
 
     Training stops after max_passes consecutive full sweeps without an alpha
-    update (with a hard sweep cap as a safety net).  After fit, n_sweeps_
-    holds the sweeps run and converged_ whether the max_passes clean sweeps
-    were reached; stopping at max_sweeps instead warns with a
-    RuntimeWarning.  Neither is serialized.  gamma=None scales as
-    1 / (n_features * var(X)).  A decision value of exactly 0 classifies as
-    class 0.
+    update, or at MAX_SWEEPS sweeps.  After fit, n_sweeps_ holds the sweeps
+    run and converged_ whether the max_passes clean sweeps were reached;
+    stopping at MAX_SWEEPS instead warns with a RuntimeWarning.  Neither is
+    serialized.  gamma=None scales as 1 / (n_features * var(X)).  A decision
+    value of exactly 0 classifies as class 0.
     """
 
-    def __init__(self, c=1.0, gamma=None, tol=1e-3, max_passes=10, seed=0, max_sweeps=1000):
-        SVMParams(c, gamma, tol, max_passes)  # range checks
-        self.c = c
-        self.gamma = gamma
-        self.tol = tol
-        self.max_passes = max_passes
-        self.max_sweeps = max_sweeps
+    def __init__(self, params=SVMParams(), seed=0):
+        self.params = params
         self.seed = seed
         self.X_ = None
         self.y_signed_ = None
@@ -68,7 +65,7 @@ class SupportVectorMachine:
 
     @classmethod
     def from_config(cls, cfg):
-        return cls(**asdict(cfg.svm), seed=cfg.seed)
+        return cls(cfg.svm, cfg.seed)
 
     def to_params(self) -> dict:
         """Only the support vectors are kept; they alone enter the decision function."""
@@ -84,14 +81,20 @@ class SupportVectorMachine:
 
     @classmethod
     def from_params(cls, params):
-        model = cls()
-        model.gamma_ = float(params["gamma"])
-        model.bias_ = float(params["bias"])
-        model.X_ = np.array(params["support_vectors"], dtype=float).reshape(
-            -1, int(params["n_features"])
-        )
-        model.alphas_ = np.array(params["alphas"], dtype=float)
-        model.y_signed_ = np.array(params["y_signed"], dtype=float)
+        """Inverse of to_params; rejects a gamma SVMParams would reject and
+        arrays whose lengths or values the decision function cannot use."""
+        gamma = float(check_finite("gamma", params["gamma"], ndim=0))
+        model = cls(SVMParams(gamma=gamma))
+        model.gamma_ = gamma
+        model.bias_ = float(check_finite("bias", params["bias"], ndim=0))
+        support_vectors = np.reshape(params["support_vectors"], (-1, int(params["n_features"])))
+        model.X_ = check_finite("support_vectors", support_vectors, ndim=2)
+        model.alphas_ = check_finite("alphas", params["alphas"], ndim=1)
+        model.y_signed_ = check_finite("y_signed", params["y_signed"], ndim=1)
+        if not len(model.X_) == len(model.alphas_) == len(model.y_signed_):
+            raise ValueError("support_vectors, alphas and y_signed differ in length")
+        if not np.isin(model.y_signed_, (-1.0, 1.0)).all():
+            raise ValueError("y_signed must be -1 or 1")
         return model
 
     def fit(self, X, y):
@@ -99,7 +102,7 @@ class SupportVectorMachine:
         n = len(y)
         y_signed = np.where(y == 1, 1.0, -1.0)
 
-        gamma = self.gamma
+        gamma = self.params.gamma
         if gamma is None:
             spread = float(X.var())
             gamma = 1.0 / (X.shape[1] * spread) if spread > 0 else 1.0 / X.shape[1]
@@ -109,7 +112,7 @@ class SupportVectorMachine:
         ay = np.zeros(n)  # alphas * y_signed, kept in step with alphas
         b = 0.0
         rng = generator(self.seed, "svm")
-        C, tol = self.c, self.tol
+        C, tol, max_passes = self.params.c, self.params.tol, self.params.max_passes
 
         # The strided K[:, i] views, made once.  A contiguous copy would be
         # faster but switches the dot product to a BLAS kernel whose sums
@@ -122,7 +125,7 @@ class SupportVectorMachine:
 
         passes = 0
         sweeps = 0
-        while passes < self.max_passes and sweeps < self.max_sweeps:
+        while passes < max_passes and sweeps < MAX_SWEEPS:
             changed = 0
             for i in range(n):
                 E_i = f(i) - ys[i]
@@ -180,11 +183,11 @@ class SupportVectorMachine:
         self.bias_ = float(b)
         self.gamma_ = float(gamma)
         self.n_sweeps_ = sweeps
-        self.converged_ = passes >= self.max_passes
+        self.converged_ = passes >= max_passes
         if not self.converged_:
             warnings.warn(
-                f"SMO stopped at max_sweeps={self.max_sweeps} before "
-                f"{self.max_passes} consecutive sweeps without an update",
+                f"SMO stopped at max_sweeps={MAX_SWEEPS} before "
+                f"{max_passes} consecutive sweeps without an update",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -195,9 +198,7 @@ class SupportVectorMachine:
         return self.alphas_ > 1e-12
 
     def decision_function(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.X_.shape[1]:
-            raise ValueError(f"expected {self.X_.shape[1]} features, got {X.shape[1]}")
+        X = check_predict_input(X, self.X_.shape[1])
         mask = self.support_mask_
         if not mask.any():
             return np.full(len(X), self.bias_)

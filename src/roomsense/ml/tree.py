@@ -1,11 +1,13 @@
 """Binary classification tree grown on Gini impurity."""
 
-from dataclasses import asdict, dataclass
+import math
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .._seeds import generator
-from ._input import check_fit_input, check_labels
+from ._input import check_fit_input, check_labels, check_predict_input
 
 
 @dataclass(frozen=True)
@@ -66,16 +68,26 @@ class Node:
         }
 
     @classmethod
-    def from_dict(cls, d) -> "Node":
+    def from_dict(cls, d, n_features) -> "Node":
+        """Inverse of to_dict; rejects a split feature outside [0, n_features),
+        a NaN threshold and a leaf value other than 0 or 1, which `predict`
+        would trip over."""
         if "value" in d:
+            if d["value"] not in (0, 1):
+                raise ValueError(f"leaf value must be 0 or 1, got {d['value']!r}")
             return cls(value=d["value"], n_samples=d["n"])
+        feature, threshold = operator.index(d["feature"]), float(d["threshold"])
+        if not 0 <= feature < n_features:
+            raise ValueError(f"split feature {feature} outside [0, {n_features})")
+        if math.isnan(threshold):
+            raise ValueError("split threshold is NaN")
         return cls(
-            feature=d["feature"],
-            threshold=d["threshold"],
+            feature=feature,
+            threshold=threshold,
             n_samples=d["n"],
             impurity_decrease=d["decrease"],
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
+            left=cls.from_dict(d["left"], n_features),
+            right=cls.from_dict(d["right"], n_features),
         )
 
 
@@ -120,18 +132,15 @@ class DecisionTree:
     checked once per fit, not per node.
     """
 
-    def __init__(self, min_samples_split=2, max_depth=None, max_features=None, seed=0):
-        DTParams(min_samples_split, max_depth, max_features)  # range checks
-        self.min_samples_split = min_samples_split
-        self.max_depth = max_depth
-        self.max_features = max_features
+    def __init__(self, params=DTParams(), seed=0):
+        self.params = params
         self.seed = seed
         self.root_ = None
         self.n_features_ = None
 
     @classmethod
     def from_config(cls, cfg):
-        return cls(**asdict(cfg.dt), seed=cfg.seed)
+        return cls(cfg.dt, cfg.seed)
 
     def to_params(self) -> dict:
         return {"n_features": self.n_features_, "tree": self.root_.to_dict()}
@@ -139,8 +148,8 @@ class DecisionTree:
     @classmethod
     def from_params(cls, params):
         tree = cls()
-        tree.n_features_ = params["n_features"]
-        tree.root_ = Node.from_dict(params["tree"])
+        tree.n_features_ = operator.index(params["n_features"])
+        tree.root_ = Node.from_dict(params["tree"], tree.n_features_)
         return tree
 
     def fit(self, X, y, rng=None):
@@ -156,9 +165,9 @@ class DecisionTree:
         return Node(value=int(2 * ones > n), n_samples=n)  # a tie goes to class 0
 
     def _candidate_features(self, rng):
-        if self.max_features is None or self.max_features >= self.n_features_:
+        if self.params.max_features is None or self.params.max_features >= self.n_features_:
             return np.arange(self.n_features_)
-        picked = rng.choice(self.n_features_, size=self.max_features, replace=False)
+        picked = rng.choice(self.n_features_, size=self.params.max_features, replace=False)
         return np.sort(picked)  # ascending keeps the lowest-index tie rule meaningful
 
     def _grow(self, X, y, depth, rng):
@@ -167,8 +176,8 @@ class DecisionTree:
         impurity = _impurity(ones, n)
         if (
             impurity == 0.0
-            or n < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
+            or n < self.params.min_samples_split
+            or (self.params.max_depth is not None and depth >= self.params.max_depth)
         ):
             return self._leaf(ones, n)
         split = _best_split(X, y, self._candidate_features(rng), impurity)
@@ -187,9 +196,7 @@ class DecisionTree:
         return node
 
     def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.n_features_:
-            raise ValueError(f"expected {self.n_features_} features, got {X.shape[1]}")
+        X = check_predict_input(X, self.n_features_)
         columns = X.T.copy()  # contiguous per feature: cheaper row gathers below
         out = np.empty(len(X), dtype=int)
         pending = [(self.root_, np.arange(len(X)))]  # (node, rows that reach it)

@@ -38,8 +38,11 @@ from roomsense.evaluation import (
 from roomsense.features import FEATURE_NAMES, ap_features
 from roomsense.ml import (
     KNearestNeighbors,
+    KNNParams,
     LogisticRegression,
+    LRParams,
     RandomForest,
+    RFParams,
     TrainConfig,
     mdi_importance,
 )
@@ -191,10 +194,10 @@ def test_c4_classifier_sanity():
 
     X_any = rng.normal(size=(50, 6))  # continuous draws: no duplicate rows
     y_any = rng.integers(0, 2, size=50)
-    knn1 = KNearestNeighbors(k=1).fit(X_any, y_any)
+    knn1 = KNearestNeighbors(KNNParams(k=1)).fit(X_any, y_any)
     assert np.array_equal(knn1.predict(X_any), y_any)
 
-    lr = LogisticRegression(learning_rate=0.1, iterations=1000).fit(Xs, y)
+    lr = LogisticRegression(LRParams(learning_rate=0.1, iterations=1000)).fit(Xs, y)
     assert np.all(np.diff(lr.loss_history_) <= 1e-12)
     print("ACCEPTANCE 4 PASS: all five classifiers separate the margin-2 clusters; "
           "1-NN memorizes; LR loss is monotone")
@@ -238,14 +241,14 @@ def test_c6_mdi_importance():
     y = rng.integers(0, 2, size=n)
     X = rng.normal(size=(n, 18))
     X[:, 0] = 2.0 * y - 1.0
-    forest = RandomForest(n_trees=100, max_features=None, seed=2).fit(X, y)
+    forest = RandomForest(RFParams(n_trees=100, max_features=X.shape[1]), seed=2).fit(X, y)
     importance = mdi_importance(forest)
     assert importance.shape == (18,)
     assert np.all(importance >= 0)
     assert abs(importance.sum() - 1.0) <= 1e-9
     assert importance[0] > 0.9
 
-    default_forest = RandomForest(n_trees=100, seed=2).fit(X, y)
+    default_forest = RandomForest(RFParams(n_trees=100), seed=2).fit(X, y)
     default_importance = mdi_importance(default_forest)
     assert np.all(default_importance >= 0)
     assert abs(default_importance.sum() - 1.0) <= 1e-9

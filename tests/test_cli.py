@@ -245,6 +245,56 @@ def test_malformed_trace_file_exits_2(tmp_path):
     assert run("featurize", str(bad), "--out", str(tmp_path)) == 2
 
 
+def _first_leaf(node):
+    while "value" not in node:
+        node = node["left"]
+    return node
+
+
+def _first_split(trees):
+    return next(tree for tree in trees if "feature" in tree)
+
+
+# saved-model edits that `predict` cannot use: (algorithm, edit of doc["params"])
+TAMPERED_MODELS = {
+    "dt-split-feature-99": ("dt", lambda p: p["tree"].update(feature=99)),
+    "rf-split-feature-negative": ("rf", lambda p: _first_split(p["trees"]).update(feature=-1)),
+    "svm-gamma-negative": ("svm", lambda p: p.update(gamma=-1.0)),
+    "svm-alphas-one-short": ("svm", lambda p: p["alphas"].pop()),
+    "knn-y-one-short": ("knn", lambda p: p["y"].pop()),
+    "knn-y-all-2": ("knn", lambda p: p.update(y=[2] * len(p["y"]))),
+    "lr-weight-nan": ("lr", lambda p: p["weights"].__setitem__(0, float("nan"))),
+    "dt-leaf-value-7": ("dt", lambda p: _first_leaf(p["tree"]).update(value=7)),
+    "dt-threshold-nan": ("dt", lambda p: p["tree"].update(threshold=float("nan"))),
+    "knn-k-float": ("knn", lambda p: p.update(k=3.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """A small benchmark's features and models; each model evaluates cleanly as saved."""
+    out = tmp_path_factory.mktemp("saved")
+    cfg = out / "run.cfg"
+    cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+    assert run("benchmark", "--config", str(cfg), "--seed", "42", "--out", str(out)) == 0
+    for algorithm in ("lr", "knn", "rf", "svm", "dt"):
+        assert run("evaluate", str(out / "features.csv"), "--out", str(out / "check"),
+                   "--model", str(out / f"model_{algorithm}.json")) == 0
+    assert "feature" in json.loads((out / "model_dt.json").read_text())["params"]["tree"]
+    return out
+
+
+@pytest.mark.parametrize("case", TAMPERED_MODELS)
+def test_tampered_model_exits_2(tmp_path, saved_models, case):
+    algorithm, tamper = TAMPERED_MODELS[case]
+    doc = json.loads((saved_models / f"model_{algorithm}.json").read_text())
+    tamper(doc["params"])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("evaluate", str(saved_models / "features.csv"), "--out", str(tmp_path),
+               "--model", str(model)) == 2
+
+
 @pytest.mark.parametrize(
     "line",
     [

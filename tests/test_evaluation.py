@@ -267,7 +267,7 @@ def test_evaluate_confusion_sums_to_test_size():
 
 def test_cross_validate_shape():
     X, y = _oracle_dataset(seed=7)
-    scores = cross_validate(X, y, ml.TrainConfig(algorithm="knn", seed=0), k=5, seed=8)
+    scores = cross_validate(X, y, ml.TrainConfig(algorithm="knn", seed=0, cv_folds=5), seed=8)
     assert scores.shape == (5,)
     assert np.all((0.0 <= scores) & (scores <= 1.0))
 

@@ -13,14 +13,20 @@ from roomsense._schema import build, flatten
 from roomsense.evaluation import standardize_apply, standardize_fit
 from roomsense.ml import (
     DecisionTree,
+    DTParams,
     KNearestNeighbors,
+    KNNParams,
     LogisticRegression,
+    LRParams,
     RandomForest,
+    RFParams,
     SupportVectorMachine,
+    SVMParams,
     TrainConfig,
     gini,
     mdi_importance,
 )
+from roomsense.ml import svm
 from roomsense.ml.svm import rbf_kernel
 from roomsense.ml.tree import Node, _best_split
 
@@ -88,7 +94,7 @@ def test_decision_tree_splits_are_optimal_and_leaves_terminal():
     rng = np.random.default_rng(41)
     X = np.round(rng.normal(size=(60, 3)), 1)  # coarse values force threshold ties
     y = rng.integers(0, 2, size=60)
-    tree = DecisionTree(min_samples_split=5).fit(X, y)
+    tree = DecisionTree(DTParams(min_samples_split=5)).fit(X, y)
 
     def brute_best(Xn, yn):
         parent = gini(yn)
@@ -125,11 +131,11 @@ def test_tree_and_forest_reject_non_binary_labels():
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
         DecisionTree().fit(X, [0, 2, 1, 0])
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
-        RandomForest(n_trees=3).fit(X, [0, 1, 2, 1])
+        RandomForest(RFParams(n_trees=3)).fit(X, [0, 1, 2, 1])
     # the one bootstrap drawn with seed 4 misses row 2, whose label is bad
     assert 2 not in generator(4, "rf-tree", 0).integers(0, 4, size=4)
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
-        RandomForest(n_trees=1, seed=4).fit(X, [0, 1, 2, 1])
+        RandomForest(RFParams(n_trees=1), seed=4).fit(X, [0, 1, 2, 1])
 
 
 @pytest.mark.parametrize("algorithm", ml.ALGORITHMS)
@@ -209,8 +215,8 @@ def test_random_forest_trees_are_order_independent():
     # tree t's RNG stream depends only on (seed, t), so a one-tree forest
     # reproduces the first tree of a larger forest exactly
     Xs, y = separable_clusters(seed=33)
-    small = RandomForest(n_trees=1, seed=5).fit(Xs, y)
-    large = RandomForest(n_trees=4, seed=5).fit(Xs, y)
+    small = RandomForest(RFParams(n_trees=1), seed=5).fit(Xs, y)
+    large = RandomForest(RFParams(n_trees=4), seed=5).fit(Xs, y)
     to_dict = ml.model_to_dict
     assert to_dict(small)["params"]["trees"][0] == to_dict(large)["params"]["trees"][0]
 
@@ -219,33 +225,33 @@ def test_decision_tree_respects_max_depth_and_min_samples_split():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(50, 2))
     y = rng.integers(0, 2, size=50)
-    assert DecisionTree(max_depth=1).fit(X, y).depth() <= 1
-    assert DecisionTree(min_samples_split=51).fit(X, y).depth() == 0
+    assert DecisionTree(DTParams(max_depth=1)).fit(X, y).depth() <= 1
+    assert DecisionTree(DTParams(min_samples_split=51)).fit(X, y).depth() == 0
     with pytest.raises(ValueError):
-        DecisionTree(min_samples_split=1)
+        DecisionTree(DTParams(min_samples_split=1))
 
 
 def test_knn_k1_memorizes_training_set():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 4))
     y = rng.integers(0, 2, size=30)
-    model = KNearestNeighbors(k=1).fit(X, y)
+    model = KNearestNeighbors(KNNParams(k=1)).fit(X, y)
     assert np.array_equal(model.predict(X), y)
 
 
 def test_knn_validation():
     with pytest.raises(ValueError):
-        KNearestNeighbors(k=4)
+        KNearestNeighbors(KNNParams(k=4))
     with pytest.raises(ValueError):
-        KNearestNeighbors(k=0)
+        KNearestNeighbors(KNNParams(k=0))
     with pytest.raises(ValueError):
-        KNearestNeighbors(k=5).fit(np.zeros((3, 1)), np.array([0, 1, 0]))
+        KNearestNeighbors(KNNParams(k=5)).fit(np.zeros((3, 1)), np.array([0, 1, 0]))
 
 
 def test_knn_distance_tie_prefers_lower_row_index():
     X = np.array([[0.0], [1.0], [1.0]])
     y = np.array([1, 0, 1])
-    model = KNearestNeighbors(k=1).fit(X, y)
+    model = KNearestNeighbors(KNNParams(k=1)).fit(X, y)
     assert model.predict(np.array([[1.0]]))[0] == 0  # rows 1 and 2 tie; row 1 wins
 
 
@@ -265,7 +271,7 @@ def test_logistic_regression_tie_goes_to_class_one():
 
 def test_logistic_regression_loss_monotone_nonincreasing():
     Xs, y = separable_clusters()
-    model = LogisticRegression(learning_rate=0.1, iterations=1000).fit(Xs, y)
+    model = LogisticRegression(LRParams(learning_rate=0.1, iterations=1000)).fit(Xs, y)
     assert len(model.loss_history_) == 1001
     diffs = np.diff(model.loss_history_)
     assert np.all(diffs <= 1e-12)
@@ -283,19 +289,19 @@ def test_svm_zero_decision_maps_to_class_zero():
 
 def test_svm_duals_bounded_and_kkt_satisfied():
     Xs, y = separable_clusters()
-    model = SupportVectorMachine(c=1.0, seed=2).fit(Xs, y)
+    model = SupportVectorMachine(SVMParams(c=1.0), seed=2).fit(Xs, y)
     assert np.all(model.alphas_ >= -1e-12)
-    assert np.all(model.alphas_ <= model.c + 1e-12)
+    assert np.all(model.alphas_ <= model.params.c + 1e-12)
     decisions = model.decision_function(Xs)
     y_signed = np.where(y == 1, 1.0, -1.0)
     margins = y_signed * (decisions - y_signed)
     for alpha, margin in zip(model.alphas_, margins):
         if alpha < 1e-8:
-            assert margin >= -model.tol
-        elif alpha > model.c - 1e-8:
-            assert margin <= model.tol
+            assert margin >= -model.params.tol
+        elif alpha > model.params.c - 1e-8:
+            assert margin <= model.params.tol
         else:
-            assert abs(margin) <= model.tol
+            assert abs(margin) <= model.params.tol
 
 
 def _svm_matrix(seed):
@@ -312,10 +318,10 @@ def test_svm_fit_matches_smo_oracle(seed):
     alphas, bias = smo_oracle(
         rbf_kernel(Xs, Xs, model.gamma_),
         np.where(y == 1, 1.0, -1.0),
-        model.c,
-        model.tol,
-        model.max_passes,
-        model.max_sweeps,
+        model.params.c,
+        model.params.tol,
+        model.params.max_passes,
+        svm.MAX_SWEEPS,
         generator(seed, "svm"),
     )
     assert np.array_equal(model.alphas_, alphas)
@@ -323,15 +329,16 @@ def test_svm_fit_matches_smo_oracle(seed):
     assert model.support_mask_.sum() > 0
 
 
-def test_svm_reports_convergence():
+def test_svm_reports_convergence(monkeypatch):
     Xs, y = _svm_matrix(0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = SupportVectorMachine(seed=0).fit(Xs, y)
     assert model.converged_ is True
-    assert model.max_passes <= model.n_sweeps_ < model.max_sweeps
+    assert model.params.max_passes <= model.n_sweeps_ < svm.MAX_SWEEPS
+    monkeypatch.setattr(svm, "MAX_SWEEPS", 1)
     with pytest.warns(RuntimeWarning, match="max_sweeps=1"):
-        capped = SupportVectorMachine(seed=0, max_sweeps=1).fit(Xs, y)
+        capped = SupportVectorMachine(seed=0).fit(Xs, y)
     assert capped.converged_ is False
     assert capped.n_sweeps_ == 1
 
@@ -343,7 +350,7 @@ def test_random_forest_even_vote_tie_goes_to_class_zero():
         tree.root_ = Node(value=value, n_samples=1)
         return tree
 
-    forest = RandomForest(n_trees=2)
+    forest = RandomForest(RFParams(n_trees=2))
     forest.n_features_ = 2
     forest.trees_ = [stump(0), stump(1)]
     assert forest.predict(np.zeros((1, 2)))[0] == 0
@@ -366,7 +373,9 @@ def test_mdi_single_split_is_one_hot():
     X = np.zeros((20, 5))
     X[:, 3] = np.concatenate([rng.uniform(0, 1, 10), rng.uniform(2, 3, 10)])
     y = np.array([0] * 10 + [1] * 10)
-    forest = RandomForest(n_trees=1, max_features=None, bootstrap=False, seed=0).fit(X, y)
+    forest = RandomForest(
+        RFParams(n_trees=1, max_features=X.shape[1], bootstrap=False), seed=0
+    ).fit(X, y)
     importance = mdi_importance(forest)
     expected = np.zeros(5)
     expected[3] = 1.0
@@ -380,14 +389,14 @@ def test_mdi_concentrates_on_single_informative_feature():
     X = rng.normal(size=(n, 18))
     X[:, 0] = 2.0 * y - 1.0
     # with every feature available per split the informative one takes all credit
-    forest = RandomForest(n_trees=100, max_features=None, seed=1).fit(X, y)
+    forest = RandomForest(RFParams(n_trees=100, max_features=X.shape[1]), seed=1).fit(X, y)
     importance = mdi_importance(forest)
     assert importance.shape == (18,)
     assert np.all(importance >= 0)
     assert abs(importance.sum() - 1.0) <= 1e-9
     assert importance[0] > 0.9
     # per-node feature sampling dilutes but never dethrones the signal feature
-    diluted = mdi_importance(RandomForest(n_trees=100, seed=1).fit(X, y))
+    diluted = mdi_importance(RandomForest(RFParams(n_trees=100), seed=1).fit(X, y))
     assert int(np.argmax(diluted)) == 0
     assert diluted[0] > 0.5
 
@@ -412,12 +421,18 @@ def test_train_input_validation():
             ml.train(X, np.zeros(4, dtype=int), TrainConfig(algorithm))
 
 
-def test_predict_dimension_mismatch():
+@pytest.mark.parametrize("algorithm", ml.ALGORITHMS)
+def test_predict_rejects_bad_input(algorithm):
     Xs, y = separable_clusters()
-    for algorithm in ml.ALGORITHMS:
-        model = ml.train(Xs, y, TrainConfig(algorithm=algorithm, seed=1))
-        with pytest.raises(ValueError):
-            ml.predict(model, np.zeros((2, 5)))
+    model = ml.train(Xs, y, TrainConfig(algorithm=algorithm, seed=1))
+    cases = [
+        (np.zeros((2, 5)), "expected 2 features, got 5"),
+        (np.zeros(2), "2-D"),
+        (np.array([[0.0, np.nan]]), "NaN"),
+    ]
+    for X_bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ml.predict(model, X_bad)
 
 
 def test_train_config_validation():
@@ -431,6 +446,9 @@ def test_train_config_validation():
         TrainConfig(svm=ml.SVMParams(c=0.0))
     with pytest.raises(ValueError):
         TrainConfig(lr=ml.LRParams(iterations=0))
+    for max_features in (0, True, None):  # a bool is an int, but not a feature count
+        with pytest.raises(ValueError, match="rf_max_features"):
+            RFParams(max_features=max_features)
 
 
 def test_train_config_hyperparams_round_trip():
