@@ -17,7 +17,7 @@ points = generate(SimConfig(seed=42))
 dataset = build_pairs(points, PairingConfig(), seed=42)
 X, y = dataset.feature_matrix(), dataset.labels()
 
-report = evaluate(X, y, TrainConfig(algorithm="rf", seed=42), seed=42)
+report = evaluate(X, y, TrainConfig(algorithm="rf", seed=42))
 importance = np.array(report.importance)
 
 print("feature importance (mean decrease of impurity), descending:")

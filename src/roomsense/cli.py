@@ -174,7 +174,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     X, y = read_feature_matrix(args.features)
     path = out / f"model_{cfg.train.algorithm}.json"
-    _save_model(evaluation.fit_holdout(X, y, cfg.train, seed=cfg.train.seed), cfg, path)
+    _save_model(evaluation.fit_holdout(X, y, cfg.train), cfg, path)
     print(path)
     return 0
 
@@ -186,8 +186,8 @@ def _load_fitted(path):
         echo = (f"{key}={value}" for key, value in doc["config"].items())
         train = build_run_config(parse_config(echo, path)).train
         scaler = evaluation.Standardizer.from_dict(doc["pipeline"]["standardizer"])
-    except (KeyError, TypeError, AttributeError, ConfigError) as exc:
-        raise ml.ModelFormatError(f"model document lacks pipeline info ({exc})") from None
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ml.ModelFormatError(f"bad pipeline info in model document ({exc})") from None
     return (model, scaler), train
 
 
@@ -199,7 +199,7 @@ def cmd_evaluate(args) -> int:
     if args.importance and train.algorithm != "rf":
         raise ConfigError("--importance requires the rf algorithm")
 
-    report = evaluation.evaluate(X, y, train, seed=train.seed, fitted=fitted)
+    report = evaluation.evaluate(X, y, train, fitted=fitted)
     print(_write_report(report, cfg, out))
     if args.importance:
         with csv_writer(out / "importance.csv", "feature,importance", cfg.echo()) as fh:
@@ -225,9 +225,9 @@ def cmd_benchmark(args) -> int:
     with csv_writer(table, "algorithm,accuracy,f1_class0,f1_class1", cfg.echo()) as fh:
         for algorithm in ml.ALGORITHMS:
             run = replace(cfg, train=replace(cfg.train, algorithm=algorithm))
-            fitted = evaluation.fit_holdout(X, y, run.train, seed=run.train.seed)
+            fitted = evaluation.fit_holdout(X, y, run.train)
             _save_model(fitted, run, out / f"model_{algorithm}.json")
-            report = evaluation.evaluate(X, y, run.train, seed=run.train.seed, fitted=fitted)
+            report = evaluation.evaluate(X, y, run.train, fitted=fitted)
             _write_report(report, cfg, out)
             scores = (report.accuracy, report.f1_class0, report.f1_class1)
             fh.write(",".join([algorithm, *map(repr, scores)]) + "\n")

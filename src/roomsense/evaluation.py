@@ -15,6 +15,7 @@ import numpy as np
 from . import ml
 from ._seeds import derive_seed, generator
 from .dataset import csv_writer
+from .ml._input import check_finite
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +83,18 @@ def f1(cm: ConfusionMatrix, positive_class: int = 1) -> float:
 
 @dataclass(frozen=True)
 class Standardizer:
+    """Per-feature mean and std: equal lengths, finite, std >= 0."""
+
     mean: tuple[float, ...]
     std: tuple[float, ...]
+
+    def __post_init__(self):
+        mean = check_finite("standardizer mean", self.mean, 1)
+        std = check_finite("standardizer std", self.std, 1)
+        if len(mean) != len(std):
+            raise ValueError(f"standardizer has {len(mean)} means but {len(std)} stds")
+        if (std < 0).any():
+            raise ValueError("standardizer std must be >= 0")
 
     def to_dict(self):
         return {"mean": list(self.mean), "std": list(self.std)}
@@ -271,46 +282,47 @@ def _confusion(fitted, X, y) -> ConfusionMatrix:
     return ConfusionMatrix.from_labels(y, ml.predict(model, standardize_apply(scaler, X)))
 
 
-def cross_validate(X, y, cfg: ml.TrainConfig, seed: int = 0) -> np.ndarray:
-    """Accuracies on cfg.cv_folds stratified folds; each fold refits its own standardizer."""
+def cross_validate(X, y, cfg: ml.TrainConfig) -> np.ndarray:
+    """Accuracies on cfg.cv_folds stratified folds from cfg.seed; each fold refits its scaler."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     accuracies = []
-    for train_idx, val_idx in kfold(y, k=cfg.cv_folds, seed=seed):
+    for train_idx, val_idx in kfold(y, k=cfg.cv_folds, seed=derive_seed(cfg.seed, "cv")):
         fitted = _fit(X[train_idx], y[train_idx], cfg)
         accuracies.append(accuracy(_confusion(fitted, X[val_idx], y[val_idx])))
     return np.array(accuracies)
 
 
-def fit_holdout(X, y, cfg: ml.TrainConfig, seed: int = 0):
-    """(model, standardizer) fit on the training side of the stratified holdout split."""
+def fit_holdout(X, y, cfg: ml.TrainConfig):
+    """(model, standardizer) fit on the training side of cfg.seed's stratified split."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    train_idx, _ = train_test_split(y, cfg.train_fraction, seed)
+    train_idx, _ = train_test_split(y, cfg.train_fraction, cfg.seed)
     return _fit(X[train_idx], y[train_idx], cfg)
 
 
-def evaluate(X, y, cfg: ml.TrainConfig, seed: int = 0, fitted=None) -> EvalReport:
+def evaluate(X, y, cfg: ml.TrainConfig, fitted=None) -> EvalReport:
     """Score one classifier on the held-out rows of the stratified split.
 
-    `fitted` is the (model, standardizer) pair `fit_holdout` returns for the
-    same (X, y, cfg, seed), e.g. a saved model; without it the classifier is
-    fit here.  CV accuracies come from cfg.cv_folds stratified folds inside
-    the training portion.  Random forests also report impurity-based
-    feature importance.
+    cfg.seed is the one seed: it draws the split, the CV folds and the
+    model's own randomness.  `fitted` is the (model, standardizer) pair
+    `fit_holdout` returns for the same (X, y, cfg), e.g. a saved model;
+    without it the classifier is fit here.  CV accuracies come from
+    cfg.cv_folds stratified folds inside the training portion.  Random
+    forests also report impurity-based feature importance.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    fitted = fit_holdout(X, y, cfg, seed) if fitted is None else fitted
-    train_idx, test_idx = train_test_split(y, cfg.train_fraction, seed)
+    fitted = fit_holdout(X, y, cfg) if fitted is None else fitted
+    train_idx, test_idx = train_test_split(y, cfg.train_fraction, cfg.seed)
     cm = _confusion(fitted, X[test_idx], y[test_idx])
-    cv = cross_validate(X[train_idx], y[train_idx], cfg, seed=derive_seed(seed, "cv"))
+    cv = cross_validate(X[train_idx], y[train_idx], cfg)
     importance = None
     if cfg.algorithm == "rf":
         importance = tuple(float(v) for v in ml.mdi_importance(fitted[0]))
     return EvalReport(
         algorithm=cfg.algorithm,
-        seed=seed,
+        seed=cfg.seed,
         confusion=cm,
         accuracy=accuracy(cm),
         f1_class0=f1(cm, positive_class=0),

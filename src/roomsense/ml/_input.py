@@ -1,4 +1,5 @@
-"""Input checks shared by every classifier's `fit`, `predict` and `from_params`."""
+"""Input checks shared by every classifier's `fit`, `predict` and `from_params`,
+and by the saved standardizer."""
 
 import numpy as np
 

@@ -1,13 +1,14 @@
 """Random forest of Gini trees with impurity-based feature importance."""
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .._seeds import generator
 from ._input import check_fit_input, check_predict_input
-from .tree import DecisionTree, DTParams
+from .tree import DecisionTree, DTParams, Node, class1_votes
 
 
 @dataclass(frozen=True)
@@ -33,14 +34,14 @@ class RandomForest:
     max_features the forest's own setting replaces.  Each tree draws its
     bootstrap sample and feature subsets from a stream keyed by (seed, tree
     index), so training could run per-tree in parallel without changing the
-    result.
+    result.  A fitted forest is its list of tree roots, `roots_`.
     """
 
     def __init__(self, params=RFParams(), tree_params=DTParams(), seed=0):
         self.params = params
         self.tree_params = tree_params
         self.seed = seed
-        self.trees_ = None
+        self.roots_ = None
         self.n_features_ = None
 
     @classmethod
@@ -51,17 +52,14 @@ class RandomForest:
         return {
             "n_features": self.n_features_,
             "seed": self.seed,
-            "trees": [tree.root_.to_dict() for tree in self.trees_],
+            "trees": [root.to_dict() for root in self.roots_],
         }
 
     @classmethod
     def from_params(cls, params):
         model = cls(RFParams(n_trees=len(params["trees"])), seed=params["seed"])
-        model.n_features_ = params["n_features"]
-        model.trees_ = [
-            DecisionTree.from_params({"n_features": model.n_features_, "tree": tree})
-            for tree in params["trees"]
-        ]
+        model.n_features_ = operator.index(params["n_features"])
+        model.roots_ = [Node.from_dict(tree, model.n_features_) for tree in params["trees"]]
         return model
 
     def fit(self, X, y):
@@ -72,20 +70,17 @@ class RandomForest:
         if max_features == "sqrt":
             max_features = max(1, math.floor(math.sqrt(self.n_features_)))
         tree_params = replace(self.tree_params, max_features=max_features)
-        self.trees_ = []
+        self.roots_ = []
         for t in range(self.params.n_trees):
             rng = generator(self.seed, "rf-tree", t)
             idx = rng.integers(0, n, size=n) if self.params.bootstrap else np.arange(n)
-            self.trees_.append(DecisionTree(tree_params).fit(X[idx], y[idx], rng=rng))
+            self.roots_.append(DecisionTree(tree_params).fit(X[idx], y[idx], rng=rng).root_)
         return self
 
     def predict(self, X):
-        X = check_predict_input(X, self.n_features_)
-        votes = np.zeros(len(X), dtype=int)
-        for tree in self.trees_:
-            votes += tree.predict(X)
+        votes = class1_votes(self.roots_, check_predict_input(X, self.n_features_))
         # strict majority for class 1; an exact tie falls back to class 0
-        return (2 * votes > len(self.trees_)).astype(int)
+        return (2 * votes > len(self.roots_)).astype(int)
 
 
 def mdi_importance(model: RandomForest) -> np.ndarray:
@@ -97,11 +92,14 @@ def mdi_importance(model: RandomForest) -> np.ndarray:
     """
     if not isinstance(model, RandomForest):
         raise ValueError("mdi_importance requires a RandomForest model")
-    if not model.trees_:
+    if not model.roots_:
         raise ValueError("model is not trained")
     acc = np.zeros(model.n_features_)
-    for tree in model.trees_:
-        totals = tree.decrease_by_feature()
+    for root in model.roots_:
+        totals = np.zeros(model.n_features_)
+        for node, _ in root.walk():  # pre-order keeps the summation order fixed
+            if not node.is_leaf:
+                totals[node.feature] += (node.n_samples / root.n_samples) * node.impurity_decrease
         tree_sum = totals.sum()
         if tree_sum > 0:
             acc += totals / tree_sum

@@ -7,6 +7,10 @@ import numpy as np
 
 from ._input import check_fit_input, check_predict_input
 
+# Rows scored per distance block: bounds predict's temporaries at
+# PREDICT_BLOCK x training rows x features doubles, whatever the batch size.
+PREDICT_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class KNNParams:
@@ -52,7 +56,11 @@ class KNearestNeighbors:
     def predict(self, X):
         X = check_predict_input(X, self.X_.shape[1])
         k = self.params.k
-        diff = X[:, None, :] - self.X_[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        return (2 * self.y_[nearest].sum(axis=1) > k).astype(int)  # k is odd: no ties
+        out = np.empty(len(X), dtype=int)
+        for start in range(0, len(X), PREDICT_BLOCK):
+            block = slice(start, start + PREDICT_BLOCK)
+            diff = X[block, None, :] - self.X_[None, :, :]
+            dist = np.sqrt((diff * diff).sum(axis=2))
+            nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+            out[block] = 2 * self.y_[nearest].sum(axis=1) > k  # k is odd: no ties
+        return out

@@ -69,26 +69,64 @@ class Node:
 
     @classmethod
     def from_dict(cls, d, n_features) -> "Node":
-        """Inverse of to_dict; rejects a split feature outside [0, n_features),
-        a NaN threshold and a leaf value other than 0 or 1, which `predict`
-        would trip over."""
+        """Inverse of to_dict; rejects what `predict` or `mdi_importance` would
+        trip over: a sample count that is not an int >= 1, a leaf value other
+        than 0 or 1, a split feature outside [0, n_features), a NaN threshold
+        and a non-finite impurity decrease."""
+        n = operator.index(d["n"])
+        if n < 1:
+            raise ValueError(f"node sample count must be >= 1, got {n}")
         if "value" in d:
             if d["value"] not in (0, 1):
                 raise ValueError(f"leaf value must be 0 or 1, got {d['value']!r}")
-            return cls(value=d["value"], n_samples=d["n"])
+            return cls(value=d["value"], n_samples=n)
         feature, threshold = operator.index(d["feature"]), float(d["threshold"])
+        decrease = float(d["decrease"])
         if not 0 <= feature < n_features:
             raise ValueError(f"split feature {feature} outside [0, {n_features})")
         if math.isnan(threshold):
             raise ValueError("split threshold is NaN")
+        if not math.isfinite(decrease):
+            raise ValueError(f"impurity decrease must be finite, got {decrease}")
         return cls(
             feature=feature,
             threshold=threshold,
-            n_samples=d["n"],
-            impurity_decrease=d["decrease"],
+            n_samples=n,
+            impurity_decrease=decrease,
             left=cls.from_dict(d["left"], n_features),
             right=cls.from_dict(d["right"], n_features),
         )
+
+    def walk(self):
+        """(node, depth) pairs of this subtree in pre-order: node, left subtree, right subtree."""
+        pending = [(self, 0)]
+        while pending:
+            node, depth = pending.pop()
+            yield node, depth
+            if not node.is_leaf:
+                pending.append((node.right, depth + 1))
+                pending.append((node.left, depth + 1))
+
+
+def class1_votes(roots, X):
+    """Per row of X, how many of the trees under `roots` route it to a class-1 leaf."""
+    columns = X.T.copy()  # contiguous per feature: cheaper row gathers below
+    votes = np.zeros(len(X), dtype=int)
+    for root in roots:
+        pending = [(root, np.arange(len(X)))]  # (node, rows that reach it)
+        while pending:
+            node, rows = pending.pop()
+            if node.is_leaf:
+                if node.value:
+                    votes[rows] += 1
+                continue
+            left = columns[node.feature][rows] <= node.threshold
+            rows_left = rows[left]
+            if rows_left.size:
+                pending.append((node.left, rows_left))
+            if rows_left.size < rows.size:
+                pending.append((node.right, rows[~left]))
+    return votes
 
 
 def _best_split(X, y, feature_indices, parent_impurity):
@@ -196,42 +234,7 @@ class DecisionTree:
         return node
 
     def predict(self, X):
-        X = check_predict_input(X, self.n_features_)
-        columns = X.T.copy()  # contiguous per feature: cheaper row gathers below
-        out = np.empty(len(X), dtype=int)
-        pending = [(self.root_, np.arange(len(X)))]  # (node, rows that reach it)
-        while pending:
-            node, rows = pending.pop()
-            if node.is_leaf:
-                out[rows] = node.value
-                continue
-            left = columns[node.feature][rows] <= node.threshold
-            rows_left = rows[left]
-            if rows_left.size:
-                pending.append((node.left, rows_left))
-            if rows_left.size < rows.size:
-                pending.append((node.right, rows[~left]))
-        return out
+        return class1_votes([self.root_], check_predict_input(X, self.n_features_))
 
     def depth(self):
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root_)
-
-    def decrease_by_feature(self):
-        """Sample-weighted impurity decrease accumulated per feature."""
-        totals = np.zeros(self.n_features_)
-        root_n = self.root_.n_samples
-
-        def walk(node):
-            if node.is_leaf:
-                return
-            totals[node.feature] += (node.n_samples / root_n) * node.impurity_decrease
-            walk(node.left)
-            walk(node.right)
-
-        walk(self.root_)
-        return totals
+        return max(depth for _, depth in self.root_.walk())

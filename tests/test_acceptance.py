@@ -214,7 +214,7 @@ def test_c5_benchmark_reproduction():
         dataset = _default_benchmark_dataset(seed)
         X, y = dataset.feature_matrix(), dataset.labels()
         reports = {
-            algorithm: evaluate(X, y, TrainConfig(algorithm=algorithm, seed=seed), seed=seed)
+            algorithm: evaluate(X, y, TrainConfig(algorithm=algorithm, seed=seed))
             for algorithm in ("rf", "dt", "lr")
         }
         rf_ok += reports["rf"].accuracy >= 0.90
@@ -283,7 +283,7 @@ def test_c7_kde_and_dtw_overlap():
     for seed in (42, 0, 7):
         dataset = _default_benchmark_dataset(seed)
         X, y = dataset.feature_matrix(), dataset.labels()
-        report = evaluate(X, y, TrainConfig(algorithm="rf", seed=seed), seed=seed)
+        report = evaluate(X, y, TrainConfig(algorithm="rf", seed=seed))
         importance = np.array(report.importance)
         top_dtw = max(dtw_names, key=lambda n: importance[FEATURE_NAMES.index(n)])
         idx = FEATURE_NAMES.index(top_dtw)

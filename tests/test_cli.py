@@ -255,18 +255,31 @@ def _first_split(trees):
     return next(tree for tree in trees if "feature" in tree)
 
 
-# saved-model edits that `predict` cannot use: (algorithm, edit of doc["params"])
+def _scaler(doc):
+    return doc["pipeline"]["standardizer"]
+
+
+# saved-model edits that loading must reject: (algorithm, edit of the whole document)
 TAMPERED_MODELS = {
-    "dt-split-feature-99": ("dt", lambda p: p["tree"].update(feature=99)),
-    "rf-split-feature-negative": ("rf", lambda p: _first_split(p["trees"]).update(feature=-1)),
-    "svm-gamma-negative": ("svm", lambda p: p.update(gamma=-1.0)),
-    "svm-alphas-one-short": ("svm", lambda p: p["alphas"].pop()),
-    "knn-y-one-short": ("knn", lambda p: p["y"].pop()),
-    "knn-y-all-2": ("knn", lambda p: p.update(y=[2] * len(p["y"]))),
-    "lr-weight-nan": ("lr", lambda p: p["weights"].__setitem__(0, float("nan"))),
-    "dt-leaf-value-7": ("dt", lambda p: _first_leaf(p["tree"]).update(value=7)),
-    "dt-threshold-nan": ("dt", lambda p: p["tree"].update(threshold=float("nan"))),
-    "knn-k-float": ("knn", lambda p: p.update(k=3.0)),
+    "dt-split-feature-99": ("dt", lambda d: d["params"]["tree"].update(feature=99)),
+    "rf-split-feature-negative":
+        ("rf", lambda d: _first_split(d["params"]["trees"]).update(feature=-1)),
+    "svm-gamma-negative": ("svm", lambda d: d["params"].update(gamma=-1.0)),
+    "svm-alphas-one-short": ("svm", lambda d: d["params"]["alphas"].pop()),
+    "knn-y-one-short": ("knn", lambda d: d["params"]["y"].pop()),
+    "knn-y-all-2": ("knn", lambda d: d["params"].update(y=[2] * len(d["params"]["y"]))),
+    "lr-weight-nan": ("lr", lambda d: d["params"]["weights"].__setitem__(0, float("nan"))),
+    "dt-leaf-value-7": ("dt", lambda d: _first_leaf(d["params"]["tree"]).update(value=7)),
+    "dt-threshold-nan": ("dt", lambda d: d["params"]["tree"].update(threshold=float("nan"))),
+    "knn-k-float": ("knn", lambda d: d["params"].update(k=3.0)),
+    "rf-decrease-nan":
+        ("rf", lambda d: _first_split(d["params"]["trees"]).update(decrease=float("nan"))),
+    "rf-root-n-zero": ("rf", lambda d: d["params"]["trees"][0].update(n=0)),
+    "lr-std-one-short": ("lr", lambda d: _scaler(d)["std"].pop()),
+    "lr-mean-abc": ("lr", lambda d: _scaler(d)["mean"].__setitem__(0, "abc")),
+    "lr-mean-nan": ("lr", lambda d: _scaler(d)["mean"].__setitem__(0, float("nan"))),
+    "lr-std-negative": ("lr", lambda d: _scaler(d)["std"].__setitem__(0, -1.0)),
+    "lr-std-inf": ("lr", lambda d: _scaler(d)["std"].__setitem__(0, float("inf"))),
 }
 
 
@@ -288,7 +301,7 @@ def saved_models(tmp_path_factory):
 def test_tampered_model_exits_2(tmp_path, saved_models, case):
     algorithm, tamper = TAMPERED_MODELS[case]
     doc = json.loads((saved_models / f"model_{algorithm}.json").read_text())
-    tamper(doc["params"])
+    tamper(doc)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
     assert run("evaluate", str(saved_models / "features.csv"), "--out", str(tmp_path),

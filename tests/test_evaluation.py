@@ -227,7 +227,7 @@ def _oracle_dataset(n_pos=40, n_neg=80, seed=0):
 
 def test_evaluate_perfect_features():
     X, y = _oracle_dataset()
-    report = evaluate(X, y, ml.TrainConfig(algorithm="dt", seed=1), seed=2)
+    report = evaluate(X, y, ml.TrainConfig(algorithm="dt", seed=2))
     assert report.accuracy == 1.0
     assert report.f1_class0 == 1.0
     assert report.f1_class1 == 1.0
@@ -243,15 +243,15 @@ def test_evaluate_label_shuffle_matches_majority_rate():
     for seed in range(10):
         y = np.array([1] * 100 + [0] * 200)
         np.random.default_rng(seed).shuffle(y)
-        report = evaluate(X, y, ml.TrainConfig(algorithm="lr", seed=seed), seed=seed)
+        report = evaluate(X, y, ml.TrainConfig(algorithm="lr", seed=seed))
         accuracies.append(report.accuracy)
     assert abs(np.mean(accuracies) - 2 / 3) <= 0.1
 
 
 def test_evaluate_rf_fills_importance():
     X, y = _oracle_dataset(seed=3)
-    cfg = ml.TrainConfig(algorithm="rf", seed=1, rf=ml.RFParams(n_trees=15))
-    report = evaluate(X, y, cfg, seed=4)
+    cfg = ml.TrainConfig(algorithm="rf", seed=4, rf=ml.RFParams(n_trees=15))
+    report = evaluate(X, y, cfg)
     assert report.importance is not None
     assert len(report.importance) == 18
     assert abs(sum(report.importance) - 1.0) <= 1e-9
@@ -261,21 +261,21 @@ def test_evaluate_rf_fills_importance():
 def test_evaluate_confusion_sums_to_test_size():
     X, y = _oracle_dataset(n_pos=30, n_neg=50, seed=5)
     for algorithm in ("lr", "knn", "dt"):
-        report = evaluate(X, y, ml.TrainConfig(algorithm=algorithm, seed=2), seed=6)
+        report = evaluate(X, y, ml.TrainConfig(algorithm=algorithm, seed=6))
         assert report.confusion.total == len(train_test_split(y, 0.75, 6)[1])
 
 
 def test_cross_validate_shape():
     X, y = _oracle_dataset(seed=7)
-    scores = cross_validate(X, y, ml.TrainConfig(algorithm="knn", seed=0, cv_folds=5), seed=8)
+    scores = cross_validate(X, y, ml.TrainConfig(algorithm="knn", seed=8, cv_folds=5))
     assert scores.shape == (5,)
     assert np.all((0.0 <= scores) & (scores <= 1.0))
 
 
 def test_report_json_round_trip():
     X, y = _oracle_dataset(seed=9)
-    cfg = ml.TrainConfig(algorithm="rf", seed=3, rf=ml.RFParams(n_trees=10))
-    report = evaluate(X, y, cfg, seed=10)
+    cfg = ml.TrainConfig(algorithm="rf", seed=10, rf=ml.RFParams(n_trees=10))
+    report = evaluate(X, y, cfg)
     doc = json.loads(report.to_json())
     assert set(doc) == {
         "algorithm", "seed", "confusion", "accuracy", "f1", "cv_accuracies", "importance",

@@ -221,6 +221,34 @@ def test_random_forest_trees_are_order_independent():
     assert to_dict(small)["params"]["trees"][0] == to_dict(large)["params"]["trees"][0]
 
 
+def test_node_walk_is_pre_order_with_depths():
+    root = Node(
+        feature=1, threshold=0.0, n_samples=3,
+        left=Node(feature=0, threshold=0.0, n_samples=2,
+                  left=Node(value=0, n_samples=1), right=Node(value=1, n_samples=1)),
+        right=Node(value=1, n_samples=1),
+    )
+    expected = [(root, 0), (root.left, 1), (root.left.left, 2), (root.left.right, 2),
+                (root.right, 1)]
+    walked = list(root.walk())
+    assert len(walked) == len(expected)
+    assert all(n is m and d == e for (n, d), (m, e) in zip(walked, expected))
+
+
+def test_forest_predict_matches_per_tree_walk_fitted_and_loaded():
+    rng = np.random.default_rng(23)
+    X = np.round(rng.normal(size=(120, 6)), 1)
+    y = rng.integers(0, 2, size=120)
+    forest = RandomForest(RFParams(n_trees=9), seed=3).fit(X, y)
+    loaded = ml.model_from_dict(json.loads(json.dumps(ml.model_to_dict(forest))))
+    assert loaded.roots_ == forest.roots_
+    queries = np.round(rng.normal(size=(200, 6)), 1)
+    votes = sum(tree_predict_oracle(root, queries) for root in forest.roots_)
+    assert ((0 < votes) & (votes < 9)).any()  # the trees disagree on some rows
+    for model in (forest, loaded):
+        assert np.array_equal(model.predict(queries), (2 * votes > 9).astype(int))
+
+
 def test_decision_tree_respects_max_depth_and_min_samples_split():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(50, 2))
@@ -344,15 +372,9 @@ def test_svm_reports_convergence(monkeypatch):
 
 
 def test_random_forest_even_vote_tie_goes_to_class_zero():
-    def stump(value):
-        tree = DecisionTree()
-        tree.n_features_ = 2
-        tree.root_ = Node(value=value, n_samples=1)
-        return tree
-
     forest = RandomForest(RFParams(n_trees=2))
     forest.n_features_ = 2
-    forest.trees_ = [stump(0), stump(1)]
+    forest.roots_ = [Node(value=0, n_samples=1), Node(value=1, n_samples=1)]
     assert forest.predict(np.zeros((1, 2)))[0] == 0
 
 
