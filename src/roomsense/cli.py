@@ -188,16 +188,20 @@ def _load_fitted(path):
         scaler = evaluation.Standardizer.from_dict(doc["pipeline"]["standardizer"])
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ml.ModelFormatError(f"bad pipeline info in model document ({exc})") from None
+    if len(scaler.mean) != model.n_features_:
+        raise ml.ModelFormatError(
+            f"standardizer has {len(scaler.mean)} features but the model has {model.n_features_}"
+        )
     return (model, scaler), train
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
-    X, y = read_feature_matrix(args.features)
     fitted, train = _load_fitted(args.model) if args.model else (None, cfg.train)
     if args.importance and train.algorithm != "rf":
         raise ConfigError("--importance requires the rf algorithm")
+    out = _out_dir(args)
+    X, y = read_feature_matrix(args.features)
 
     report = evaluation.evaluate(X, y, train, fitted=fitted)
     print(_write_report(report, cfg, out))

@@ -9,7 +9,8 @@ DTParams), which holds every hyperparameter's default and range;
 `from_config` picks those records out of a TrainConfig.  Fitted state
 converts to and from JSON-ready params (`to_params`/`from_params`, which
 rejects params its `predict` cannot use); MODELS maps each algorithm tag to
-its class.
+its class.  Every fitted or loaded model reports its input width as
+`n_features_`.
 """
 
 import json

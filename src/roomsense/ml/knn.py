@@ -53,8 +53,12 @@ class KNearestNeighbors:
         self.y_ = y.copy()
         return self
 
+    @property
+    def n_features_(self):
+        return self.X_.shape[1]
+
     def predict(self, X):
-        X = check_predict_input(X, self.X_.shape[1])
+        X = check_predict_input(X, self.n_features_)
         k = self.params.k
         out = np.empty(len(X), dtype=int)
         for start in range(0, len(X), PREDICT_BLOCK):

@@ -74,8 +74,12 @@ class LogisticRegression:
         self.loss_history_ = np.array(history)
         return self
 
+    @property
+    def n_features_(self):
+        return len(self.weights_)
+
     def decision_function(self, X):
-        X = check_predict_input(X, len(self.weights_))
+        X = check_predict_input(X, self.n_features_)
         return X @ self.weights_ + self.bias_
 
     def predict(self, X):

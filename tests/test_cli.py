@@ -259,6 +259,11 @@ def _scaler(doc):
     return doc["pipeline"]["standardizer"]
 
 
+def _drop_last_scaled_feature(doc):
+    _scaler(doc)["mean"].pop()
+    _scaler(doc)["std"].pop()
+
+
 # saved-model edits that loading must reject: (algorithm, edit of the whole document)
 TAMPERED_MODELS = {
     "dt-split-feature-99": ("dt", lambda d: d["params"]["tree"].update(feature=99)),
@@ -280,6 +285,9 @@ TAMPERED_MODELS = {
     "lr-mean-nan": ("lr", lambda d: _scaler(d)["mean"].__setitem__(0, float("nan"))),
     "lr-std-negative": ("lr", lambda d: _scaler(d)["std"].__setitem__(0, -1.0)),
     "lr-std-inf": ("lr", lambda d: _scaler(d)["std"].__setitem__(0, float("inf"))),
+    "lr-scaler-one-feature-short": ("lr", _drop_last_scaled_feature),
+    "svm-scaler-one-feature-short": ("svm", _drop_last_scaled_feature),
+    "knn-scaler-one-feature-short": ("knn", _drop_last_scaled_feature),
 }
 
 
@@ -306,6 +314,18 @@ def test_tampered_model_exits_2(tmp_path, saved_models, case):
     model.write_text(json.dumps(doc), encoding="utf-8")
     assert run("evaluate", str(saved_models / "features.csv"), "--out", str(tmp_path),
                "--model", str(model)) == 2
+
+
+def test_scaler_width_mismatch_exits_2_naming_both_counts(tmp_path, saved_models, capsys):
+    doc = json.loads((saved_models / "model_lr.json").read_text())
+    _drop_last_scaled_feature(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("evaluate", str(saved_models / "features.csv"), "--out", str(out),
+               "--model", str(model)) == 2
+    assert "standardizer has 17 features but the model has 18" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any output is written
 
 
 @pytest.mark.parametrize(

@@ -339,22 +339,97 @@ def _svm_matrix(seed):
     return standardize_apply(standardize_fit(X), X), y
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_svm_fit_matches_smo_oracle(seed):
-    Xs, y = _svm_matrix(seed)
-    model = SupportVectorMachine(seed=seed).fit(Xs, y)
+def _duplicated_rows():
+    Xs, y = _svm_matrix(3)
+    return np.vstack([Xs[:60], Xs[:60]]), np.concatenate([y[:60], y[:60]])
+
+
+def _three_positives():
+    Xs, _ = _svm_matrix(4)
+    y = np.zeros(120, dtype=int)
+    y[[5, 50, 100]] = 1
+    return Xs, y
+
+
+# (X, y, params, seed) of fits the screened loop must reproduce exactly
+SMO_CASES = {
+    **{str(seed): lambda seed=seed: (*_svm_matrix(seed), SVMParams(), seed) for seed in range(10)},
+    "tol-0": lambda: (*_svm_matrix(0), SVMParams(tol=0.0), 0),
+    "c-1e-3": lambda: (*_svm_matrix(1), SVMParams(c=1e-3), 1),
+    "c-1e3": lambda: (*_svm_matrix(2), SVMParams(c=1e3), 2),
+    "gamma-1e-4": lambda: (*_svm_matrix(5), SVMParams(gamma=1e-4), 5),  # K ~ 1, eta ~ 0
+    # eta ~ -1e-11: d / |eta| is wide enough that the dead-step screen must defer
+    "gamma-1e-12": lambda: (*_svm_matrix(0), SVMParams(gamma=1e-12), 0),
+    "gamma-1e3": lambda: (*_svm_matrix(6), SVMParams(gamma=1e3), 6),  # K ~ identity
+    "duplicated-rows": lambda: (*_duplicated_rows(), SVMParams(), 3),
+    "split-3-117": lambda: (*_three_positives(), SVMParams(), 4),
+    "n-2": lambda: (_svm_matrix(7)[0][:2], np.array([0, 1]), SVMParams(), 7),
+    "n-3": lambda: (_svm_matrix(8)[0][:3], np.array([1, 0, 1]), SVMParams(), 8),
+}
+
+
+@pytest.mark.parametrize("case", SMO_CASES)
+def test_svm_fit_matches_smo_oracle(case):
+    Xs, y, params, seed = SMO_CASES[case]()
+    model = SupportVectorMachine(params, seed).fit(Xs, y)
     alphas, bias = smo_oracle(
         rbf_kernel(Xs, Xs, model.gamma_),
         np.where(y == 1, 1.0, -1.0),
-        model.params.c,
-        model.params.tol,
-        model.params.max_passes,
+        params.c,
+        params.tol,
+        params.max_passes,
         svm.MAX_SWEEPS,
         generator(seed, "svm"),
     )
     assert np.array_equal(model.alphas_, alphas)
     assert model.bias_ == bias
     assert model.support_mask_.sum() > 0
+
+
+def test_clip_matches_builtin_min_max():
+    values = (-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, float("nan"))
+    for x in values:
+        for lo in values:
+            for hi in values:
+                assert repr(svm._clip(x, lo, hi)) == repr(min(hi, max(lo, x)))
+
+
+def test_block_draws_equal_scalar_draws():
+    """fit fetches its j draws in blocks; they must be the scalar calls' values."""
+    for high in (1, 2, 119, 2**33):
+        scalar, blocked = generator(3, "svm"), generator(3, "svm")
+        expected = [int(scalar.integers(high)) for _ in range(2500)]
+        draws = svm._draws(blocked, high)
+        assert [next(draws) for _ in range(2500)] == expected
+
+
+def test_decision_vector_bound_holds():
+    """Random pair updates with C = 1e3 never push any g[k] past d from the exact f(k)."""
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(40, 3))
+    K = rbf_kernel(X, X, 0.5)
+    y_signed = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+    C = 1e3
+    dv = svm.DecisionVector(K, y_signed, C, tol=1e-3)
+    worst = 0.0
+    for step in range(3000):
+        if step == 1500:
+            dv.refresh()
+        i, j = rng.choice(40, size=2, replace=False)
+        a_i, a_j = rng.choice([0.0, C, *rng.uniform(0.0, C, size=2)], size=2)
+        dv.set(int(i), a_i, int(j), a_j, float(rng.normal(0.0, 300.0)))
+        exact = np.array([float(dv.ay @ K[:, k] + dv.b) for k in range(40)])
+        error = np.abs(dv.g - exact)
+        assert (error <= dv.d).all(), step
+        worst = max(worst, error.max())
+    assert 0 < worst and dv.d < 1e-6
+
+
+def test_svm_screen_settles_most_checks():
+    Xs, y = _svm_matrix(0)
+    model = SupportVectorMachine(seed=0).fit(Xs, y)
+    assert model.n_updates_ > 0
+    assert 2 * model.n_updates_ <= model.n_exact_ < model.n_sweeps_ * len(y) / 4
 
 
 def test_svm_reports_convergence(monkeypatch):
