@@ -5,7 +5,7 @@ right room (two on the shared wall, one deep inside), ten devices per room
 record the broadcast signal strength of each AP over ten trials.
 """
 
-from roomsense import SimConfig, generate, unique_values, write_traces
+from roomsense import SimConfig, generate, write_traces
 
 cfg = SimConfig(seed=42)
 points = generate(cfg)
@@ -24,7 +24,7 @@ for record in (left, right):
     for ap_id in (1, 2, 3):
         trace = record.traces[(ap_id, 0)]
         print(f"  AP{ap_id} trial 0: {list(trace.values)}")
-        print(f"        unique:   {unique_values(trace)}")
+        print(f"        unique:   {list(trace.unique)}")
     print()
 
 write_traces(points, "traces.csv", comments={"seed": cfg.seed})

@@ -6,7 +6,7 @@ other sequence.  Small distances mean the devices saw similar signal
 profiles from that access point.
 """
 
-from roomsense import SimConfig, dtw_distance, generate, unique_values
+from roomsense import SimConfig, dtw_distance, generate
 
 points = generate(SimConfig(seed=42))
 left = [p for p in points if p.room == "left"]
@@ -18,8 +18,8 @@ pairs = {
     "cross room (left, right)": (left[0], right[0]),
 }
 for label, (a, b) in pairs.items():
-    u = unique_values(a.traces[(3, 0)])
-    v = unique_values(b.traces[(3, 0)])
+    u = list(a.traces[(3, 0)].unique)
+    v = list(b.traces[(3, 0)].unique)
     result = dtw_distance(u, v)
     print(label)
     print(f"  x = {u}")

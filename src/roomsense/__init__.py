@@ -15,7 +15,6 @@ from .dataset import (
     Trace,
     build_pairs,
     ingest_traces,
-    unique_values,
     write_traces,
 )
 from .dtw import WarpResult, dtw_distance
@@ -34,7 +33,6 @@ __all__ = [
     "Trace",
     "build_pairs",
     "ingest_traces",
-    "unique_values",
     "write_traces",
     "WarpResult",
     "dtw_distance",

@@ -171,8 +171,8 @@ def cmd_featurize(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
     X, y = read_feature_matrix(args.features)
+    out = _out_dir(args)
     path = out / f"model_{cfg.train.algorithm}.json"
     _save_model(evaluation.fit_holdout(X, y, cfg.train), cfg, path)
     print(path)
@@ -200,8 +200,8 @@ def cmd_evaluate(args) -> int:
     fitted, train = _load_fitted(args.model) if args.model else (None, cfg.train)
     if args.importance and train.algorithm != "rf":
         raise ConfigError("--importance requires the rf algorithm")
-    out = _out_dir(args)
     X, y = read_feature_matrix(args.features)
+    out = _out_dir(args)
 
     report = evaluation.evaluate(X, y, train, fitted=fitted)
     print(_write_report(report, cfg, out))

@@ -8,7 +8,7 @@ in the sign of the x coordinate: x < 0 is the left room, x > 0 the right one.
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,16 +37,23 @@ def room_of(x) -> str:
     return ROOM_LEFT if x < 0 else ROOM_RIGHT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
-    """Ordered RSSI sequence of one (access point, trial) at a device point."""
+    """Ordered RSSI sequence of one (access point, trial) at a device point.
+
+    `unique` holds its distinct values in first-occurrence order, computed
+    once here; order matters because it feeds dynamic time warping.  Slots
+    keep a building's thousands of traces from each carrying a dict.
+    """
 
     values: tuple[int, ...]
+    unique: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
         if len(self.values) == 0:
             raise ValueError("a trace must hold at least one reading")
+        object.__setattr__(self, "unique", tuple(dict.fromkeys(self.values)))
 
 
 @dataclass(frozen=True)
@@ -103,18 +110,6 @@ class Dataset:
 
     def labels(self) -> np.ndarray:
         return np.array([s.label for s in self.samples], dtype=int)
-
-
-def unique_values(trace) -> list[int]:
-    """Unique RSSI values of a trace, first occurrence order preserved.
-
-    Accepts a Trace or any sequence of values.  Order matters because the
-    result feeds dynamic time warping downstream.
-    """
-    values = trace.values if isinstance(trace, Trace) else tuple(trace)
-    if len(values) == 0:
-        raise ValueError("unique_values of an empty trace")
-    return list(dict.fromkeys(values))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Dynamic time warping distance between two 1-D signal sequences."""
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,34 +28,29 @@ def dtw_distance(x, y) -> WarpResult:
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError("dtw_distance expects 1-D sequences")
-    n, m = x.size, y.size
-    if n == 0 or m == 0:
+    if x.size == 0 or y.size == 0:
         raise ValueError("dtw_distance requires nonempty sequences")
 
-    cost = np.abs(x[:, None] - y[None, :])
+    # Cumulative cost by cell; a cell off the grid reads as inf, and the
+    # corner before (0, 0) as 0.
+    acc = defaultdict(lambda: math.inf, {(-1, -1): 0.0})
+    ys = y.tolist()
+    for i, x_i in enumerate(x.tolist()):
+        for j, y_j in enumerate(ys):
+            acc[i, j] = abs(x_i - y_j) + min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
 
-    # Cumulative cost with an inf border so edge cells need no special cases.
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    for i in range(1, n + 1):
-        row = acc[i]
-        prev = acc[i - 1]
-        crow = cost[i - 1]
-        for j in range(1, m + 1):
-            row[j] = crow[j - 1] + min(prev[j - 1], prev[j], row[j - 1])
+    # Every path visits every row and column, so a NaN or inf value, or a
+    # cost past the float range, leaves the last cell non-finite.
+    i, j = x.size - 1, y.size - 1
+    distance = acc[i, j]
+    if not math.isfinite(distance):
+        raise ValueError(f"dtw_distance requires finite values and costs, got distance {distance}")
 
-    path = [(n - 1, m - 1)]
-    i, j = n, m
-    while (i, j) != (1, 1):
-        candidates = (acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
-        move = int(np.argmin(candidates))  # argmin keeps the first minimum: diagonal wins ties
-        if move == 0:
-            i, j = i - 1, j - 1
-        elif move == 1:
-            i = i - 1
-        else:
-            j = j - 1
-        path.append((i - 1, j - 1))
+    path = [(i, j)]
+    while (i, j) != (0, 0):
+        # min keeps the first minimum: diagonal, then vertical, then horizontal
+        i, j = min(((i - 1, j - 1), (i - 1, j), (i, j - 1)), key=acc.__getitem__)
+        path.append((i, j))
     path.reverse()
 
-    return WarpResult(distance=float(acc[n, m]), path=tuple(path))
+    return WarpResult(distance=distance, path=tuple(path))

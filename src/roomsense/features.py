@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .dataset import AP_IDS, PointRecord, csv_reader, csv_writer, unique_values
+from .dataset import AP_IDS, PointRecord, csv_reader, csv_writer
 from .dtw import dtw_distance
 
 HIGH_STRENGTH_DBM = -50
@@ -71,7 +71,7 @@ def featurize_pair(
             trace_b = b.traces[(ap_id, trial_b)]
         except KeyError as exc:
             raise ValueError(f"missing trace for (ap_id, trial) {exc.args[0]}") from None
-        values += ap_features(unique_values(trace_a), unique_values(trace_b))
+        values += ap_features(trace_a.unique, trace_b.unique)
     return np.array(values, dtype=float)
 
 
@@ -113,4 +113,6 @@ def read_feature_matrix(source):
                 raise FeatureFormatError(line_no, "non-finite feature value")
             labels.append(label)
             rows.append(values)
+    if not rows:
+        raise FeatureFormatError(1, "no samples in the file")
     return np.array(rows, dtype=float), np.array(labels, dtype=int)

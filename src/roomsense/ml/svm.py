@@ -238,6 +238,9 @@ class SupportVectorMachine:
 
     def fit(self, X, y):
         X, y = check_fit_input(X, y)
+        if y.min() == y.max():
+            # every pair then has L == H, so no alpha moves and all rows predict 0
+            raise ValueError("svm requires both classes in the training data")
         n = len(y)
         y_signed = np.where(y == 1, 1.0, -1.0)
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used to derive expected test values.
 
 Everything here deliberately avoids the library's code paths: warping paths
-are enumerated explicitly, features are recomputed with plain Python sets and
+are enumerated explicitly, DTW with its backtrack also runs on an inf-bordered
+numpy grid, features are recomputed with plain Python sets and
 statistics, metrics are recounted from raw label pairs, and integrals use the
 trapezoid rule over explicit grids.  The tree split search, SMO and tree
 prediction keep their per-feature, per-check and per-row loop forms.
@@ -41,6 +42,37 @@ def brute_force_dtw(x, y):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def dtw_oracle(x, y):
+    """(distance, path) of DTW filled on an inf-bordered numpy grid.
+
+    Backtracking takes np.argmin's first minimum: diagonal, then vertical,
+    then horizontal.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, m = x.size, y.size
+    cost = np.abs(x[:, None] - y[None, :])
+    acc = np.full((n + 1, m + 1), np.inf)
+    acc[0, 0] = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            acc[i, j] = cost[i - 1, j - 1] + min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+
+    path = [(n - 1, m - 1)]
+    i, j = n, m
+    while (i, j) != (1, 1):
+        move = int(np.argmin((acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])))
+        if move == 0:
+            i, j = i - 1, j - 1
+        elif move == 1:
+            i = i - 1
+        else:
+            j = j - 1
+        path.append((i - 1, j - 1))
+    path.reverse()
+    return float(acc[n, m]), tuple(path)
 
 
 def path_cost_matrices(n, m):

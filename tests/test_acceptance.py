@@ -21,7 +21,7 @@ from oracles import (
     trapezoid,
 )
 from roomsense import cli, ml
-from roomsense.dataset import PairingConfig, build_pairs, ingest_traces, write_traces
+from roomsense.dataset import PairingConfig, Trace, build_pairs, ingest_traces, write_traces
 from roomsense.dtw import dtw_distance
 from roomsense.evaluation import (
     ConfusionMatrix,
@@ -136,11 +136,9 @@ FEATURE_FIXTURES = [
 
 
 def test_c2_feature_correctness():
-    from roomsense.dataset import unique_values
-
     assert len(FEATURE_FIXTURES) == 20
     for trace_x, trace_y, frozen in FEATURE_FIXTURES:
-        u, v = unique_values(trace_x), unique_values(trace_y)
+        u, v = Trace(trace_x).unique, Trace(trace_y).unique
         block = np.array(ap_features(u, v))
         assert np.allclose(block, frozen, atol=1e-9), (trace_x, trace_y)
         assert np.allclose(block, naive_features(trace_x, trace_y), atol=1e-9)

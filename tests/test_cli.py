@@ -9,7 +9,7 @@ import pytest
 
 from roomsense import cli
 from roomsense.dataset import ingest_traces
-from roomsense.features import read_feature_matrix
+from roomsense.features import FEATURE_CSV_HEADER, read_feature_matrix
 
 SMALL_CONFIG = """\
 # small geometry keeps the suite fast
@@ -235,6 +235,15 @@ def test_flag_overrides_config_file(tmp_path, config_path):
 def test_missing_input_file_exits_2(tmp_path):
     assert run("featurize", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
     assert run("evaluate", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_feature_file_without_rows_exits_2_before_output(tmp_path, command):
+    empty = tmp_path / "features.csv"
+    empty.write_text(FEATURE_CSV_HEADER + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(command, str(empty), "--out", str(out)) == 2
+    assert not out.exists()
 
 
 def test_malformed_trace_file_exits_2(tmp_path):

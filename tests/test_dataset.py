@@ -14,7 +14,6 @@ from roomsense.dataset import (
     build_pairs,
     ingest_traces,
     room_of,
-    unique_values,
     write_traces,
 )
 
@@ -119,19 +118,26 @@ def test_write_ingest_round_trip(tmp_path):
     assert ingest_traces(path) == sorted(points, key=lambda p: p.point)
 
 
-def test_unique_values_examples():
-    assert unique_values([-50, -50, -50]) == [-50]
-    assert unique_values([-50, -60, -50, -70]) == [-50, -60, -70]
-    assert unique_values([-70, -60, -50]) == [-70, -60, -50]
+def test_trace_unique_examples():
+    assert Trace([-50, -50, -50]).unique == (-50,)
+    assert Trace([-50, -60, -50, -70]).unique == (-50, -60, -70)
+    assert Trace([-70, -60, -50]).unique == (-70, -60, -50)
     with pytest.raises(ValueError):
-        unique_values([])
+        Trace([])
 
 
-def test_unique_values_accepts_trace_and_is_subsequence():
+def test_trace_unique_leaves_equality_and_repr_alone():
+    a, b = Trace([-50, -60, -50]), Trace((-50, -60, -50))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "Trace(values=(-50, -60, -50))"
+    assert Trace([-50, -60]) != a  # same unique values, different readings
+
+
+def test_trace_unique_is_subsequence():
     rng = np.random.default_rng(5)
     for _ in range(100):
         values = list(rng.integers(-90, -40, size=rng.integers(1, 30)))
-        uniq = unique_values(Trace(values))
+        uniq = Trace(values).unique
         assert len(set(uniq)) == len(uniq)
         it = iter(values)
         assert all(v in it for v in uniq)  # subsequence check

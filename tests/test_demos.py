@@ -1,0 +1,31 @@
+"""Demos 01-03 print pinned text: their SHA-256 digests hold on any CPU.
+
+These three demos use no BLAS.  Demo 02 prints unique-value sequences and
+DTW paths, so a change to deduplication or warping shows up here.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DEMO_STDOUT_SHA256 = {
+    "01_simulate_traces.py": "1a74394cbd7831cdd3159d2051dd5ff171dcfcffbcd79b05a3f5fdb6b3abf172",
+    "02_warping_alignment.py": "8c629956df48fe5bb8fcea8fa3a5d9040e2d8a37591c6d3c0da2ac378f6bd75e",
+    "03_pair_features.py": "3d7c6aed1a0d1f601bcb33fb62477718c389a9ace5d4a4f961f22c4feafb30ad",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT_SHA256))
+def test_demo_prints_pinned_text(tmp_path, demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
+        cwd=tmp_path, env=env, capture_output=True, check=True,
+    )
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo]

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import brute_force_dtw
+from oracles import brute_force_dtw, dtw_oracle
 from roomsense.dtw import dtw_distance
 
 ALPHABET = (-80, -70, -60, -50)
@@ -34,6 +34,40 @@ def test_empty_sequences_rejected():
         dtw_distance([], [1])
     with pytest.raises(ValueError):
         dtw_distance([1], [])
+
+
+@pytest.mark.parametrize("x, y", [
+    ([float("nan"), 1], [1, 2]),
+    ([1, 2], [1, float("nan")]),
+    ([1, float("inf")], [1, 2]),
+    ([1, 2], [float("-inf")]),
+    ([1e308], [-1e308, 0]),  # finite values whose cost overflows
+])
+def test_non_finite_rejected(x, y):
+    with pytest.raises(ValueError, match="finite"):
+        dtw_distance(x, y)
+
+
+def _oracle_cases():
+    """3,000 seeded pairs: integer RSSI, a tie-heavy range and floats."""
+    rng = np.random.default_rng(9)
+    for _ in range(1000):
+        n, m = rng.integers(1, 9, size=2)
+        yield rng.integers(-100, 1, size=n).tolist(), rng.integers(-100, 1, size=m).tolist()
+    for _ in range(1000):
+        n, m = rng.integers(1, 9, size=2)
+        yield rng.integers(-3, 0, size=n).tolist(), rng.integers(-3, 0, size=m).tolist()
+    for _ in range(1000):
+        n, m = rng.integers(1, 21, size=2)
+        yield rng.normal(size=n).tolist(), rng.normal(size=m).tolist()
+
+
+def test_distance_and_path_match_numpy_grid_oracle():
+    for x, y in _oracle_cases():
+        result = dtw_distance(x, y)
+        distance, path = dtw_oracle(x, y)
+        assert repr(result.distance) == repr(distance), (x, y)
+        assert result.path == path, (x, y)
 
 
 def test_exhaustive_oracle_equivalence_short_sequences():

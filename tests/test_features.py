@@ -164,3 +164,5 @@ def test_feature_matrix_errors():
     bad_value = FEATURE_CSV_HEADER + "\n1," + ",".join(["0.0"] * 17 + ["inf"]) + "\n"
     with pytest.raises(FeatureFormatError, match="non-finite"):
         read_feature_matrix(io.StringIO(bad_value))
+    with pytest.raises(FeatureFormatError, match="no samples"):
+        read_feature_matrix(io.StringIO("# seed=3\n" + FEATURE_CSV_HEADER + "\n"))

@@ -153,6 +153,13 @@ def test_fit_rejects_bad_input(algorithm):
             ml.MODELS[algorithm]().fit(X_bad, y_bad)
 
 
+def test_svm_rejects_single_class():
+    # lr, knn, dt and rf fit one class correctly; SMO would learn nothing and predict 0
+    for label in (0, 1):
+        with pytest.raises(ValueError, match="requires both classes"):
+            SupportVectorMachine().fit([[0.0], [1.0], [2.0]], [label] * 3)
+
+
 def _split_cases():
     """~500 seeded (X, y, feature_indices) nodes, including degenerate ones."""
     rng = np.random.default_rng(2024)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from roomsense.dataset import ingest_traces, unique_values, write_traces
+from roomsense.dataset import ingest_traces, write_traces
 from roomsense.dtw import dtw_distance
 from roomsense.simulator import SimConfig, generate, path_loss_db, sample_rssi
 from roomsense._seeds import generator
@@ -184,8 +184,8 @@ def test_same_room_pairs_have_smaller_dtw_on_average():
             total, count = 0.0, 0
             for a, b in pairs:
                 for ap_id in (1, 2, 3):
-                    u = unique_values(a.traces[(ap_id, 0)])
-                    v = unique_values(b.traces[(ap_id, 0)])
+                    u = a.traces[(ap_id, 0)].unique
+                    v = b.traces[(ap_id, 0)].unique
                     total += dtw_distance(u, v).distance
                     count += 1
             return total / count
