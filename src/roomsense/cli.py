@@ -16,7 +16,8 @@ from . import evaluation, ml
 from ._schema import build, field_specs, flatten, format_value, parse_value
 from ._seeds import derive_seed
 from .dataset import (
-    PairingConfig, TraceFormatError, build_pairs, csv_writer, ingest_traces, write_traces
+    PairingConfig, PointRecord, TraceFormatError, build_pairs, csv_writer, ingest_traces,
+    write_traces,
 )
 from .evaluation import EvalReport
 from .features import FEATURE_NAMES, FeatureFormatError, read_feature_matrix, write_feature_matrix
@@ -121,8 +122,15 @@ def _simulate(cfg: RunConfig, out: Path) -> Path:
     return path
 
 
-def _featurize(cfg: RunConfig, traces_path, out: Path) -> Path:
+def _ingest(traces_path) -> list[PointRecord]:
+    """The trace file's point records; a file without readings is malformed input."""
     points = ingest_traces(traces_path)
+    if not points:
+        raise TraceFormatError(1, "no readings in the file")
+    return points
+
+
+def _featurize(cfg: RunConfig, points, out: Path) -> Path:
     dataset = build_pairs(points, cfg.pairing, seed=derive_seed(cfg.seed, "featurize"))
     path = out / "features.csv"
     write_feature_matrix(
@@ -165,7 +173,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_featurize(args) -> int:
     cfg = _load_config(args)
-    print(_featurize(cfg, args.traces, _out_dir(args)))
+    points = _ingest(args.traces)
+    print(_featurize(cfg, points, _out_dir(args)))
     return 0
 
 
@@ -223,7 +232,7 @@ def cmd_benchmark(args) -> int:
     """Full pipeline over all five classifiers; writes every stage output."""
     cfg = _load_config(args)
     out = _out_dir(args)
-    X, y = read_feature_matrix(_featurize(cfg, _simulate(cfg, out), out))
+    X, y = read_feature_matrix(_featurize(cfg, _ingest(_simulate(cfg, out)), out))
 
     table = out / "benchmark.csv"
     with csv_writer(table, "algorithm,accuracy,f1_class0,f1_class1", cfg.echo()) as fh:

@@ -287,7 +287,7 @@ def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> D
             i, j, ta, tb = combos[label][idx]
             features = featurize_pair(points[i], points[j], trial_a=ta, trial_b=tb)
             samples.append(PairSample(
-                points[i].point, points[j].point, tuple(float(v) for v in features), label
+                points[i].point, points[j].point, tuple(features.tolist()), label
             ))
         return samples
 

@@ -89,8 +89,10 @@ def write_feature_matrix(X, y, dest, comments=None):
     if len(y) != len(X):
         raise ValueError("label count does not match row count")
     with csv_writer(dest, FEATURE_CSV_HEADER, comments) as out:
-        for label, row in zip(y, X):
-            out.write(f"{int(label)}," + ",".join(repr(float(v)) for v in row) + "\n")
+        # one row of Python floats at a time: boxing the whole matrix at once
+        # raised the paper-default run's peak RSS
+        for label, row in zip(y.tolist(), X):
+            out.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_feature_matrix(source):

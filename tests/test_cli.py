@@ -246,6 +246,19 @@ def test_feature_file_without_rows_exits_2_before_output(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("", "line 1: no readings in the file"),
+    ("1,1,1,0,0,-50\n1,1,1,0,x,-50\n", "line 3: unparseable field"),
+], ids=["header-only", "bad-row"])
+def test_trace_file_without_readings_exits_2_before_output(tmp_path, capsys, rows, message):
+    traces = tmp_path / "traces.csv"
+    traces.write_text("point_x,point_y,ap_id,trial,seq,rssi_dbm\n" + rows, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("featurize", str(traces), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: input: {message}")
+    assert not out.exists()
+
+
 def test_malformed_trace_file_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("point_x,point_y,ap_id,trial,seq,rssi_dbm\n1,1,1,0,0,99\n")

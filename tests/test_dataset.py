@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import make_point_same_traces
+from roomsense import features
+from roomsense._seeds import derive_seed
+from roomsense.cli import build_run_config
 from roomsense.dataset import (
     PairingConfig,
     PairSample,
@@ -16,6 +19,7 @@ from roomsense.dataset import (
     room_of,
     write_traces,
 )
+from roomsense.simulator import SimConfig, generate
 
 HEADER = "point_x,point_y,ap_id,trial,seq,rssi_dbm\n"
 
@@ -235,6 +239,41 @@ def test_build_pairs_random_trial_matching():
     cfg = PairingConfig(n_positive=2, n_negative=4, trial_matching="random")
     ds = build_pairs(points, cfg, seed=6)
     assert ds.counts == (2, 4)
+
+
+def test_paper_default_pairs_call_dtw_once_per_ap(monkeypatch):
+    # the counts a traced `benchmark --seed 42` reads as dtw.calls and dtw.cells
+    cfg = build_run_config({"seed": 42})
+    cells = []
+    dtw_distance = features.dtw_distance
+
+    def counted(x, y):
+        cells.append(len(x) * len(y))
+        return dtw_distance(x, y)
+
+    monkeypatch.setattr(features, "dtw_distance", counted)
+    build_pairs(generate(cfg.sim), cfg.pairing, seed=derive_seed(42, "featurize"))
+    assert len(cells) == 900
+    assert sum(cells) == 36183
+
+
+def test_pair_features_are_featurize_pair_floats(monkeypatch):
+    points = generate(SimConfig(devices_per_room=4, trials=3, seed=5))
+    drawn = []
+    featurize_pair = features.featurize_pair
+
+    def recorded(a, b, trial_a, trial_b):
+        drawn.append((a, b, trial_a, trial_b))
+        return featurize_pair(a, b, trial_a, trial_b)
+
+    monkeypatch.setattr(features, "featurize_pair", recorded)
+    cfg = PairingConfig(n_positive=10, n_negative=14, trial_matching="random")
+    ds = build_pairs(points, cfg, seed=2)
+    assert len(drawn) == len(ds.samples)
+    for sample, (a, b, trial_a, trial_b) in zip(ds.samples, drawn):
+        assert (sample.point_a, sample.point_b) == (a.point, b.point)
+        assert sample.features == tuple(featurize_pair(a, b, trial_a, trial_b).tolist())
+        assert all(type(v) is float for v in sample.features)
 
 
 def test_pair_sample_invariants():

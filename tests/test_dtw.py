@@ -1,5 +1,6 @@
 """Dynamic time warping: examples, path contract, and oracle equivalence."""
 
+import math
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from oracles import brute_force_dtw, dtw_oracle
 from roomsense.dtw import dtw_distance
+from roomsense.simulator import SimConfig, generate
 
 ALPHABET = (-80, -70, -60, -50)
 
@@ -36,12 +38,24 @@ def test_empty_sequences_rejected():
         dtw_distance([1], [])
 
 
+def _non_finite_cases():
+    """One NaN or +-inf at the first, a middle or the last place of either input."""
+    for bad in (math.nan, math.inf, -math.inf):
+        for n, m in ((1, 1), (1, 20), (20, 1)):
+            for k in sorted({0, n // 2, n - 1}):
+                x = [-60.0] * n
+                x[k] = bad
+                yield x, [-61.0] * m
+                yield [-61.0] * m, x
+
+
 @pytest.mark.parametrize("x, y", [
     ([float("nan"), 1], [1, 2]),
     ([1, 2], [1, float("nan")]),
     ([1, float("inf")], [1, 2]),
     ([1, 2], [float("-inf")]),
     ([1e308], [-1e308, 0]),  # finite values whose cost overflows
+    *_non_finite_cases(),
 ])
 def test_non_finite_rejected(x, y):
     with pytest.raises(ValueError, match="finite"):
@@ -64,6 +78,18 @@ def _oracle_cases():
 
 def test_distance_and_path_match_numpy_grid_oracle():
     for x, y in _oracle_cases():
+        result = dtw_distance(x, y)
+        distance, path = dtw_oracle(x, y)
+        assert repr(result.distance) == repr(distance), (x, y)
+        assert result.path == path, (x, y)
+
+
+def test_building_scale_traces_match_numpy_grid_oracle():
+    points = generate(SimConfig(devices_per_room=50, seed=0))
+    uniques = [trace.unique for point in points for trace in point.traces.values()]
+    rng = np.random.default_rng(21)
+    for a, b in rng.integers(0, len(uniques), size=(3000, 2)):
+        x, y = uniques[a], uniques[b]
         result = dtw_distance(x, y)
         distance, path = dtw_oracle(x, y)
         assert repr(result.distance) == repr(distance), (x, y)

@@ -152,6 +152,21 @@ def test_feature_matrix_round_trip():
     assert np.array_equal(y, y2)
 
 
+def test_feature_matrix_text_is_float_repr():
+    values = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, -2.5]
+    X = np.array([values * 3, [-v for v in values] * 3])
+    buf = io.StringIO()
+    write_feature_matrix(X, np.array([1, 0]), buf)
+    # the text that formatting each value with repr(float(v)) gives
+    row = "-0.0,5e-324,1e-300,0.30000000000000004,1e+16,-2.5"
+    negated = "0.0,-5e-324,-1e-300,-0.30000000000000004,-1e+16,2.5"
+    assert buf.getvalue().splitlines() == [
+        FEATURE_CSV_HEADER,
+        "1," + ",".join([row] * 3),
+        "0," + ",".join([negated] * 3),
+    ]
+
+
 def test_feature_matrix_errors():
     with pytest.raises(FeatureFormatError):
         read_feature_matrix(io.StringIO("not,a,header\n"))
