@@ -18,16 +18,15 @@ dataset = build_pairs(points, PairingConfig(), seed=42)
 print(f"samples: {len(dataset.samples)}  counts (pos, neg): {dataset.counts}")
 print()
 
-adjacent = dataset.samples[0]
-distant = dataset.samples[-1]
-for sample in (adjacent, distant):
-    kind = "adjacent" if sample.label == 1 else "distant"
-    print(f"{kind}: {sample.point_a} vs {sample.point_b}")
-    for name, value in zip(FEATURE_NAMES, sample.features):
+X, y = dataset.feature_matrix(), dataset.labels()
+for k in (0, -1):  # the first adjacent and the last distant sample
+    i, j, _, _ = dataset.samples[k]
+    kind = "adjacent" if y[k] == 1 else "distant"
+    print(f"{kind}: {dataset.points[i].point} vs {dataset.points[j].point}")
+    for name, value in zip(FEATURE_NAMES, X[k]):
         print(f"  {name:7s} = {value:8.3f}")
     print()
 
-X, y = dataset.feature_matrix(), dataset.labels()
 print("feature means by class (distant row, adjacent row):")
 header = " ".join(f"{n:>7s}" for n in FEATURE_NAMES[:6])
 print(f"  AP1 block:    {header}")

@@ -10,7 +10,6 @@ from . import dataset, dtw, evaluation, features, ml, simulator
 from .dataset import (
     Dataset,
     PairingConfig,
-    PairSample,
     PointRecord,
     Trace,
     build_pairs,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "PairingConfig",
-    "PairSample",
     "PointRecord",
     "Trace",
     "build_pairs",

@@ -16,8 +16,8 @@ from . import evaluation, ml
 from ._schema import build, field_specs, flatten, format_value, parse_value
 from ._seeds import derive_seed
 from .dataset import (
-    PairingConfig, PointRecord, TraceFormatError, build_pairs, csv_writer, ingest_traces,
-    write_traces,
+    PairingConfig, PointRecord, TraceFormatError, build_pairs, check_pairable, csv_writer,
+    ingest_traces, write_traces,
 )
 from .evaluation import EvalReport
 from .features import FEATURE_NAMES, FeatureFormatError, read_feature_matrix, write_feature_matrix
@@ -130,9 +130,10 @@ def _ingest(traces_path) -> list[PointRecord]:
     return points
 
 
-def _featurize(cfg: RunConfig, points, out: Path) -> Path:
+def _featurize(cfg: RunConfig, points, args) -> Path:
+    """Write features.csv, making `--out` only once the pairs are built."""
     dataset = build_pairs(points, cfg.pairing, seed=derive_seed(cfg.seed, "featurize"))
-    path = out / "features.csv"
+    path = _out_dir(args) / "features.csv"
     write_feature_matrix(
         dataset.feature_matrix(), dataset.labels(), path, comments=cfg.echo()
     )
@@ -174,7 +175,11 @@ def cmd_simulate(args) -> int:
 def cmd_featurize(args) -> int:
     cfg = _load_config(args)
     points = _ingest(args.traces)
-    print(_featurize(cfg, points, _out_dir(args)))
+    try:
+        check_pairable(points)
+    except ValueError as exc:
+        raise TraceFormatError(None, str(exc)) from None
+    print(_featurize(cfg, points, args))
     return 0
 
 
@@ -232,7 +237,7 @@ def cmd_benchmark(args) -> int:
     """Full pipeline over all five classifiers; writes every stage output."""
     cfg = _load_config(args)
     out = _out_dir(args)
-    X, y = read_feature_matrix(_featurize(cfg, _ingest(_simulate(cfg, out)), out))
+    X, y = read_feature_matrix(_featurize(cfg, _ingest(_simulate(cfg, out)), args))
 
     table = out / "benchmark.csv"
     with csv_writer(table, "algorithm,accuracy,f1_class0,f1_class1", cfg.echo()) as fh:

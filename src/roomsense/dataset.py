@@ -1,8 +1,9 @@
 """RSSI trace records, trace-file I/O, and labeled pair-dataset construction.
 
 Two devices form a positive ("adjacent") sample when they sit in the same
-room and a negative ("distant") sample otherwise.  Room membership is encoded
-in the sign of the x coordinate: x < 0 is the left room, x > 0 the right one.
+room, a negative ("distant") one otherwise; x < 0 is the left room, x > 0 the
+right one.  A pair dataset is arrays: (i, j, trial_a, trial_b) index rows
+into the sorted point records, the n x 18 feature matrix, and the labels.
 """
 
 import itertools
@@ -23,10 +24,10 @@ TRACE_HEADER = "point_x,point_y,ap_id,trial,seq,rssi_dbm"
 
 
 class TraceFormatError(ValueError):
-    """Malformed trace file; carries the 1-based offending line number."""
+    """Malformed trace file; carries the 1-based offending line number (None: the whole file)."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -77,39 +78,34 @@ class PointRecord:
         return sorted(set.intersection(*per_ap))
 
 
-@dataclass(frozen=True)
-class PairSample:
-    """One classification sample: 18 features and the adjacency label."""
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Pair samples as read-only arrays: (i, j, trial_a, trial_b) rows into `points`, X and y."""
 
-    point_a: tuple[float, float]
-    point_b: tuple[float, float]
-    features: tuple[float, ...]
-    label: int
+    points: tuple[PointRecord, ...]
+    samples: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        if len(self.features) != 18:
-            raise ValueError(f"expected 18 features, got {len(self.features)}")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Ordered pair samples."""
-
-    samples: tuple[PairSample, ...]
+        shapes = (self.samples.shape, self.X.shape, self.y.shape)
+        if shapes != ((len(self.y), 4), (len(self.y), 18), (len(self.y),)):
+            raise ValueError(f"expected n x 4, n x 18 and n-long arrays, got shapes {shapes}")
+        if not np.isin(self.y, (0, 1)).all():
+            raise ValueError("labels must be 0 or 1")
+        for array in (self.samples, self.X, self.y):
+            array.flags.writeable = False
 
     @property
     def counts(self) -> tuple[int, int]:
         """(positive, negative) class counts."""
-        n_pos = sum(s.label for s in self.samples)
-        return n_pos, len(self.samples) - n_pos
+        return int(self.y.sum()), int((self.y == 0).sum())
 
     def feature_matrix(self) -> np.ndarray:
-        return np.array([s.features for s in self.samples], dtype=float)
+        return self.X
 
     def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=int)
+        return self.y
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +237,17 @@ class PairingConfig:
             raise ValueError(f"unknown trial_matching {self.trial_matching!r}")
 
 
+def check_pairable(points):
+    """Raise ValueError unless each room has two points and each point a trial all APs cover."""
+    for record in points:
+        if not record.trial_ids():
+            raise ValueError(f"point {record.point} lacks a trace for every access point")
+    rooms = [record.room for record in points]
+    for room in dict.fromkeys(rooms):
+        if rooms.count(room) < 2:
+            raise ValueError(f"room {room!r} has {rooms.count(room)} point(s); need >= 2")
+
+
 def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> Dataset:
     """Construct the labeled pair dataset from point records.
 
@@ -254,16 +261,10 @@ def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> D
     from .features import featurize_pair  # deferred: features needs this module's types
 
     config = config or PairingConfig()
-    points = sorted(points, key=lambda p: p.point)
+    points = tuple(sorted(points, key=lambda p: p.point))
+    check_pairable(points)
     trials = [record.trial_ids() for record in points]
-    for record, ids in zip(points, trials):
-        if not ids:
-            raise ValueError(f"point {record.point} lacks a trace for every access point")
-
     rooms = [record.room for record in points]
-    for room in dict.fromkeys(rooms):
-        if rooms.count(room) < 2:
-            raise ValueError(f"room {room!r} has {rooms.count(room)} point(s); need >= 2")
 
     # (i, j, trial_a, trial_b) per label, pairs in (i, j) order, then trials
     combos = {1: [], 0: []}
@@ -274,21 +275,19 @@ def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> D
             assignments = itertools.product(trials[i], trials[j])
         combos[int(rooms[i] == rooms[j])] += [(i, j, ta, tb) for ta, tb in assignments]
 
-    def draw(count, label):
-        if count > len(combos[label]):
-            kind = "positive" if label == 1 else "negative"
-            raise ValueError(
-                f"{count} {kind} samples requested but only {len(combos[label])} distinct "
-                "(pair, trial) combinations exist"
-            )
+    drawn = []
+    for label, count in ((1, config.n_positive), (0, config.n_negative)):
+        rows = np.array(combos[label], dtype=np.int64).reshape(-1, 4)
+        if count > len(rows):
+            kind = ("negative", "positive")[label]
+            raise ValueError(f"{count} {kind} samples requested but only {len(rows)} "
+                             "distinct (pair, trial) combinations exist")
         rng = generator(seed, "pairs", label)
-        samples = []
-        for idx in rng.choice(len(combos[label]), size=count, replace=False):
-            i, j, ta, tb = combos[label][idx]
-            features = featurize_pair(points[i], points[j], trial_a=ta, trial_b=tb)
-            samples.append(PairSample(
-                points[i].point, points[j].point, tuple(features.tolist()), label
-            ))
-        return samples
+        drawn.append(rows[rng.choice(len(rows), size=count, replace=False)])
 
-    return Dataset(tuple(draw(config.n_positive, 1) + draw(config.n_negative, 0)))
+    samples = np.concatenate(drawn)
+    X = np.empty((len(samples), 18))
+    for k, (i, j, ta, tb) in enumerate(samples.tolist()):
+        X[k] = featurize_pair(points[i], points[j], trial_a=ta, trial_b=tb)
+    y = np.repeat(np.array([1, 0]), [config.n_positive, config.n_negative])
+    return Dataset(points, samples, X, y)

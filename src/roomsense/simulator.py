@@ -69,11 +69,13 @@ class SimConfig:
 def path_loss_db(d_m: float, gamma: float = 2.5, d0_m: float = 1.0) -> float:
     """Distance-dependent loss beyond the reference power: 10 * gamma * log10(d/d0).
 
-    Distances below d0 clamp to d0 so the loss never goes negative.
+    Distances at or below d0 lose nothing, so the loss never goes negative
+    (and a gamma whose 10x overflows gives 0 there, not inf * 0 = NaN).
     """
     if d0_m <= 0:
         raise ValueError(f"d0_m must be > 0, got {d0_m}")
-    d_m = max(d_m, d0_m)
+    if d_m <= d0_m:
+        return 0.0
     return 10.0 * gamma * math.log10(d_m / d0_m)
 
 
@@ -87,7 +89,8 @@ def sample_rssi(device_point_ft, ap_ft, cfg: SimConfig, rng) -> int:
 
     Coordinates are feet; the model works in meters.  One wall attenuation is
     charged when device and AP are on opposite sides of the x = 0 partition.
-    The result is rounded to the nearest dBm and clamped to [-100, 0].
+    The level is clamped to [-100, 0] dBm and then rounded to the nearest
+    dBm, so a loss past the floor reads -100 even when it overflows to -inf.
     """
     dx = (device_point_ft[0] - ap_ft[0]) * FT_TO_M
     dy = (device_point_ft[1] - ap_ft[1]) * FT_TO_M
@@ -100,7 +103,7 @@ def sample_rssi(device_point_ft, ap_ft, cfg: SimConfig, rng) -> int:
     )
     if cfg.noise_sigma_db > 0:
         level += rng.normal(0.0, cfg.noise_sigma_db)
-    return int(min(RSSI_CEILING, max(RSSI_FLOOR, round(level))))
+    return round(min(RSSI_CEILING, max(RSSI_FLOOR, level)))
 
 
 def _room_points(n, x_lo, x_hi, depth, rng):

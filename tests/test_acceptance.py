@@ -326,7 +326,7 @@ def test_c9_dataset_contract(tmp_path):
     dataset = build_pairs(points, PairingConfig(), seed=42)
     assert len(dataset.samples) == 300
     assert dataset.counts == (100, 200)
-    assert all(len(s.features) == 18 for s in dataset.samples)
+    assert dataset.feature_matrix().shape == (300, 18)
     labels = dataset.labels()
     assert int(np.sum(labels == 1)) == 100 and int(np.sum(labels == 0)) == 200
 

@@ -50,6 +50,17 @@ def test_simulate_writes_ingestible_traces(tmp_path, config_path):
     assert text.startswith("# seed=42\n")
 
 
+def test_simulate_with_overflowing_path_loss_exits_0(tmp_path):
+    # 10 * gamma overflows to inf: readings past the floor read -100 dBm
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG + "gamma=1e308\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("simulate", "--config", str(cfg), "--seed", "42", "--out", str(out)) == 0
+    values = {v for p in ingest_traces(out / "traces.csv") for t in p.traces.values()
+              for v in t.values}
+    assert -100 in values and all(-100 <= v <= 0 for v in values)
+
+
 def test_featurize_produces_labeled_matrix(tmp_path, config_path):
     out = tmp_path / "out"
     run("simulate", "--config", config_path, "--seed", "42", "--out", str(out))
@@ -249,7 +260,10 @@ def test_feature_file_without_rows_exits_2_before_output(tmp_path, command):
 @pytest.mark.parametrize("rows, message", [
     ("", "line 1: no readings in the file"),
     ("1,1,1,0,0,-50\n1,1,1,0,x,-50\n", "line 3: unparseable field"),
-], ids=["header-only", "bad-row"])
+    ("".join(f"{x},1,{ap},0,0,-50\n" for x in (-1, 1) for ap in (1, 2, 3)),
+     "room 'left' has 1 point(s); need >= 2"),
+    ("1,1,1,0,0,-50\n", "point (1.0, 1.0) lacks a trace for every access point"),
+], ids=["header-only", "bad-row", "one-point-in-a-room", "no-trial-with-every-ap"])
 def test_trace_file_without_readings_exits_2_before_output(tmp_path, capsys, rows, message):
     traces = tmp_path / "traces.csv"
     traces.write_text("point_x,point_y,ap_id,trial,seq,rssi_dbm\n" + rows, encoding="utf-8")
@@ -395,11 +409,13 @@ def test_unreachable_pair_counts_exit_1(tmp_path, config_path):
     run("simulate", "--config", config_path, "--seed", "5", "--out", str(out))
     greedy = tmp_path / "greedy.cfg"
     greedy.write_text(SMALL_CONFIG + "n_positive=100000\n", encoding="utf-8")
+    features_out = tmp_path / "features"
     code = run(
         "featurize", str(out / "traces.csv"), "--config", str(greedy),
-        "--seed", "5", "--out", str(out),
+        "--seed", "5", "--out", str(features_out),
     )
     assert code == 1
+    assert not features_out.exists()  # the pairs are built before the output directory
 
 
 # a non-default value for every config key, in echo order

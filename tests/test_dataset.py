@@ -10,8 +10,8 @@ from roomsense import features
 from roomsense._seeds import derive_seed
 from roomsense.cli import build_run_config
 from roomsense.dataset import (
+    Dataset,
     PairingConfig,
-    PairSample,
     Trace,
     TraceFormatError,
     build_pairs,
@@ -161,34 +161,33 @@ def test_build_pairs_single_positive_pair():
         make_point_same_traces(-7, 6, [-62]),
     ]
     ds = build_pairs(points, PairingConfig(n_positive=1, n_negative=0), seed=1)
-    assert len(ds.samples) == 1
+    assert ds.samples.tolist() == [[0, 1, 0, 0]]
     assert ds.counts == (1, 0)
-    assert ds.samples[0].label == 1
+    assert ds.labels().tolist() == [1]
 
 
 def test_build_pairs_default_counts():
     points = _two_room_points(per_room=10, trials=tuple(range(10)))
     ds = build_pairs(points, PairingConfig(), seed=9)
-    assert len(ds.samples) == 300
+    assert ds.samples.shape == (300, 4)
+    assert ds.feature_matrix().shape == (300, 18)
     assert ds.counts == (100, 200)
-    labels = [s.label for s in ds.samples]
-    assert labels == [1] * 100 + [0] * 200
+    assert ds.labels().tolist() == [1] * 100 + [0] * 200
 
 
 def test_build_pairs_labels_match_rooms():
     points = _two_room_points(per_room=3, trials=(0, 1))
     ds = build_pairs(points, PairingConfig(n_positive=5, n_negative=5), seed=2)
-    rooms = {p.point: p.room for p in points}
-    for sample in ds.samples:
-        same_room = rooms[sample.point_a] == rooms[sample.point_b]
-        assert sample.label == (1 if same_room else 0)
+    for (i, j, _, _), label in zip(ds.samples.tolist(), ds.labels().tolist()):
+        assert label == int(ds.points[i].room == ds.points[j].room)
 
 
 def test_build_pairs_deterministic():
     points = _two_room_points(per_room=4, trials=(0, 1, 2))
     cfg = PairingConfig(n_positive=10, n_negative=10)
-    assert build_pairs(points, cfg, seed=3) == build_pairs(points, cfg, seed=3)
-    assert build_pairs(points, cfg, seed=3) != build_pairs(points, cfg, seed=4)
+    a, b, c = (build_pairs(points, cfg, seed=seed) for seed in (3, 3, 4))
+    assert np.array_equal(a.samples, b.samples) and np.array_equal(a.X, b.X)
+    assert not np.array_equal(a.samples, c.samples)
 
 
 def test_build_pairs_repeats_point_pairs_beyond_distinct_count():
@@ -196,8 +195,7 @@ def test_build_pairs_repeats_point_pairs_beyond_distinct_count():
     # so some point pairs must recur with different trial assignments
     points = _two_room_points(per_room=10, trials=tuple(range(10)))
     ds = build_pairs(points, PairingConfig(), seed=11)
-    pos = [s for s in ds.samples if s.label == 1]
-    pair_keys = [(s.point_a, s.point_b) for s in pos]
+    pair_keys = [(i, j) for i, j, _, _ in ds.samples[ds.labels() == 1].tolist()]
     assert len(set(pair_keys)) < len(pair_keys)
 
 
@@ -212,7 +210,15 @@ def test_build_pairs_distinct_pair_inventory():
     assert cross == 100
 
 
-def test_build_pairs_unreachable_counts():
+def test_build_pairs_unreachable_counts(monkeypatch):
+    calls = []
+    featurize_pair = features.featurize_pair
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return featurize_pair(*args, **kwargs)
+
+    monkeypatch.setattr(features, "featurize_pair", counted)
     one_room = [
         make_point_same_traces(-5, 4, [-60]),
         make_point_same_traces(-7, 6, [-62]),
@@ -222,6 +228,7 @@ def test_build_pairs_unreachable_counts():
     points = _two_room_points(per_room=2, trials=(0,))
     with pytest.raises(ValueError, match="positive"):
         build_pairs(points, PairingConfig(n_positive=50, n_negative=1), seed=0)
+    assert calls == []  # both counts are checked before any pair is featurized
 
 
 def test_build_pairs_requires_two_points_per_room():
@@ -270,14 +277,18 @@ def test_pair_features_are_featurize_pair_floats(monkeypatch):
     cfg = PairingConfig(n_positive=10, n_negative=14, trial_matching="random")
     ds = build_pairs(points, cfg, seed=2)
     assert len(drawn) == len(ds.samples)
-    for sample, (a, b, trial_a, trial_b) in zip(ds.samples, drawn):
-        assert (sample.point_a, sample.point_b) == (a.point, b.point)
-        assert sample.features == tuple(featurize_pair(a, b, trial_a, trial_b).tolist())
-        assert all(type(v) is float for v in sample.features)
+    for (i, j, ta, tb), row, (a, b, trial_a, trial_b) in zip(ds.samples.tolist(), ds.X, drawn):
+        assert (ds.points[i], ds.points[j], ta, tb) == (a, b, trial_a, trial_b)
+        assert row.tolist() == featurize_pair(a, b, trial_a, trial_b).tolist()
 
 
-def test_pair_sample_invariants():
-    with pytest.raises(ValueError, match="18"):
-        PairSample((0, 1), (2, 3), (1.0,) * 7, 1)
-    with pytest.raises(ValueError, match="label"):
-        PairSample((0, 1), (2, 3), (1.0,) * 18, 2)
+def test_dataset_invariants():
+    samples, X, y = np.zeros((2, 4), dtype=np.int64), np.zeros((2, 18)), np.array([1, 0])
+    with pytest.raises(ValueError, match=r"shapes \(\(2, 4\), \(2, 7\), \(2,\)\)"):
+        Dataset((), samples, X[:, :7], y)
+    with pytest.raises(ValueError, match="labels"):
+        Dataset((), samples, X, np.array([1, 2]))
+    ds = Dataset((), samples, X, y)
+    assert ds.feature_matrix() is X and ds.labels() is y
+    with pytest.raises(ValueError, match="read-only"):
+        X[0, 0] = 1.0

@@ -67,6 +67,10 @@ def test_sample_rssi_clamped_to_range():
     assert sample_rssi((-2000.0, 0.0), (0.0, 0.0), cfg, None) == -100
     cfg = SimConfig(noise_sigma_db=0.0, pl0_dbm=10.0)
     assert sample_rssi((0.5, 0.0), (0.0, 0.0), cfg, None) == 0
+    # 10 * gamma overflows: the level is -inf past d0, and within d0 the loss stays 0
+    cfg = SimConfig(noise_sigma_db=0.0, gamma=1e308)
+    assert sample_rssi((-10.0, 0.0), (0.0, 0.0), cfg, None) == -100
+    assert sample_rssi((0.001, 0.0), (0.0, 0.0), cfg, None) == -40
 
 
 def test_config_validation():
