@@ -91,7 +91,8 @@ def build_run_config(values: dict) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
-def load_run_config(config_path=None, **overrides) -> RunConfig:
+def load_config_values(config_path=None, **overrides) -> dict:
+    """The config file's typed values, then every override that is not None."""
     values = {}
     if config_path:
         try:
@@ -99,7 +100,11 @@ def load_run_config(config_path=None, **overrides) -> RunConfig:
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {config_path}") from None
         values = parse_config(text.splitlines(), config_path)
-    return build_run_config(values | {k: v for k, v in overrides.items() if v is not None})
+    return values | {k: v for k, v in overrides.items() if v is not None}
+
+
+def load_run_config(config_path=None, **overrides) -> RunConfig:
+    return build_run_config(load_config_values(config_path, **overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +117,15 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _config_values(args) -> dict:
+    """The values this command was given, by --config file or by flag."""
+    return load_config_values(
+        args.config, seed=args.seed, algorithm=getattr(args, "algorithm", None)
+    )
+
+
 def _load_config(args) -> RunConfig:
-    return load_run_config(args.config, seed=args.seed, algorithm=getattr(args, "algorithm", None))
+    return build_run_config(_config_values(args))
 
 
 def _simulate(cfg: RunConfig, out: Path) -> Path:
@@ -159,10 +171,7 @@ def _save_model(fitted, cfg: RunConfig, path):
 
 def _write_report(report: EvalReport, cfg: RunConfig, out: Path) -> Path:
     path = out / f"report_{report.algorithm}.json"
-    path.write_text(
-        report.to_json(extra={"config": cfg.echo() | {"algorithm": report.algorithm}}),
-        encoding="utf-8",
-    )
+    path.write_text(report.to_json(extra={"config": cfg.echo()}), encoding="utf-8")
     return path
 
 
@@ -186,19 +195,19 @@ def cmd_featurize(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     X, y = read_feature_matrix(args.features)
-    out = _out_dir(args)
-    path = out / f"model_{cfg.train.algorithm}.json"
-    _save_model(evaluation.fit_holdout(X, y, cfg.train), cfg, path)
+    fitted = evaluation.fit_holdout(X, y, cfg.train)
+    path = _out_dir(args) / f"model_{cfg.train.algorithm}.json"
+    _save_model(fitted, cfg, path)
     print(path)
     return 0
 
 
 def _load_fitted(path):
-    """A saved model, its standardizer, and the train config its echo records."""
+    """A saved model, its standardizer, and the run config its echo records."""
     model, doc = ml.load_model(path)
     try:
         echo = (f"{key}={value}" for key, value in doc["config"].items())
-        train = build_run_config(parse_config(echo, path)).train
+        cfg = build_run_config(parse_config(echo, path))
         scaler = evaluation.Standardizer.from_dict(doc["pipeline"]["standardizer"])
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ml.ModelFormatError(f"bad pipeline info in model document ({exc})") from None
@@ -206,18 +215,39 @@ def _load_fitted(path):
         raise ml.ModelFormatError(
             f"standardizer has {len(scaler.mean)} features but the model has {model.n_features_}"
         )
-    return (model, scaler), train
+    return (model, scaler), cfg
+
+
+def _check_cv_folds(y, train: ml.TrainConfig):
+    """cv_folds must fit the training side of the split; checked before any fit."""
+    train_idx, _ = evaluation.train_test_split(y, train.train_fraction, train.seed)
+    try:
+        evaluation.kfold(y[train_idx], train.cv_folds)
+    except ValueError as exc:
+        raise ConfigError(f"cv_folds: {exc}") from None
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    fitted, train = _load_fitted(args.model) if args.model else (None, cfg.train)
-    if args.importance and train.algorithm != "rf":
+    given = _config_values(args)
+    cfg = build_run_config(given)
+    fitted = None
+    if args.model:
+        # the model's own config runs the evaluation; a given value may only repeat it
+        fitted, saved = _load_fitted(args.model)
+        wanted, recorded = cfg.echo(), saved.echo()
+        for key in given:
+            if wanted[key] != recorded[key]:
+                raise ConfigError(
+                    f"{key}={wanted[key]} contradicts the model's {key}={recorded[key]}"
+                )
+        cfg = saved
+    if args.importance and cfg.train.algorithm != "rf":
         raise ConfigError("--importance requires the rf algorithm")
     X, y = read_feature_matrix(args.features)
-    out = _out_dir(args)
+    _check_cv_folds(y, cfg.train)
 
-    report = evaluation.evaluate(X, y, train, fitted=fitted)
+    report = evaluation.evaluate(X, y, cfg.train, fitted=fitted)
+    out = _out_dir(args)
     print(_write_report(report, cfg, out))
     if args.importance:
         with csv_writer(out / "importance.csv", "feature,importance", cfg.echo()) as fh:
@@ -246,7 +276,7 @@ def cmd_benchmark(args) -> int:
             fitted = evaluation.fit_holdout(X, y, run.train)
             _save_model(fitted, run, out / f"model_{algorithm}.json")
             report = evaluation.evaluate(X, y, run.train, fitted=fitted)
-            _write_report(report, cfg, out)
+            _write_report(report, run, out)
             scores = (report.accuracy, report.f1_class0, report.f1_class1)
             fh.write(",".join([algorithm, *map(repr, scores)]) + "\n")
     print(table)

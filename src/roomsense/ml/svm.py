@@ -72,6 +72,8 @@ class DecisionVector:
 
     It owns ay (alphas * y_signed) and b; `exact(k)` is the one place f(k)
     is computed exactly, by the strided dot product SMO has always used.
+    SMO reads g and d as Python floats at the start of each sweep and after
+    each `set`, and settles each row's checks from g[k] -/+ d where it can.
 
     The bound (Higham 2002, sec. 3.1).  Let T_k = sum_m ay_m K_mk + b in exact
     arithmetic, S = n * amax * kmax >= sum_m |ay_m K_mk| (amax is a running max
@@ -90,7 +92,7 @@ class DecisionVector:
     enclose f(k).
     """
 
-    def __init__(self, K, y_signed, c, tol):
+    def __init__(self, K, y_signed, c):
         n = len(K)
         self.K = K
         # The strided K[:, k] views, made once.  A contiguous copy would be
@@ -98,13 +100,8 @@ class DecisionVector:
         # round differently.
         self.columns = list(K.T)
         self.y = y_signed
-        self.c, self.tol = c, tol
         self.ay = np.zeros(n)
         self.b = 0.0
-        # Row k violates KKT when r = y_k * f(k) - 1 < low[k] or > high[k]:
-        # -tol while alpha_k < c and tol while alpha_k > 0, else never.
-        self.low = np.full(n, -tol)
-        self.high = np.full(n, np.inf)
         self.kmax = float(K.max())
         self.amax = c  # exact SMO keeps every alpha in [0, c]
         self.bmax = 0.0
@@ -141,41 +138,20 @@ class DecisionVector:
         self.g += di * self.K[i]
         self.g += dj * self.K[j]
         self.g += db
-        for k, a in ((i, a_i), (j, a_j)):
-            self.low[k] = -self.tol if a < self.c else -np.inf
-            self.high[k] = self.tol if a > 0 else np.inf
         self.n_updates += 1
-
-    def _unsettled(self, start):
-        # y * fl(f - y) = fl(y*f - 1), monotone in f, so for every f in
-        # [g - d, g + d] r lies between these two ends.
-        yg, d = self.y[start:] * self.g[start:], self.d
-        maybe = (yg - d - 1.0 < self.low[start:]) | (yg + d - 1.0 > self.high[start:])
-        return (maybe.nonzero()[0] + start).tolist()
-
-    def unsettled(self):
-        """The rows of one sweep, in order, that g -/+ d cannot show to meet
-        KKT.  After each `set`, the later rows are screened again."""
-        rows, k, seen = self._unsettled(0), 0, self.n_updates
-        while k < len(rows):
-            i = rows[k]
-            yield i
-            if self.n_updates == seen:
-                k += 1
-            else:
-                rows, k, seen = self._unsettled(i + 1), 0, self.n_updates
 
 
 class SupportVectorMachine:
     """Binary SVM with an RBF kernel, optimized pairwise (simplified SMO).
 
     Each sweep visits the rows in order; a row that violates KKT is paired
-    with a random j from the "svm" RNG stream.  The sweep is screened by a
-    DecisionVector: g = ay @ K + b for all rows, kept current through each
-    update, with a certified bound d on |g[k] - f(k)|.  A KKT check that
-    holds, or fails, for every value in g[k] -/+ d needs no exact f(k), and
-    a step whose clipped size is below 1e-5 at both ends of the E_i - E_j
-    range it allows is skipped (the step is monotone in E_i - E_j).
+    with a random j from the "svm" RNG stream.  Each row is first checked
+    against a DecisionVector: g = ay @ K + b for all rows, kept current
+    through each update, with a certified bound d on |g[k] - f(k)|.  A KKT
+    check that holds, or fails, for every value in g[k] -/+ d needs no
+    exact f(k), and a step whose clipped size is below 1e-5 at both ends of
+    the E_i - E_j range it allows is skipped (the step is monotone in
+    E_i - E_j).
     Undecided cases and every committed update compute f exactly, so the
     fit matches the unscreened loop bit for bit, RNG draws included.
 
@@ -258,7 +234,7 @@ class SupportVectorMachine:
         ys = y_signed.tolist()
         diag = K.diagonal().tolist()
         kernel = K.item
-        dv = DecisionVector(K, y_signed, C, tol)
+        dv = DecisionVector(K, y_signed, C)
         b = 0.0
 
         passes = 0
@@ -266,15 +242,18 @@ class SupportVectorMachine:
         while passes < max_passes and sweeps < MAX_SWEEPS:
             changed = 0
             dv.refresh()
-            for i in dv.unsettled():
-                # f(i) lies in [lo, hi], and r = y_i * (f(i) - y_i) in [r_lo, r_hi].
-                y_i, a_i_old, g_i, d = ys[i], alphas[i], dv.g.item(i), dv.d
-                lo, hi = g_i - d, g_i + d
+            g, d = dv.g.tolist(), dv.d
+            for i in range(n):
+                # f(i) lies in [g_i - d, g_i + d], and r = y_i * (f(i) - y_i) in
+                # [r_lo, r_hi]: y * fl(f - y) = fl(y*f - 1) is monotone in f.
+                y_i, a_i_old, g_i = ys[i], alphas[i], g[i]
                 r_lo, r_hi = y_i * g_i - d - 1.0, y_i * g_i + d - 1.0
                 below, above = a_i_old < C, a_i_old > 0
+                if not ((r_lo < -tol and below) or (r_hi > tol and above)):
+                    continue  # meets KKT whatever f(i) is
                 if (r_hi < -tol and below) or (r_lo > tol and above):
                     E_i = None  # violates KKT whatever f(i) is
-                    e_lo, e_hi = lo - y_i, hi - y_i
+                    e_lo, e_hi = g_i - d - y_i, g_i + d - y_i
                 else:
                     E_i = dv.exact(i) - y_i
                     r_i = y_i * E_i
@@ -300,8 +279,7 @@ class SupportVectorMachine:
                     continue
                 # The clipped step is monotone in E_i - E_j: when it is dead at
                 # both ends of that difference's range, it is dead throughout.
-                g_j = dv.g.item(j)
-                ej_lo, ej_hi = g_j - d - y_j, g_j + d - y_j
+                ej_lo, ej_hi = g[j] - d - y_j, g[j] + d - y_j
                 step_lo = _clip(a_j_old - y_j * (e_lo - ej_hi) / eta, L, H) - a_j_old
                 step_hi = _clip(a_j_old - y_j * (e_hi - ej_lo) / eta, L, H) - a_j_old
                 if abs(step_lo) < 1e-5 and abs(step_hi) < 1e-5:
@@ -324,6 +302,7 @@ class SupportVectorMachine:
                     b = (b1 + b2) / 2.0
                 alphas[i], alphas[j] = a_i, a_j
                 dv.set(i, a_i, j, a_j, b)
+                g, d = dv.g.tolist(), dv.d
                 changed += 1
             passes = passes + 1 if changed == 0 else 0
             sweeps += 1

@@ -183,7 +183,8 @@ def best_split_oracle(X, y, feature_indices, parent_impurity):
 
 
 def smo_oracle(K, y_signed, C, tol, max_passes, max_sweeps, rng):
-    """(alphas, bias) of simplified SMO that recomputes alphas * y per check."""
+    """(alphas, bias, sweeps, updates) of simplified SMO that recomputes
+    alphas * y per check; updates counts the committed pair updates."""
     n = len(y_signed)
     alphas = np.zeros(n)
     b = 0.0
@@ -193,6 +194,7 @@ def smo_oracle(K, y_signed, C, tol, max_passes, max_sweeps, rng):
 
     passes = 0
     sweeps = 0
+    updates = 0
     while passes < max_passes and sweeps < max_sweeps:
         changed = 0
         for i in range(n):
@@ -243,7 +245,8 @@ def smo_oracle(K, y_signed, C, tol, max_passes, max_sweeps, rng):
             changed += 1
         passes = passes + 1 if changed == 0 else 0
         sweeps += 1
-    return alphas, float(b)
+        updates += changed
+    return alphas, float(b), sweeps, updates
 
 
 def tree_predict_oracle(root, X):

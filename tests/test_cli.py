@@ -9,7 +9,7 @@ import pytest
 
 from roomsense import cli
 from roomsense.dataset import ingest_traces
-from roomsense.features import FEATURE_CSV_HEADER, read_feature_matrix
+from roomsense.features import FEATURE_CSV_HEADER, read_feature_matrix, write_feature_matrix
 
 SMALL_CONFIG = """\
 # small geometry keeps the suite fast
@@ -362,6 +362,60 @@ def test_scaler_width_mismatch_exits_2_naming_both_counts(tmp_path, saved_models
                "--model", str(model)) == 2
     assert "standardizer has 17 features but the model has 18" in capsys.readouterr().err
     assert not out.exists()  # rejected before any output is written
+
+
+def test_saved_model_reports_match_benchmark_reports(saved_models):
+    """`evaluate --model` runs and echoes the model's own config, as benchmark did."""
+    for algorithm in ("lr", "knn", "rf", "svm", "dt"):
+        name = f"report_{algorithm}.json"
+        assert (saved_models / "check" / name).read_bytes() == (saved_models / name).read_bytes()
+
+
+# (argv, config lines, exit code, stderr fragment) of runs refused before
+# `--out` exists; "features", "one-class" and "model" name input files.
+# The saved features have 24 rows, 18 of them on the training side.
+REFUSED_RUNS = {
+    "evaluate-cv-folds-over-train-side": (
+        ("evaluate", "features"), "cv_folds=19", 3, "cv_folds: cannot make 19 folds from 18"),
+    "train-knn-k-over-samples": (
+        ("train", "features", "--algorithm", "knn"), "knn_k=19", 1, "k=19 exceeds the 18"),
+    "evaluate-knn-k-over-samples": (
+        ("evaluate", "features", "--algorithm", "knn"), "knn_k=19", 1, "k=19 exceeds the 18"),
+    "evaluate-importance-without-splits": (
+        ("evaluate", "features", "--algorithm", "rf", "--importance"), "dt_max_depth=0", 1,
+        "forest contains no splits"),
+    "train-lr-one-class": (
+        ("train", "one-class", "--algorithm", "lr"), "", 1, "lr requires both classes"),
+    "evaluate-lr-one-class": (
+        ("evaluate", "one-class", "--algorithm", "lr"), "", 1, "lr requires both classes"),
+    "evaluate-model-other-seed": (
+        ("evaluate", "features", "--model", "model", "--seed", "7"), "", 3,
+        "seed=7 contradicts the model's seed=42"),
+    "evaluate-model-other-algorithm": (
+        ("evaluate", "features", "--model", "model", "--algorithm", "lr"), "", 3,
+        "algorithm=lr contradicts the model's algorithm=dt"),
+    "evaluate-model-other-config": (
+        ("evaluate", "features", "--model", "model"), "cv_folds=5", 3,
+        "cv_folds=5 contradicts the model's cv_folds=3"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_RUNS)
+def test_refused_run_leaves_no_output(tmp_path, saved_models, capsys, case):
+    argv, config, code, message = REFUSED_RUNS[case]
+    X, y = read_feature_matrix(saved_models / "features.csv")
+    write_feature_matrix(X[y == 0], y[y == 0], tmp_path / "one-class.csv")
+    paths = {
+        "features": saved_models / "features.csv",
+        "one-class": tmp_path / "one-class.csv",
+        "model": saved_models / "model_dt.json",
+    }
+    (tmp_path / "run.cfg").write_text(config + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(*(str(paths.get(a, a)) for a in argv),
+               "--config", str(tmp_path / "run.cfg"), "--out", str(out)) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -379,7 +379,7 @@ SMO_CASES = {
 def test_svm_fit_matches_smo_oracle(case):
     Xs, y, params, seed = SMO_CASES[case]()
     model = SupportVectorMachine(params, seed).fit(Xs, y)
-    alphas, bias = smo_oracle(
+    alphas, bias, sweeps, updates = smo_oracle(
         rbf_kernel(Xs, Xs, model.gamma_),
         np.where(y == 1, 1.0, -1.0),
         params.c,
@@ -390,6 +390,7 @@ def test_svm_fit_matches_smo_oracle(case):
     )
     assert np.array_equal(model.alphas_, alphas)
     assert model.bias_ == bias
+    assert (model.n_sweeps_, model.n_updates_) == (sweeps, updates)
     assert model.support_mask_.sum() > 0
 
 
@@ -417,7 +418,7 @@ def test_decision_vector_bound_holds():
     K = rbf_kernel(X, X, 0.5)
     y_signed = np.where(rng.random(40) < 0.5, 1.0, -1.0)
     C = 1e3
-    dv = svm.DecisionVector(K, y_signed, C, tol=1e-3)
+    dv = svm.DecisionVector(K, y_signed, C)
     worst = 0.0
     for step in range(3000):
         if step == 1500:
