@@ -2,22 +2,25 @@
 
 One top-level seed deterministically derives a sub-seed per pipeline stage
 (simulate, featurize, train), so stages can be rerun independently and a
-benchmark run is byte-identical to running the stage commands by hand with
-the same config and seed.  Flags override config-file keys, which override
-defaults; the effective config is echoed into every output.
+benchmark run, which keeps every stage in memory, is byte-identical to
+running the stage commands by hand with the same config and seed.  Flags
+override config-file keys, which override defaults; the effective config is
+echoed into every output.  Every command computes all of its outputs before
+`_write` makes `--out`, so a refused run leaves no `--out` behind.
 """
 
 import argparse
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from . import evaluation, ml
 from ._schema import build, field_specs, flatten, format_value, parse_value
 from ._seeds import derive_seed
 from .dataset import (
-    PairingConfig, PointRecord, TraceFormatError, build_pairs, check_pairable, csv_writer,
-    ingest_traces, write_traces,
+    PairingConfig, TraceFormatError, build_pairs, check_pairable, csv_writer, ingest_traces,
+    write_traces,
 )
 from .evaluation import EvalReport
 from .features import FEATURE_NAMES, FeatureFormatError, read_feature_matrix, write_feature_matrix
@@ -111,10 +114,24 @@ def load_run_config(config_path=None, **overrides) -> RunConfig:
 # Commands
 
 
-def _out_dir(args) -> Path:
+def _write(args, outputs: dict, shown=None) -> int:
+    """Make `--out` and write the outputs, a file name -> writer-of-a-path dict, in
+    order; print the paths of the `shown` names (default: all of them)."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, write in outputs.items():
+        write(out / name)
+        if shown is None or name in shown:
+            print(out / name)
+    return 0
+
+
+def _csv(header, rows, comments):
+    """A writer of one CSV file: `# key=value` comments, the header, then the rows."""
+    def write(path):
+        with csv_writer(path, header, comments) as fh:
+            fh.writelines(",".join(row) + "\n" for row in rows)
+    return write
 
 
 def _config_values(args) -> dict:
@@ -128,78 +145,54 @@ def _load_config(args) -> RunConfig:
     return build_run_config(_config_values(args))
 
 
-def _simulate(cfg: RunConfig, out: Path) -> Path:
-    path = out / "traces.csv"
-    write_traces(generate(cfg.sim), path, comments=cfg.echo())
-    return path
+def _pairs(cfg: RunConfig, points):
+    """The featurize stage's pair dataset, drawn with its derived seed."""
+    return build_pairs(points, cfg.pairing, seed=derive_seed(cfg.seed, "featurize"))
 
 
-def _ingest(traces_path) -> list[PointRecord]:
-    """The trace file's point records; a file without readings is malformed input."""
-    points = ingest_traces(traces_path)
-    if not points:
-        raise TraceFormatError(1, "no readings in the file")
-    return points
+def _features_file(dataset, cfg: RunConfig) -> dict:
+    write = partial(write_feature_matrix, dataset.X, dataset.y, comments=cfg.echo())
+    return {"features.csv": write}
 
 
-def _featurize(cfg: RunConfig, points, args) -> Path:
-    """Write features.csv, making `--out` only once the pairs are built."""
-    dataset = build_pairs(points, cfg.pairing, seed=derive_seed(cfg.seed, "featurize"))
-    path = _out_dir(args) / "features.csv"
-    write_feature_matrix(
-        dataset.feature_matrix(), dataset.labels(), path, comments=cfg.echo()
-    )
-    return path
-
-
-def _save_model(fitted, cfg: RunConfig, path):
+def _model_file(fitted, cfg: RunConfig) -> dict:
     model, scaler = fitted
-    ml.save_model(
-        model,
-        path,
-        extra={
-            "pipeline": {
-                "seed": cfg.train.seed,
-                "train_fraction": cfg.train.train_fraction,
-                "cv_folds": cfg.train.cv_folds,
-                "standardizer": scaler.to_dict(),
-            },
-            "config": cfg.echo(),
-        },
-    )
+    pipeline = {
+        "seed": cfg.train.seed,
+        "train_fraction": cfg.train.train_fraction,
+        "cv_folds": cfg.train.cv_folds,
+        "standardizer": scaler.to_dict(),
+    }
+    write = partial(ml.save_model, model, extra={"pipeline": pipeline, "config": cfg.echo()})
+    return {f"model_{cfg.train.algorithm}.json": write}
 
 
-def _write_report(report: EvalReport, cfg: RunConfig, out: Path) -> Path:
-    path = out / f"report_{report.algorithm}.json"
-    path.write_text(report.to_json(extra={"config": cfg.echo()}), encoding="utf-8")
-    return path
+def _report_file(report: EvalReport, cfg: RunConfig) -> dict:
+    text = report.to_json(extra={"config": cfg.echo()})
+    return {f"report_{report.algorithm}.json": lambda path: path.write_text(text, encoding="utf-8")}
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    print(_simulate(cfg, _out_dir(args)))
-    return 0
+    points = generate(cfg.sim)
+    return _write(args, {"traces.csv": partial(write_traces, points, comments=cfg.echo())})
 
 
 def cmd_featurize(args) -> int:
     cfg = _load_config(args)
-    points = _ingest(args.traces)
+    points = ingest_traces(args.traces)
     try:
         check_pairable(points)
     except ValueError as exc:
         raise TraceFormatError(None, str(exc)) from None
-    print(_featurize(cfg, points, args))
-    return 0
+    return _write(args, _features_file(_pairs(cfg, points), cfg))
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     X, y = read_feature_matrix(args.features)
-    fitted = evaluation.fit_holdout(X, y, cfg.train)
-    path = _out_dir(args) / f"model_{cfg.train.algorithm}.json"
-    _save_model(fitted, cfg, path)
-    print(path)
-    return 0
+    _check_cv_folds(y, cfg.train)
+    return _write(args, _model_file(evaluation.fit_holdout(X, y, cfg.train), cfg))
 
 
 def _load_fitted(path):
@@ -247,40 +240,37 @@ def cmd_evaluate(args) -> int:
     _check_cv_folds(y, cfg.train)
 
     report = evaluation.evaluate(X, y, cfg.train, fitted=fitted)
-    out = _out_dir(args)
-    print(_write_report(report, cfg, out))
+    outputs = _report_file(report, cfg)
     if args.importance:
-        with csv_writer(out / "importance.csv", "feature,importance", cfg.echo()) as fh:
-            for name, value in zip(FEATURE_NAMES, report.importance):
-                fh.write(f"{name},{value!r}\n")
-        print(out / "importance.csv")
+        rows = [(name, repr(value)) for name, value in zip(FEATURE_NAMES, report.importance)]
+        outputs["importance.csv"] = _csv("feature,importance", rows, cfg.echo())
     if args.kde:
         indices = [FEATURE_NAMES.index(name) for name in KDE_EXPORT_FEATURES]
-        evaluation.write_kde_csv(
-            X, y, FEATURE_NAMES, indices, out / "kde.csv", comments=cfg.echo()
+        outputs["kde.csv"] = partial(
+            evaluation.write_kde_csv, X, y, FEATURE_NAMES, indices, comments=cfg.echo()
         )
-        print(out / "kde.csv")
-    return 0
+    return _write(args, outputs)
 
 
 def cmd_benchmark(args) -> int:
-    """Full pipeline over all five classifiers; writes every stage output."""
+    """Full pipeline over all five classifiers, in memory; writes every stage output."""
     cfg = _load_config(args)
-    out = _out_dir(args)
-    X, y = read_feature_matrix(_featurize(cfg, _ingest(_simulate(cfg, out)), args))
+    points = generate(cfg.sim)
+    dataset = _pairs(cfg, points)
+    X, y = dataset.X, dataset.y
+    _check_cv_folds(y, cfg.train)
 
-    table = out / "benchmark.csv"
-    with csv_writer(table, "algorithm,accuracy,f1_class0,f1_class1", cfg.echo()) as fh:
-        for algorithm in ml.ALGORITHMS:
-            run = replace(cfg, train=replace(cfg.train, algorithm=algorithm))
-            fitted = evaluation.fit_holdout(X, y, run.train)
-            _save_model(fitted, run, out / f"model_{algorithm}.json")
-            report = evaluation.evaluate(X, y, run.train, fitted=fitted)
-            _write_report(report, run, out)
-            scores = (report.accuracy, report.f1_class0, report.f1_class1)
-            fh.write(",".join([algorithm, *map(repr, scores)]) + "\n")
-    print(table)
-    return 0
+    outputs = {"traces.csv": partial(write_traces, points, comments=cfg.echo())}
+    outputs |= _features_file(dataset, cfg)
+    rows = []
+    for algorithm in ml.ALGORITHMS:
+        run = replace(cfg, train=replace(cfg.train, algorithm=algorithm))
+        fitted = evaluation.fit_holdout(X, y, run.train)
+        report = evaluation.evaluate(X, y, run.train, fitted=fitted)
+        outputs |= _model_file(fitted, run) | _report_file(report, run)
+        rows.append([algorithm, *map(repr, (report.accuracy, report.f1_class0, report.f1_class1))])
+    outputs["benchmark.csv"] = _csv("algorithm,accuracy,f1_class0,f1_class1", rows, cfg.echo())
+    return _write(args, outputs, shown=("benchmark.csv",))
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,9 @@ class PairingConfig:
 
 
 def check_pairable(points):
-    """Raise ValueError unless each room has two points and each point a trial all APs cover."""
+    """Raise ValueError unless there are points, two per room, each with a trial all APs cover."""
+    if not points:
+        raise ValueError("no points to pair")
     for record in points:
         if not record.trial_ids():
             raise ValueError(f"point {record.point} lacks a trace for every access point")

@@ -88,7 +88,8 @@ def mdi_importance(model: RandomForest) -> np.ndarray:
 
     Per tree, each split contributes its sample-weighted impurity decrease to
     the split feature; per-tree totals are normalized, averaged over trees,
-    and the result normalized to sum to 1.
+    and the result normalized to sum to 1.  A forest without a single split
+    gets all-zero importances, as in scikit-learn.
     """
     if not isinstance(model, RandomForest):
         raise ValueError("mdi_importance requires a RandomForest model")
@@ -104,6 +105,4 @@ def mdi_importance(model: RandomForest) -> np.ndarray:
         if tree_sum > 0:
             acc += totals / tree_sum
     grand = acc.sum()
-    if grand == 0:
-        raise ValueError("forest contains no splits; importance undefined")
-    return acc / grand
+    return acc / grand if grand > 0 else acc

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,13 +211,15 @@ def test_benchmark_matches_stage_commands(tmp_path, config_path):
     run("simulate", "--config", config_path, "--seed", "42", "--out", str(stages))
     run("featurize", str(stages / "traces.csv"), "--config", config_path, "--seed", "42",
         "--out", str(stages))
-    run("train", str(stages / "features.csv"), "--config", config_path, "--seed", "42",
-        "--out", str(stages), "--algorithm", "svm")
-    run("evaluate", str(stages / "features.csv"), "--config", config_path, "--seed", "42",
-        "--out", str(stages), "--algorithm", "svm")
+    for algorithm in ("lr", "knn", "rf", "svm", "dt"):
+        for command in ("train", "evaluate"):
+            assert run(command, str(stages / "features.csv"), "--config", config_path,
+                       "--seed", "42", "--out", str(stages), "--algorithm", algorithm) == 0
 
-    for name in ("traces.csv", "features.csv", "model_svm.json", "report_svm.json"):
-        assert (bench / name).read_bytes() == (stages / name).read_bytes()
+    # benchmark computes in memory what the stage commands pass through files
+    assert set(read_bytes_by_name(stages)) == set(read_bytes_by_name(bench)) - {"benchmark.csv"}
+    for name, content in read_bytes_by_name(stages).items():
+        assert (bench / name).read_bytes() == content, name
 
     table = [
         line for line in (bench / "benchmark.csv").read_text().splitlines()
@@ -246,31 +249,6 @@ def test_flag_overrides_config_file(tmp_path, config_path):
 def test_missing_input_file_exits_2(tmp_path):
     assert run("featurize", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
     assert run("evaluate", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
-
-
-@pytest.mark.parametrize("command", ["train", "evaluate"])
-def test_feature_file_without_rows_exits_2_before_output(tmp_path, command):
-    empty = tmp_path / "features.csv"
-    empty.write_text(FEATURE_CSV_HEADER + "\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert run(command, str(empty), "--out", str(out)) == 2
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("rows, message", [
-    ("", "line 1: no readings in the file"),
-    ("1,1,1,0,0,-50\n1,1,1,0,x,-50\n", "line 3: unparseable field"),
-    ("".join(f"{x},1,{ap},0,0,-50\n" for x in (-1, 1) for ap in (1, 2, 3)),
-     "room 'left' has 1 point(s); need >= 2"),
-    ("1,1,1,0,0,-50\n", "point (1.0, 1.0) lacks a trace for every access point"),
-], ids=["header-only", "bad-row", "one-point-in-a-room", "no-trial-with-every-ap"])
-def test_trace_file_without_readings_exits_2_before_output(tmp_path, capsys, rows, message):
-    traces = tmp_path / "traces.csv"
-    traces.write_text("point_x,point_y,ap_id,trial,seq,rssi_dbm\n" + rows, encoding="utf-8")
-    out = tmp_path / "out"
-    assert run("featurize", str(traces), "--out", str(out)) == 2
-    assert capsys.readouterr().err.startswith(f"error: input: {message}")
-    assert not out.exists()
 
 
 def test_malformed_trace_file_exits_2(tmp_path):
@@ -371,19 +349,45 @@ def test_saved_model_reports_match_benchmark_reports(saved_models):
         assert (saved_models / "check" / name).read_bytes() == (saved_models / name).read_bytes()
 
 
+# trace files for featurize, by name: the rows after the header
+TRACE_FILES = {
+    "header-only": "",
+    "bad-row": "1,1,1,0,0,-50\n1,1,1,0,x,-50\n",
+    "one-point-in-a-room": "".join(f"{x},1,{ap},0,0,-50\n" for x in (-1, 1) for ap in (1, 2, 3)),
+    "no-trial-with-every-ap": "1,1,1,0,0,-50\n",
+}
+
 # (argv, config lines, exit code, stderr fragment) of runs refused before
-# `--out` exists; "features", "one-class" and "model" name input files.
-# The saved features have 24 rows, 18 of them on the training side.
+# `--out` exists.  "features", "traces", "one-class", "no-rows" and "model"
+# name input files, and so does each TRACE_FILES name.  The saved features
+# have 24 rows, 18 of them on the training side; the saved traces hold 36
+# positive (pair, trial) combinations.
 REFUSED_RUNS = {
+    "featurize-traces-header-only": (
+        ("featurize", "header-only"), "", 2, "error: input: no points to pair"),
+    "featurize-traces-bad-row": (
+        ("featurize", "bad-row"), "", 2, "error: input: line 3: unparseable field"),
+    "featurize-traces-one-point-in-a-room": (
+        ("featurize", "one-point-in-a-room"), "", 2,
+        "error: input: room 'left' has 1 point(s); need >= 2"),
+    "featurize-traces-no-trial-with-every-ap": (
+        ("featurize", "no-trial-with-every-ap"), "", 2,
+        "error: input: point (1.0, 1.0) lacks a trace for every access point"),
+    "featurize-pair-count-unreachable": (
+        ("featurize", "traces"), "n_positive=100000", 1,
+        "100000 positive samples requested but only 36 distinct (pair, trial) combinations"),
+    "train-features-without-rows": (
+        ("train", "no-rows"), "", 2, "error: input: line 1: no samples in the file"),
+    "evaluate-features-without-rows": (
+        ("evaluate", "no-rows"), "", 2, "error: input: line 1: no samples in the file"),
+    "train-cv-folds-over-samples": (
+        ("train", "features"), "cv_folds=19", 3, "cv_folds: cannot make 19 folds from 18"),
     "evaluate-cv-folds-over-train-side": (
         ("evaluate", "features"), "cv_folds=19", 3, "cv_folds: cannot make 19 folds from 18"),
     "train-knn-k-over-samples": (
         ("train", "features", "--algorithm", "knn"), "knn_k=19", 1, "k=19 exceeds the 18"),
     "evaluate-knn-k-over-samples": (
         ("evaluate", "features", "--algorithm", "knn"), "knn_k=19", 1, "k=19 exceeds the 18"),
-    "evaluate-importance-without-splits": (
-        ("evaluate", "features", "--algorithm", "rf", "--importance"), "dt_max_depth=0", 1,
-        "forest contains no splits"),
     "train-lr-one-class": (
         ("train", "one-class", "--algorithm", "lr"), "", 1, "lr requires both classes"),
     "evaluate-lr-one-class": (
@@ -397,6 +401,13 @@ REFUSED_RUNS = {
     "evaluate-model-other-config": (
         ("evaluate", "features", "--model", "model"), "cv_folds=5", 3,
         "cv_folds=5 contradicts the model's cv_folds=3"),
+    "benchmark-one-trial-two-devices": (
+        ("benchmark",), "devices_per_room=2\ntrials=1", 1,
+        "100 positive samples requested but only 2 distinct (pair, trial) combinations"),
+    "benchmark-one-device-per-room": (
+        ("benchmark",), "devices_per_room=1", 1, "room 'left' has 1 point(s); need >= 2"),
+    "benchmark-cv-folds-over-train-side": (
+        ("benchmark",), "cv_folds=300", 3, "cv_folds: cannot make 300 folds from 225"),
 }
 
 
@@ -405,17 +416,43 @@ def test_refused_run_leaves_no_output(tmp_path, saved_models, capsys, case):
     argv, config, code, message = REFUSED_RUNS[case]
     X, y = read_feature_matrix(saved_models / "features.csv")
     write_feature_matrix(X[y == 0], y[y == 0], tmp_path / "one-class.csv")
+    (tmp_path / "no-rows.csv").write_text(FEATURE_CSV_HEADER + "\n", encoding="utf-8")
     paths = {
         "features": saved_models / "features.csv",
+        "traces": saved_models / "traces.csv",
         "one-class": tmp_path / "one-class.csv",
+        "no-rows": tmp_path / "no-rows.csv",
         "model": saved_models / "model_dt.json",
     }
+    for name, rows in TRACE_FILES.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("point_x,point_y,ap_id,trial,seq,rssi_dbm\n" + rows,
+                               encoding="utf-8")
     (tmp_path / "run.cfg").write_text(config + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert run(*(str(paths.get(a, a)) for a in argv),
-               "--config", str(tmp_path / "run.cfg"), "--out", str(out)) == code
+    with warnings.catch_warnings():
+        # generate() warns before build_pairs refuses a room with one device
+        warnings.filterwarnings("ignore", "devices_per_room < 2")
+        assert run(*(str(paths.get(a, a)) for a in argv),
+                   "--config", str(tmp_path / "run.cfg"), "--out", str(out)) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_forest_without_splits_has_zero_importance(tmp_path):
+    # dt_max_depth=0 grows every tree as one leaf, so no feature decreases impurity
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG + "dt_max_depth=0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("benchmark", "--config", str(cfg), "--seed", "42", "--out", str(out)) == 0
+    assert len(list(out.iterdir())) == 13
+    assert json.loads((out / "report_rf.json").read_text())["importance"] == [0.0] * 18
+    assert run("evaluate", str(out / "features.csv"), "--config", str(cfg), "--seed", "42",
+               "--out", str(out), "--algorithm", "rf", "--importance") == 0
+    rows = [line.split(",") for line in (out / "importance.csv").read_text().splitlines()
+            if line and not line.startswith("#")]
+    assert rows[0] == ["feature", "importance"]
+    assert [value for _, value in rows[1:]] == ["0.0"] * 18
 
 
 @pytest.mark.parametrize(
@@ -456,20 +493,6 @@ def test_importance_without_rf_exits_3(tmp_path, config_path):
         "--out", str(out), "--algorithm", "lr", "--importance",
     )
     assert code == 3
-
-
-def test_unreachable_pair_counts_exit_1(tmp_path, config_path):
-    out = tmp_path / "out"
-    run("simulate", "--config", config_path, "--seed", "5", "--out", str(out))
-    greedy = tmp_path / "greedy.cfg"
-    greedy.write_text(SMALL_CONFIG + "n_positive=100000\n", encoding="utf-8")
-    features_out = tmp_path / "features"
-    code = run(
-        "featurize", str(out / "traces.csv"), "--config", str(greedy),
-        "--seed", "5", "--out", str(features_out),
-    )
-    assert code == 1
-    assert not features_out.exists()  # the pairs are built before the output directory
 
 
 # a non-default value for every config key, in echo order

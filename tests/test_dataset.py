@@ -239,6 +239,8 @@ def test_build_pairs_requires_two_points_per_room():
     ]
     with pytest.raises(ValueError, match="need >= 2"):
         build_pairs(points, PairingConfig(n_positive=1, n_negative=1), seed=0)
+    with pytest.raises(ValueError, match="no points to pair"):
+        build_pairs([], PairingConfig(n_positive=0, n_negative=0), seed=0)
 
 
 def test_build_pairs_random_trial_matching():

@@ -506,6 +506,15 @@ def test_mdi_concentrates_on_single_informative_feature():
     assert diluted[0] > 0.5
 
 
+def test_mdi_of_forest_without_splits_is_all_zero():
+    Xs, y = separable_clusters()
+    forest = RandomForest(RFParams(n_trees=3), DTParams(max_depth=0), seed=0).fit(Xs, y)
+    assert all(root.is_leaf for root in forest.roots_)
+    importance = mdi_importance(forest)
+    assert importance.shape == (Xs.shape[1],)
+    assert not importance.any()
+
+
 def test_mdi_rejects_other_models():
     Xs, y = separable_clusters()
     model = ml.train(Xs, y, TrainConfig(algorithm="dt"))
