@@ -20,7 +20,7 @@ from ._schema import build, field_specs, flatten, format_value, parse_value
 from ._seeds import derive_seed
 from .dataset import (
     PairingConfig, TraceFormatError, build_pairs, check_pairable, csv_writer, ingest_traces,
-    write_traces,
+    pair_totals, write_traces,
 )
 from .evaluation import EvalReport
 from .features import FEATURE_NAMES, FeatureFormatError, read_feature_matrix, write_feature_matrix
@@ -146,7 +146,17 @@ def _load_config(args) -> RunConfig:
 
 
 def _pairs(cfg: RunConfig, points):
-    """The featurize stage's pair dataset, drawn with its derived seed."""
+    """The featurize stage's pair dataset, drawn with its derived seed.
+
+    A class count above what the points can give is a config error, raised
+    before any pair is featurized.
+    """
+    for key, total in zip(("n_positive", "n_negative"),
+                          pair_totals(points, cfg.pairing.trial_matching)):
+        count = getattr(cfg.pairing, key)
+        if count > total:
+            raise ConfigError(f"{key}: {count} samples requested but only {total} "
+                              "distinct (pair, trial) combinations exist")
     return build_pairs(points, cfg.pairing, seed=derive_seed(cfg.seed, "featurize"))
 
 
@@ -255,6 +265,9 @@ def cmd_evaluate(args) -> int:
 def cmd_benchmark(args) -> int:
     """Full pipeline over all five classifiers, in memory; writes every stage output."""
     cfg = _load_config(args)
+    if cfg.sim.devices_per_room < 2:
+        raise ConfigError(f"devices_per_room: {cfg.sim.devices_per_room} device(s) per room "
+                          "leave no pair within a room; need >= 2")
     points = generate(cfg.sim)
     dataset = _pairs(cfg, points)
     X, y = dataset.X, dataset.y

@@ -6,7 +6,6 @@ right one.  A pair dataset is arrays: (i, j, trial_a, trial_b) index rows
 into the sorted point records, the n x 18 feature matrix, and the labels.
 """
 
-import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -250,6 +249,41 @@ def check_pairable(points):
             raise ValueError(f"room {room!r} has {rooms.count(room)} point(s); need >= 2")
 
 
+def _pair_counts(points, trial_matching):
+    """Every (i, j) pair of `points` in itertools.combinations order, as index arrays;
+    whether each pair shares a room; how many (trial_a, trial_b) combinations it
+    has; and the point x trial membership matrix with the trial id of each column.
+
+    "equal" counts the trials both points cover, "random" the product of the
+    two points' trial counts.
+    """
+    trial_sets = [record.trial_ids() for record in points]
+    trial_ids = np.unique(np.concatenate(trial_sets))
+    member = np.array([np.isin(trial_ids, trials) for trials in trial_sets], dtype=np.int64)
+    i, j = np.triu_indices(len(points), k=1)
+    left = np.array([record.room == ROOM_LEFT for record in points])
+    if trial_matching == "equal":
+        counts = (member @ member.T)[i, j]
+    else:
+        sizes = member.sum(axis=1)
+        counts = sizes[i] * sizes[j]
+    return i, j, left[i] == left[j], counts, member, trial_ids
+
+
+def _nth_member(member_rows, n):
+    """Column of each row's n-th (0-based) member."""
+    return np.argmax(np.cumsum(member_rows, axis=1) > n[:, None], axis=1)
+
+
+def pair_totals(points, trial_matching: str) -> tuple[int, int]:
+    """(positive, negative): the distinct (pair, trial) combinations each class can draw.
+
+    The points must pass `check_pairable`.
+    """
+    _, _, same, counts, _, _ = _pair_counts(points, trial_matching)
+    return int(counts[same].sum()), int(counts[~same].sum())
+
+
 def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> Dataset:
     """Construct the labeled pair dataset from point records.
 
@@ -257,6 +291,10 @@ def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> D
     drawn without replacement by a seeded generator until the configured class
     counts are reached, so the same point pair can recur with different trial
     draws when the requested count exceeds the number of distinct pairs.
+    Each class's combinations are numbered by pair in (i, j) order, then by
+    trial assignment (common trials ascending for "equal", (trial_a, trial_b)
+    in row-major order for "random"); a draw picks numbers and decodes them
+    through the per-pair counts, so the combinations are never listed.
     Positive samples come first in the output, then negatives; within each
     class the order is the generator's draw order.
     """
@@ -265,27 +303,28 @@ def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> D
     config = config or PairingConfig()
     points = tuple(sorted(points, key=lambda p: p.point))
     check_pairable(points)
-    trials = [record.trial_ids() for record in points]
-    rooms = [record.room for record in points]
-
-    # (i, j, trial_a, trial_b) per label, pairs in (i, j) order, then trials
-    combos = {1: [], 0: []}
-    for i, j in itertools.combinations(range(len(points)), 2):
-        if config.trial_matching == "equal":
-            assignments = [(t, t) for t in trials[i] if t in trials[j]]
-        else:
-            assignments = itertools.product(trials[i], trials[j])
-        combos[int(rooms[i] == rooms[j])] += [(i, j, ta, tb) for ta, tb in assignments]
+    i, j, same, counts, member, trial_ids = _pair_counts(points, config.trial_matching)
 
     drawn = []
-    for label, count in ((1, config.n_positive), (0, config.n_negative)):
-        rows = np.array(combos[label], dtype=np.int64).reshape(-1, 4)
-        if count > len(rows):
+    for label, count, in_class in ((1, config.n_positive, same), (0, config.n_negative, ~same)):
+        class_i, class_j, class_counts = i[in_class], j[in_class], counts[in_class]
+        ends, total = np.cumsum(class_counts), int(class_counts.sum())
+        if count > total:
             kind = ("negative", "positive")[label]
-            raise ValueError(f"{count} {kind} samples requested but only {len(rows)} "
+            raise ValueError(f"{count} {kind} samples requested but only {total} "
                              "distinct (pair, trial) combinations exist")
         rng = generator(seed, "pairs", label)
-        drawn.append(rows[rng.choice(len(rows), size=count, replace=False)])
+        picks = rng.choice(total, size=count, replace=False)
+        pair = np.searchsorted(ends, picks, side="right")
+        offset = picks - (ends[pair] - class_counts[pair])
+        a, b = member[class_i[pair]], member[class_j[pair]]
+        if config.trial_matching == "equal":
+            trial_a = trial_b = trial_ids[_nth_member(a * b, offset)]
+        else:
+            size_b = b.sum(axis=1)
+            trial_a = trial_ids[_nth_member(a, offset // size_b)]
+            trial_b = trial_ids[_nth_member(b, offset % size_b)]
+        drawn.append(np.column_stack([class_i[pair], class_j[pair], trial_a, trial_b]))
 
     samples = np.concatenate(drawn)
     X = np.empty((len(samples), 18))

@@ -10,6 +10,7 @@ sequences.  Concatenating the six features over the three APs yields the
 """
 
 import math
+from array import array
 
 import numpy as np
 
@@ -96,25 +97,28 @@ def write_feature_matrix(X, y, dest, comments=None):
 
 
 def read_feature_matrix(source):
-    """Read a feature-matrix CSV back into (X, y)."""
-    rows, labels = [], []
+    """Read a feature-matrix CSV back into (X, y).
+
+    Rows are parsed one at a time into flat buffers, so X is a writable view
+    of the parsed doubles, not a copy of a list of rows.
+    """
+    width = len(FEATURE_NAMES)
+    values, labels = array("d"), array("b")
     with csv_reader(source, FEATURE_CSV_HEADER, FeatureFormatError) as lines:
         for line_no, fields in lines:
-            if len(fields) != 1 + len(FEATURE_NAMES):
-                raise FeatureFormatError(
-                    line_no, f"expected {1 + len(FEATURE_NAMES)} fields, got {len(fields)}"
-                )
+            if len(fields) != 1 + width:
+                raise FeatureFormatError(line_no, f"expected {1 + width} fields, got {len(fields)}")
             try:
                 label = int(fields[0])
-                values = [float(f) for f in fields[1:]]
+                row = [float(f) for f in fields[1:]]
             except ValueError as exc:
                 raise FeatureFormatError(line_no, f"unparseable field ({exc})") from None
             if label not in (0, 1):
                 raise FeatureFormatError(line_no, f"label must be 0 or 1, got {label}")
-            if not all(map(math.isfinite, values)):
+            if not all(map(math.isfinite, row)):
                 raise FeatureFormatError(line_no, "non-finite feature value")
             labels.append(label)
-            rows.append(values)
-    if not rows:
+            values.extend(row)
+    if not labels:
         raise FeatureFormatError(1, "no samples in the file")
-    return np.array(rows, dtype=float), np.array(labels, dtype=int)
+    return np.frombuffer(values).reshape(-1, width), np.frombuffer(labels, dtype=np.int8).astype(int)

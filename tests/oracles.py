@@ -5,13 +5,17 @@ are enumerated explicitly, DTW with its backtrack also runs on an inf-bordered
 numpy grid, features are recomputed with plain Python sets and
 statistics, metrics are recounted from raw label pairs, and integrals use the
 trapezoid rule over explicit grids.  The tree split search, SMO and tree
-prediction keep their per-feature, per-check and per-row loop forms.
+prediction keep their per-feature, per-check and per-row loop forms, and pair
+draws list every (pair, trial) combination before drawing from the list.
 """
 
+import itertools
 from fractions import Fraction
 from statistics import mean
 
 import numpy as np
+
+from roomsense._seeds import generator
 
 
 def enumerate_warp_paths(n, m):
@@ -112,6 +116,38 @@ def naive_features(x_values, y_values):
     avg = sum(1 for s in union if s <= -70) / len(union)
     dtw = brute_force_dtw(u, v)
     return [md, savg, smin, high, avg, float(dtw)]
+
+
+# ---------------------------------------------------------------------------
+# Pair draws from the listed combinations
+
+
+def pair_rows_oracle(points, n_positive, n_negative, trial_matching, seed):
+    """The drawn (i, j, trial_a, trial_b) rows, positives first.
+
+    Every combination is listed as a tuple, by pair in combinations order and
+    then by trial assignment, and each class draws from its own seeded
+    generator without replacement.
+    """
+    points = sorted(points, key=lambda p: p.point)
+    trials = [
+        sorted(set.intersection(*({t for a, t in p.traces if a == ap} for ap in (1, 2, 3))))
+        for p in points
+    ]
+    combos = {1: [], 0: []}
+    for i, j in itertools.combinations(range(len(points)), 2):
+        if trial_matching == "equal":
+            assignments = [(t, t) for t in trials[i] if t in trials[j]]
+        else:
+            assignments = itertools.product(trials[i], trials[j])
+        same_room = (points[i].point[0] < 0) == (points[j].point[0] < 0)
+        combos[int(same_room)] += [(i, j, ta, tb) for ta, tb in assignments]
+    rows = []
+    for label, count in ((1, n_positive), (0, n_negative)):
+        picks = generator(seed, "pairs", label).choice(len(combos[label]), size=count,
+                                                      replace=False)
+        rows += [list(combos[label][k]) for k in picks]
+    return rows
 
 
 # ---------------------------------------------------------------------------

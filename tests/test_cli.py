@@ -374,8 +374,8 @@ REFUSED_RUNS = {
         ("featurize", "no-trial-with-every-ap"), "", 2,
         "error: input: point (1.0, 1.0) lacks a trace for every access point"),
     "featurize-pair-count-unreachable": (
-        ("featurize", "traces"), "n_positive=100000", 1,
-        "100000 positive samples requested but only 36 distinct (pair, trial) combinations"),
+        ("featurize", "traces"), "n_positive=100000", 3,
+        "error: config: n_positive: 100000 samples requested but only 36 distinct (pair, trial)"),
     "train-features-without-rows": (
         ("train", "no-rows"), "", 2, "error: input: line 1: no samples in the file"),
     "evaluate-features-without-rows": (
@@ -402,10 +402,14 @@ REFUSED_RUNS = {
         ("evaluate", "features", "--model", "model"), "cv_folds=5", 3,
         "cv_folds=5 contradicts the model's cv_folds=3"),
     "benchmark-one-trial-two-devices": (
-        ("benchmark",), "devices_per_room=2\ntrials=1", 1,
-        "100 positive samples requested but only 2 distinct (pair, trial) combinations"),
+        ("benchmark",), "devices_per_room=2\ntrials=1", 3,
+        "error: config: n_positive: 100 samples requested but only 2 distinct (pair, trial)"),
     "benchmark-one-device-per-room": (
-        ("benchmark",), "devices_per_room=1", 1, "room 'left' has 1 point(s); need >= 2"),
+        ("benchmark",), "devices_per_room=1", 3,
+        "error: config: devices_per_room: 1 device(s) per room leave no pair within a room"),
+    "benchmark-pair-count-unreachable": (
+        ("benchmark",), "n_positive=100000", 3,
+        "error: config: n_positive: 100000 samples requested but only 900 distinct (pair, trial)"),
     "benchmark-cv-folds-over-train-side": (
         ("benchmark",), "cv_folds=300", 3, "cv_folds: cannot make 300 folds from 225"),
 }
@@ -431,8 +435,8 @@ def test_refused_run_leaves_no_output(tmp_path, saved_models, capsys, case):
     (tmp_path / "run.cfg").write_text(config + "\n", encoding="utf-8")
     out = tmp_path / "out"
     with warnings.catch_warnings():
-        # generate() warns before build_pairs refuses a room with one device
-        warnings.filterwarnings("ignore", "devices_per_room < 2")
+        # a refused run warns of nothing: benchmark refuses one device per room before generate()
+        warnings.simplefilter("error")
         assert run(*(str(paths.get(a, a)) for a in argv),
                    "--config", str(tmp_path / "run.cfg"), "--out", str(out)) == code
     assert message in capsys.readouterr().err

@@ -1,21 +1,25 @@
 """Trace ingestion, unique values, and pair-dataset construction."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_point_same_traces
+from oracles import pair_rows_oracle
 from roomsense import features
 from roomsense._seeds import derive_seed
 from roomsense.cli import build_run_config
 from roomsense.dataset import (
     Dataset,
     PairingConfig,
+    PointRecord,
     Trace,
     TraceFormatError,
     build_pairs,
     ingest_traces,
+    pair_totals,
     room_of,
     write_traces,
 )
@@ -248,6 +252,42 @@ def test_build_pairs_random_trial_matching():
     cfg = PairingConfig(n_positive=2, n_negative=4, trial_matching="random")
     ds = build_pairs(points, cfg, seed=6)
     assert ds.counts == (2, 4)
+
+
+def _uneven_points():
+    points = generate(SimConfig(devices_per_room=4, trials=3, seed=8))
+    # one point lacks trial 0 on AP 2, so its trials are {1, 2} and the others' {0, 1, 2}
+    uneven = points[1]
+    points[1] = PointRecord(uneven.point, {k: t for k, t in uneven.traces.items() if k != (2, 0)})
+    return points
+
+
+@pytest.mark.parametrize("trial_matching", ["equal", "random"])
+def test_build_pairs_draws_the_listed_combinations(trial_matching):
+    points = _uneven_points()
+    n_pos, n_neg = pair_totals(points, trial_matching)
+    assert (n_pos, n_neg) == {"equal": (33, 44), "random": (99, 132)}[trial_matching]
+    # a few of each, every combination, and none of one class
+    for counts in ((5, 7), (n_pos, n_neg), (0, 4), (3, 0), (0, 0)):
+        for seed in (0, 1, 7):
+            ds = build_pairs(points, PairingConfig(*counts, trial_matching), seed=seed)
+            assert ds.samples.dtype == np.int64
+            assert ds.samples.tolist() == pair_rows_oracle(points, *counts, trial_matching, seed)
+    for counts in ((n_pos + 1, 0), (0, n_neg + 1)):
+        with pytest.raises(ValueError, match="distinct"):
+            build_pairs(points, PairingConfig(*counts, trial_matching))
+
+
+def test_build_pairs_memory_grows_with_pairs_not_combinations():
+    # 200 points: 19,900 point pairs x 100 trial assignments; listing them took ~230 MB
+    points = generate(SimConfig(devices_per_room=100))
+    tracemalloc.start()
+    try:
+        build_pairs(points, PairingConfig(1, 1, "random"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_paper_default_pairs_call_dtw_once_per_ap(monkeypatch):

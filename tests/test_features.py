@@ -152,6 +152,18 @@ def test_feature_matrix_round_trip():
     assert np.array_equal(y, y2)
 
 
+def test_feature_matrix_read_back_is_one_writable_float_buffer(tmp_path):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(50, 18))
+    y = rng.integers(0, 2, size=50)
+    write_feature_matrix(X, y, tmp_path / "features.csv")
+    X2, y2 = read_feature_matrix(tmp_path / "features.csv")
+    assert X2.dtype == np.float64 and X2.shape == (50, 18)
+    assert X2.flags.c_contiguous and X2.flags.writeable
+    assert np.array_equal(X2, X)
+    assert y2.dtype.kind == "i" and np.array_equal(y2, y)
+
+
 def test_feature_matrix_text_is_float_repr():
     values = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, -2.5]
     X = np.array([values * 3, [-v for v in values] * 3])
