@@ -201,7 +201,7 @@ def cmd_featurize(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     X, y = read_feature_matrix(args.features)
-    _check_cv_folds(y, cfg.train)
+    _check_fits(y, cfg.train, (cfg.train.algorithm,), cv=False)
     return _write(args, _model_file(evaluation.fit_holdout(X, y, cfg.train), cfg))
 
 
@@ -221,13 +221,31 @@ def _load_fitted(path):
     return (model, scaler), cfg
 
 
-def _check_cv_folds(y, train: ml.TrainConfig):
-    """cv_folds must fit the training side of the split; checked before any fit."""
+def _check_fits(y, train: ml.TrainConfig, algorithms, cv=True):
+    """Refuse, before any fit, a config that the labels cannot meet.
+
+    The fits are the holdout fit on the training side of the split and, with
+    `cv`, one per cross-validation fold inside it.  cv_folds must fit the
+    training side (also without `cv`: the model records it), knn_k must not
+    exceed the smallest fit's rows, and every classifier but knn needs both
+    classes in every fit.
+    """
     train_idx, _ = evaluation.train_test_split(y, train.train_fraction, train.seed)
     try:
-        evaluation.kfold(y[train_idx], train.cv_folds)
+        folds = evaluation.kfold(y[train_idx], train.cv_folds, seed=derive_seed(train.seed, "cv"))
     except ValueError as exc:
         raise ConfigError(f"cv_folds: {exc}") from None
+    fits = [train_idx] + ([train_idx[rows] for rows, _ in folds] if cv else [])
+    smallest = min(map(len, fits))
+    if "knn" in algorithms and train.knn.k > smallest:
+        raise ConfigError(f"knn_k: k={train.knn.k} exceeds the {smallest} training samples "
+                          "of the smallest fit")
+    needs_both = [algorithm for algorithm in algorithms if algorithm != "knn"]
+    for fit in fits if needs_both else ():
+        classes = set(y[fit].tolist())
+        if len(classes) < 2:
+            raise ConfigError(f"algorithm: {needs_both[0]} requires both classes in the "
+                              f"training data, but a fit would see only class {classes.pop()}")
 
 
 def cmd_evaluate(args) -> int:
@@ -247,7 +265,7 @@ def cmd_evaluate(args) -> int:
     if args.importance and cfg.train.algorithm != "rf":
         raise ConfigError("--importance requires the rf algorithm")
     X, y = read_feature_matrix(args.features)
-    _check_cv_folds(y, cfg.train)
+    _check_fits(y, cfg.train, (cfg.train.algorithm,))
 
     report = evaluation.evaluate(X, y, cfg.train, fitted=fitted)
     outputs = _report_file(report, cfg)
@@ -271,7 +289,7 @@ def cmd_benchmark(args) -> int:
     points = generate(cfg.sim)
     dataset = _pairs(cfg, points)
     X, y = dataset.X, dataset.y
-    _check_cv_folds(y, cfg.train)
+    _check_fits(y, cfg.train, ml.ALGORITHMS)
 
     outputs = {"traces.csv": partial(write_traces, points, comments=cfg.echo())}
     outputs |= _features_file(dataset, cfg)

@@ -161,7 +161,7 @@ def _parse_row(line_no, fields):
         raise TraceFormatError(line_no, f"expected 6 fields, got {len(fields)}")
     try:
         x, y = float(fields[0]), float(fields[1])
-        ap_id, trial, seq, rssi = (int(f) for f in fields[2:])
+        ap_id, trial, seq, rssi = map(int, fields[2:])
     except ValueError as exc:
         raise TraceFormatError(line_no, f"unparseable field ({exc})") from None
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -208,8 +208,9 @@ def write_traces(points, dest, comments=None):
         for record in sorted(points, key=lambda p: p.point):
             x, y = record.point
             for (ap_id, trial) in sorted(record.traces):
-                for seq, rssi in enumerate(record.traces[(ap_id, trial)].values):
-                    out.write(f"{x!r},{y!r},{ap_id},{trial},{seq},{rssi}\n")
+                prefix = f"{x!r},{y!r},{ap_id},{trial},"
+                values = record.traces[(ap_id, trial)].values
+                out.write("".join([f"{prefix}{seq},{rssi}\n" for seq, rssi in enumerate(values)]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,50 @@ inf elsewhere, so cell (i, j) of the sequences sits at rows[i + 1][j + 1].
 Each cell adds |x_i - y_j| to the first minimum of its diagonal, up and left
 neighbours, found with two `<` comparisons in that order: the result is
 exactly builtin `min`'s, ties and NaN included (a NaN taken first stays, a
-later NaN never replaces a number).  The path is backtracked by reading the
-rows directly with the same first-minimum rule.
+later NaN never replaces a number).  The rows are kept, and the path is
+backtracked from them with the same first-minimum rule the first time it is
+read, so a caller that needs only the distance pays for the fill alone.
 """
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
-import numpy as np
+_NOT_1D = "dtw_distance expects 1-D sequences"
+_TEXT = (str, bytes)
 
 
-@dataclass(frozen=True)
 class WarpResult:
     """Optimal alignment: total cost plus the index-pair path realizing it."""
 
-    distance: float
-    path: tuple[tuple[int, int], ...]
+    def __init__(self, distance: float, rows: list[list[float]]):
+        self.distance = distance
+        self._rows = rows
+
+    def __repr__(self):
+        return f"WarpResult(distance={self.distance!r}, path={self.path!r})"
+
+    @cached_property
+    def path(self) -> tuple[tuple[int, int], ...]:
+        rows = self._rows
+        i, j = len(rows) - 1, len(rows[0]) - 1
+        path = [(i - 1, j - 1)]
+        while i > 1 or j > 1:
+            above = rows[i - 1]
+            diag, up, left = above[j - 1], above[j], rows[i][j - 1]
+            # the fill's first minimum: diagonal, then vertical, then horizontal
+            if up < diag:
+                if left < up:
+                    j -= 1
+                else:
+                    i -= 1
+            elif left < diag:
+                j -= 1
+            else:
+                i -= 1
+                j -= 1
+            path.append((i - 1, j - 1))
+        path.reverse()
+        return tuple(path)
 
 
 def dtw_distance(x, y) -> WarpResult:
@@ -33,17 +61,23 @@ def dtw_distance(x, y) -> WarpResult:
     diagonal first, then vertical (advance i), then horizontal (advance j),
     which makes the returned path deterministic.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError("dtw_distance expects 1-D sequences")
-    if x.size == 0 or y.size == 0:
+    # float() refuses a row and iteration refuses a scalar, so nested lists,
+    # (n, k) arrays and scalars raise TypeError.  The tests before it stop
+    # (n, 1) arrays, which numpy before 2.4 converts with only a warning, and
+    # text, whose characters float() would read as digits.
+    if (getattr(x, "ndim", 1) != 1 or getattr(y, "ndim", 1) != 1
+            or isinstance(x, _TEXT) or isinstance(y, _TEXT)):
+        raise ValueError(_NOT_1D)
+    try:
+        xs, ys = list(map(float, x)), list(map(float, y))
+    except TypeError:
+        raise ValueError(_NOT_1D) from None
+    if not xs or not ys:
         raise ValueError("dtw_distance requires nonempty sequences")
 
-    ys = y.tolist()
     row = [0.0] + [math.inf] * len(ys)
     rows = [row]
-    for x_i in x.tolist():
+    for x_i in xs:
         above, row = row, [math.inf]
         left = math.inf
         # best starts at the diagonal neighbour
@@ -58,27 +92,7 @@ def dtw_distance(x, y) -> WarpResult:
 
     # Every path visits every row and column, so a NaN or inf value, or a
     # cost past the float range, leaves the last cell non-finite.
-    i, j = x.size, y.size
-    distance = row[j]
+    distance = row[-1]
     if not math.isfinite(distance):
         raise ValueError(f"dtw_distance requires finite values and costs, got distance {distance}")
-
-    path = [(i - 1, j - 1)]
-    while i > 1 or j > 1:
-        above = rows[i - 1]
-        diag, up, left = above[j - 1], above[j], rows[i][j - 1]
-        # the fill's first minimum: diagonal, then vertical, then horizontal
-        if up < diag:
-            if left < up:
-                j -= 1
-            else:
-                i -= 1
-        elif left < diag:
-            j -= 1
-        else:
-            i -= 1
-            j -= 1
-        path.append((i - 1, j - 1))
-    path.reverse()
-
-    return WarpResult(distance=distance, path=tuple(path))
+    return WarpResult(distance, rows)

@@ -11,6 +11,7 @@ sequences.  Concatenating the six features over the three APs yields the
 
 import math
 from array import array
+from bisect import bisect_right
 
 import numpy as np
 
@@ -44,14 +45,16 @@ def ap_features(u, v) -> tuple[float, ...]:
     if len(u) == 0 or len(v) == 0:
         raise ValueError("feature inputs must be nonempty")
     union = set(u) | set(v)
-    strengths = [abs(s) for s in union]
+    # summed in the set's own order; the sorted copy only counts the marks
+    strengths = list(map(abs, union))
+    ordered = sorted(union)
     n = len(union)
     return (
         float(abs(sum(map(abs, u)) / len(u) - sum(map(abs, v)) / len(v))),
         float(sum(strengths) / n),
         float(min(strengths)),
-        sum(1 for s in union if s <= HIGH_STRENGTH_DBM) / n,
-        sum(1 for s in union if s <= AVG_STRENGTH_DBM) / n,
+        bisect_right(ordered, HIGH_STRENGTH_DBM) / n,
+        bisect_right(ordered, AVG_STRENGTH_DBM) / n,
         dtw_distance(u, v).distance,
     )
 
@@ -110,7 +113,7 @@ def read_feature_matrix(source):
                 raise FeatureFormatError(line_no, f"expected {1 + width} fields, got {len(fields)}")
             try:
                 label = int(fields[0])
-                row = [float(f) for f in fields[1:]]
+                row = list(map(float, fields[1:]))
             except ValueError as exc:
                 raise FeatureFormatError(line_no, f"unparseable field ({exc})") from None
             if label not in (0, 1):

@@ -84,26 +84,39 @@ def _side(x) -> str:
     return "left" if x < 0 else "right"
 
 
-def sample_rssi(device_point_ft, ap_ft, cfg: SimConfig, rng) -> int:
-    """Draw one integer RSSI reading for a device/AP geometry.
+def _mean_level_dbm(device_point_ft, ap_ft, cfg: SimConfig) -> float:
+    """Noise-free received level for a device/AP geometry, before clamping.
 
     Coordinates are feet; the model works in meters.  One wall attenuation is
     charged when device and AP are on opposite sides of the x = 0 partition.
-    The level is clamped to [-100, 0] dBm and then rounded to the nearest
-    dBm, so a loss past the floor reads -100 even when it overflows to -inf.
     """
     dx = (device_point_ft[0] - ap_ft[0]) * FT_TO_M
     dy = (device_point_ft[1] - ap_ft[1]) * FT_TO_M
     d_m = math.hypot(dx, dy)
     walls = 0 if _side(device_point_ft[0]) == _side(ap_ft[0]) else 1
-    level = (
+    return (
         cfg.pl0_dbm
         - path_loss_db(d_m, cfg.gamma, cfg.d0_m)
         - walls * cfg.wall_loss_db
     )
+
+
+def _reading(level) -> int:
+    """A level clamped to [-100, 0] dBm and then rounded to the nearest dBm, so
+    a loss past the floor reads -100 even when it overflows to -inf."""
+    return round(min(RSSI_CEILING, max(RSSI_FLOOR, level)))
+
+
+def sample_rssi(device_point_ft, ap_ft, cfg: SimConfig, rng) -> int:
+    """Draw one integer RSSI reading for a device/AP geometry.
+
+    The noise-free level gets one Gaussian shadowing draw from `rng` (none
+    when noise_sigma_db is 0) before it is clamped and rounded.
+    """
+    level = _mean_level_dbm(device_point_ft, ap_ft, cfg)
     if cfg.noise_sigma_db > 0:
         level += rng.normal(0.0, cfg.noise_sigma_db)
-    return round(min(RSSI_CEILING, max(RSSI_FLOOR, level)))
+    return _reading(level)
 
 
 def _room_points(n, x_lo, x_hi, depth, rng):
@@ -129,7 +142,11 @@ def generate(cfg: SimConfig) -> list[PointRecord]:
 
     Device placement and every (point, AP, trial) reading stream get their own
     deterministic RNG substream, so regeneration with the same config is exact
-    and per-trace generation is order independent.
+    and per-trace generation is order independent.  The noise-free level is
+    computed once per (point, AP), and a trace's shadowing noise is one draw
+    of samples_per_trial values, the same values `sample_rssi` would draw one
+    at a time from that stream (with noise_sigma_db 0 every draw is 0.0,
+    which leaves the level as it is).
     """
     if cfg.devices_per_room < 2:
         warnings.warn(
@@ -150,11 +167,10 @@ def generate(cfg: SimConfig) -> list[PointRecord]:
         traces = {}
         for ap_idx, ap in enumerate(cfg.ap_positions):
             ap_id = ap_idx + 1
+            level = _mean_level_dbm(point, ap, cfg)
             for trial in range(cfg.trials):
                 rng = generator(cfg.seed, "sim-read", point_idx, ap_id, trial)
-                values = [
-                    sample_rssi(point, ap, cfg, rng) for _ in range(cfg.samples_per_trial)
-                ]
-                traces[(ap_id, trial)] = Trace(values)
+                noise = rng.normal(0.0, cfg.noise_sigma_db, cfg.samples_per_trial)
+                traces[(ap_id, trial)] = Trace([_reading(level + e) for e in noise.tolist()])
         records.append(PointRecord(point, traces))
     return records

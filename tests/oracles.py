@@ -7,6 +7,9 @@ statistics, metrics are recounted from raw label pairs, and integrals use the
 trapezoid rule over explicit grids.  The tree split search, SMO and tree
 prediction keep their per-feature, per-check and per-row loop forms, and pair
 draws list every (pair, trial) combination before drawing from the list.
+The simulator and per-AP feature oracles are the library's earlier loop
+forms: one `sample_rssi` call per reading, and the union statistics taken
+with generator expressions.
 """
 
 import itertools
@@ -16,6 +19,9 @@ from statistics import mean
 import numpy as np
 
 from roomsense._seeds import generator
+from roomsense.dataset import PointRecord, Trace
+from roomsense.dtw import dtw_distance
+from roomsense.simulator import _room_points, sample_rssi
 
 
 def enumerate_warp_paths(n, m):
@@ -116,6 +122,49 @@ def naive_features(x_values, y_values):
     avg = sum(1 for s in union if s <= -70) / len(union)
     dtw = brute_force_dtw(u, v)
     return [md, savg, smin, high, avg, float(dtw)]
+
+
+def ap_features_oracle(u, v):
+    """The six per-AP features in the library's earlier form: the union's
+    absolute values from a list comprehension, its ratio counts from
+    generator expressions, and md from two `map(abs, ...)` sums."""
+    union = set(u) | set(v)
+    strengths = [abs(s) for s in union]
+    n = len(union)
+    return (
+        float(abs(sum(map(abs, u)) / len(u) - sum(map(abs, v)) / len(v))),
+        float(sum(strengths) / n),
+        float(min(strengths)),
+        sum(1 for s in union if s <= -50) / n,
+        sum(1 for s in union if s <= -70) / n,
+        dtw_distance(u, v).distance,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Simulation one reading at a time
+
+
+def generate_oracle(cfg):
+    """PointRecords with every reading drawn by its own `sample_rssi` call,
+    from the same per-(point, AP, trial) streams as the library."""
+    left_w, left_d = cfg.room_left
+    right_w, right_d = cfg.room_right
+    placements = _room_points(
+        cfg.devices_per_room, -left_w, 0.0, left_d, generator(cfg.seed, "sim-place", "left")
+    ) + _room_points(
+        cfg.devices_per_room, 0.0, right_w, right_d, generator(cfg.seed, "sim-place", "right")
+    )
+    records = []
+    for point_idx, point in enumerate(placements):
+        traces = {}
+        for ap_idx, ap in enumerate(cfg.ap_positions):
+            for trial in range(cfg.trials):
+                rng = generator(cfg.seed, "sim-read", point_idx, ap_idx + 1, trial)
+                values = [sample_rssi(point, ap, cfg, rng) for _ in range(cfg.samples_per_trial)]
+                traces[(ap_idx + 1, trial)] = Trace(values)
+        records.append(PointRecord(point, traces))
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -385,13 +385,21 @@ REFUSED_RUNS = {
     "evaluate-cv-folds-over-train-side": (
         ("evaluate", "features"), "cv_folds=19", 3, "cv_folds: cannot make 19 folds from 18"),
     "train-knn-k-over-samples": (
-        ("train", "features", "--algorithm", "knn"), "knn_k=19", 1, "k=19 exceeds the 18"),
+        ("train", "features", "--algorithm", "knn"), "knn_k=19", 3,
+        "error: config: knn_k: k=19 exceeds the 18 training samples of the smallest fit"),
     "evaluate-knn-k-over-samples": (
-        ("evaluate", "features", "--algorithm", "knn"), "knn_k=19", 1, "k=19 exceeds the 18"),
+        ("evaluate", "features", "--algorithm", "knn"), "knn_k=19", 3,
+        "error: config: knn_k: k=19 exceeds the 16 training samples of the smallest fit"),
+    "evaluate-knn-k-over-cv-fold-samples": (
+        ("evaluate", "features", "--algorithm", "knn"), "knn_k=17", 3,
+        "error: config: knn_k: k=17 exceeds the 16 training samples of the smallest fit"),
     "train-lr-one-class": (
-        ("train", "one-class", "--algorithm", "lr"), "", 1, "lr requires both classes"),
+        ("train", "one-class", "--algorithm", "lr"), "", 3,
+        "error: config: algorithm: lr requires both classes in the training data, "
+        "but a fit would see only class 0"),
     "evaluate-lr-one-class": (
-        ("evaluate", "one-class", "--algorithm", "lr"), "", 1, "lr requires both classes"),
+        ("evaluate", "one-class", "--algorithm", "lr"), "", 3,
+        "error: config: algorithm: lr requires both classes in the training data"),
     "evaluate-model-other-seed": (
         ("evaluate", "features", "--model", "model", "--seed", "7"), "", 3,
         "seed=7 contradicts the model's seed=42"),
@@ -412,6 +420,12 @@ REFUSED_RUNS = {
         "error: config: n_positive: 100000 samples requested but only 900 distinct (pair, trial)"),
     "benchmark-cv-folds-over-train-side": (
         ("benchmark",), "cv_folds=300", 3, "cv_folds: cannot make 300 folds from 225"),
+    "benchmark-knn-k-over-cv-fold-samples": (
+        ("benchmark",), "knn_k=203", 3,
+        "error: config: knn_k: k=203 exceeds the 202 training samples of the smallest fit"),
+    "benchmark-one-class": (
+        ("benchmark",), "n_positive=0", 3,
+        "error: config: algorithm: lr requires both classes in the training data"),
 }
 
 
@@ -441,6 +455,13 @@ def test_refused_run_leaves_no_output(tmp_path, saved_models, capsys, case):
                    "--config", str(tmp_path / "run.cfg"), "--out", str(out)) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_knn_k_at_the_smallest_fit_runs(tmp_path, saved_models):
+    # 18 training rows in 10 folds: the smallest fold fit has 16 rows, so k=15 fits every fit
+    (tmp_path / "run.cfg").write_text("knn_k=15\n", encoding="utf-8")
+    assert run("evaluate", str(saved_models / "features.csv"), "--algorithm", "knn",
+               "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")) == 0
 
 
 def test_forest_without_splits_has_zero_importance(tmp_path):

@@ -38,6 +38,31 @@ def test_empty_sequences_rejected():
         dtw_distance([1], [])
 
 
+@pytest.mark.parametrize("x", [
+    [[1.0, 2.0], [3.0, 4.0]],
+    np.array([[1.0], [2.0], [3.0]]),
+    np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+    np.array(1.0),
+    1.0,
+    "123",
+    b"12",
+], ids=["2d-list", "n-by-1-array", "n-by-2-array", "0d-array", "scalar", "str", "bytes"])
+def test_non_1d_input_rejected(x):
+    with pytest.raises(ValueError, match="1-D"):
+        dtw_distance(x, [1.0, 2.0])
+    with pytest.raises(ValueError, match="1-D"):
+        dtw_distance([1.0, 2.0], x)
+
+
+def test_list_tuple_and_array_inputs_agree():
+    x, y = [-61, -58, -70, -58], [-60, -71, -59]
+    results = [dtw_distance(kind(x), kind(y)) for kind in (list, tuple, np.array)]
+    results.append(dtw_distance(np.array(x, dtype=float), np.array(y, dtype=float)))
+    for result in results[1:]:
+        assert result.distance == results[0].distance
+        assert result.path == results[0].path
+
+
 def _non_finite_cases():
     """One NaN or +-inf at the first, a middle or the last place of either input."""
     for bad in (math.nan, math.inf, -math.inf):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_point, make_point_same_traces
-from oracles import naive_features
+from oracles import ap_features_oracle, naive_features
 from roomsense.features import (
     AP_FEATURE_NAMES,
     FEATURE_CSV_HEADER,
@@ -61,6 +61,31 @@ def test_ap_features_against_naive_oracle():
     x, y = [-45, -52, -67], [-71, -88, -90, -64, -55]
     block = ap_features(x, y)
     assert np.allclose(block, naive_features(x, y), atol=1e-9)
+
+
+def _feature_oracle_cases():
+    """2,000 seeded pairs: RSSI-range integers, integers on both sides of 0,
+    and floats of mixed sign and magnitude, with repeats across u and v."""
+    rng = np.random.default_rng(31)
+    for _ in range(700):
+        n, m = rng.integers(1, 9, size=2)
+        yield rng.integers(-100, 1, size=n).tolist(), rng.integers(-100, 1, size=m).tolist()
+    for _ in range(300):
+        n, m = rng.integers(1, 9, size=2)
+        yield rng.integers(-90, 90, size=n).tolist(), rng.integers(-90, 90, size=m).tolist()
+    for _ in range(1000):
+        n, m = rng.integers(1, 13, size=2)
+        u = (rng.normal(-60, 25, size=n) * 10.0 ** rng.integers(-3, 4)).tolist()
+        v = (rng.normal(-60, 25, size=m) * 10.0 ** rng.integers(-3, 4)).tolist()
+        yield u, v + u[: int(rng.integers(0, n + 1))]
+
+
+def test_ap_features_match_earlier_form_exactly():
+    # == rather than allclose: a changed summation order shows in the last bit
+    for u, v in _feature_oracle_cases():
+        got, want = ap_features(u, v), ap_features_oracle(u, v)
+        assert got == want, (u, v)
+        assert list(map(type, got)) == list(map(type, want)), (u, v)
 
 
 def test_featurize_identical_traces_zeroes_md_and_dtw():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import generate_oracle
 from roomsense.dataset import ingest_traces, write_traces
 from roomsense.dtw import dtw_distance
 from roomsense.simulator import SimConfig, generate, path_loss_db, sample_rssi
@@ -137,6 +138,23 @@ def test_generate_deterministic_and_seed_sensitive():
     assert generate(cfg) == generate(cfg)
     other = SimConfig(devices_per_room=3, trials=2, samples_per_trial=4, seed=6)
     assert generate(cfg) != generate(other)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("noise_sigma_db", [0.0, 4.0])
+@pytest.mark.parametrize("samples_per_trial", [1, 8])
+def test_generate_matches_per_reading_oracle(seed, noise_sigma_db, samples_per_trial):
+    cfg = SimConfig(devices_per_room=3, trials=3, samples_per_trial=samples_per_trial,
+                    noise_sigma_db=noise_sigma_db, seed=seed)
+    assert generate(cfg) == generate_oracle(cfg)
+
+
+def test_generate_matches_per_reading_oracle_when_path_loss_overflows():
+    # 10 * gamma overflows: a reading beyond d0 of its AP sits at the floor
+    cfg = SimConfig(devices_per_room=3, trials=2, gamma=1e308, seed=3)
+    records = generate(cfg)
+    assert records == generate_oracle(cfg)
+    assert -100 in {v for r in records for t in r.traces.values() for v in t.values}
 
 
 def test_generate_round_trips_through_trace_file(tmp_path):
