@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation, ml
 from ._schema import build, field_specs, flatten, format_value, parse_value
 from ._seeds import derive_seed
@@ -201,8 +203,8 @@ def cmd_featurize(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     X, y = read_feature_matrix(args.features)
-    _check_fits(y, cfg.train, (cfg.train.algorithm,), cv=False)
-    return _write(args, _model_file(evaluation.fit_holdout(X, y, cfg.train), cfg))
+    jobs = _check_fits(y, cfg.train, (cfg.train.algorithm,), args.features, cv=False)
+    return _write(args, _model_file(evaluation.fit_holdout(X, y, cfg.train, jobs), cfg))
 
 
 def _load_fitted(path):
@@ -221,21 +223,24 @@ def _load_fitted(path):
     return (model, scaler), cfg
 
 
-def _check_fits(y, train: ml.TrainConfig, algorithms, cv=True):
-    """Refuse, before any fit, a config that the labels cannot meet.
+def _check_fits(y, train: ml.TrainConfig, algorithms, features=None, cv=True):
+    """The evaluation plan of labels `y`, refused before any fit if they cannot meet it.
 
-    The fits are the holdout fit on the training side of the split and, with
-    `cv`, one per cross-validation fold inside it.  cv_folds must fit the
-    training side (also without `cv`: the model records it), knn_k must not
-    exceed the smallest fit's rows, and every classifier but knn needs both
-    classes in every fit.
+    A class with one row fits no split: bad input in a `features` file, else
+    a bad n_positive or n_negative.  The fits are the plan's holdout fit and,
+    with `cv`, its folds: cv_folds must fit the training side (also without
+    `cv`: the model records it), knn_k must not exceed the smallest fit's
+    rows, and every classifier but knn needs both classes in every fit.
     """
-    train_idx, _ = evaluation.train_test_split(y, train.train_fraction, train.seed)
+    for cls in np.flatnonzero(np.bincount(y) == 1):
+        if features:
+            raise FeatureFormatError(None, f"{features}: class {cls} has 1 row; need >= 2")
+        raise ConfigError(f"{('n_negative', 'n_positive')[cls]}: 1 sample fits no split; need >= 2")
     try:
-        folds = evaluation.kfold(y[train_idx], train.cv_folds, seed=derive_seed(train.seed, "cv"))
+        jobs = evaluation.plan(y, train)
     except ValueError as exc:
         raise ConfigError(f"cv_folds: {exc}") from None
-    fits = [train_idx] + ([train_idx[rows] for rows, _ in folds] if cv else [])
+    fits = [rows for rows, _ in (jobs if cv else jobs[:1])]
     smallest = min(map(len, fits))
     if "knn" in algorithms and train.knn.k > smallest:
         raise ConfigError(f"knn_k: k={train.knn.k} exceeds the {smallest} training samples "
@@ -246,6 +251,7 @@ def _check_fits(y, train: ml.TrainConfig, algorithms, cv=True):
         if len(classes) < 2:
             raise ConfigError(f"algorithm: {needs_both[0]} requires both classes in the "
                               f"training data, but a fit would see only class {classes.pop()}")
+    return jobs
 
 
 def cmd_evaluate(args) -> int:
@@ -265,9 +271,9 @@ def cmd_evaluate(args) -> int:
     if args.importance and cfg.train.algorithm != "rf":
         raise ConfigError("--importance requires the rf algorithm")
     X, y = read_feature_matrix(args.features)
-    _check_fits(y, cfg.train, (cfg.train.algorithm,))
+    jobs = _check_fits(y, cfg.train, (cfg.train.algorithm,), args.features)
 
-    report = evaluation.evaluate(X, y, cfg.train, fitted=fitted)
+    report = evaluation.evaluate(X, y, cfg.train, fitted=fitted, jobs=jobs)
     outputs = _report_file(report, cfg)
     if args.importance:
         rows = [(name, repr(value)) for name, value in zip(FEATURE_NAMES, report.importance)]
@@ -289,15 +295,15 @@ def cmd_benchmark(args) -> int:
     points = generate(cfg.sim)
     dataset = _pairs(cfg, points)
     X, y = dataset.X, dataset.y
-    _check_fits(y, cfg.train, ml.ALGORITHMS)
+    jobs = _check_fits(y, cfg.train, ml.ALGORITHMS)
 
     outputs = {"traces.csv": partial(write_traces, points, comments=cfg.echo())}
     outputs |= _features_file(dataset, cfg)
     rows = []
     for algorithm in ml.ALGORITHMS:
         run = replace(cfg, train=replace(cfg.train, algorithm=algorithm))
-        fitted = evaluation.fit_holdout(X, y, run.train)
-        report = evaluation.evaluate(X, y, run.train, fitted=fitted)
+        fitted = evaluation.fit_holdout(X, y, run.train, jobs)
+        report = evaluation.evaluate(X, y, run.train, fitted=fitted, jobs=jobs)
         outputs |= _model_file(fitted, run) | _report_file(report, run)
         rows.append([algorithm, *map(repr, (report.accuracy, report.f1_class0, report.f1_class1))])
     outputs["benchmark.csv"] = _csv("algorithm,accuracy,f1_class0,f1_class1", rows, cfg.echo())

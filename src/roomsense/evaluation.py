@@ -1,9 +1,9 @@
 """Standardization, splits, cross-validation, metrics, and KDE analysis.
 
 The headline numbers come from a stratified 75/25 holdout; 10-fold
-cross-validation runs inside the training portion as a stability measure,
-never touching the held-out test rows.  Standardization statistics are fit
-on training data only.
+cross-validation runs inside its training portion as a stability measure.
+The split and the folds come from one plan, drawn once per evaluation.
+Standardization statistics are fit on training data only.
 """
 
 import json
@@ -153,10 +153,9 @@ def train_test_split(y, train_fraction: float = 0.75, seed: int = 0):
         n_test = min(max(n_test, 1), len(members) - 1)  # keep both sides populated
         shuffled = rng.permutation(members)
         test_parts.append(shuffled[:n_test])
-    test_idx = np.sort(np.concatenate(test_parts))
-    mask = np.ones(len(y), dtype=bool)
-    mask[test_idx] = False
-    return np.nonzero(mask)[0], test_idx
+    test = np.zeros(len(y), dtype=bool)
+    test[np.concatenate(test_parts)] = True
+    return np.flatnonzero(~test), np.flatnonzero(test)
 
 
 def kfold(y, k: int = 10, seed: int = 0):
@@ -176,13 +175,11 @@ def kfold(y, k: int = 10, seed: int = 0):
     ordered = np.concatenate(
         [rng.permutation(np.nonzero(y == cls)[0]) for cls in np.unique(y)]
     )
-    folds = [ordered[f::k] for f in range(k)]
     pairs = []
     for f in range(k):
-        val_idx = np.sort(folds[f])
-        mask = np.ones(n, dtype=bool)
-        mask[val_idx] = False
-        pairs.append((np.nonzero(mask)[0], val_idx))
+        val = np.zeros(n, dtype=bool)
+        val[ordered[f::k]] = True
+        pairs.append((np.flatnonzero(~val), np.flatnonzero(val)))
     return pairs
 
 
@@ -271,52 +268,55 @@ class EvalReport:
         )
 
 
-def _fit(X, y, cfg: ml.TrainConfig):
+def plan(y, cfg: ml.TrainConfig) -> list:
+    """Every fit of one evaluation as (fit rows, scored rows) into y: the holdout
+    (train, test) of cfg.seed's split, then each CV fold as (train[fit], train[val])."""
+    y = np.asarray(y, dtype=int)
+    train_idx, test_idx = train_test_split(y, cfg.train_fraction, cfg.seed)
+    folds = kfold(y[train_idx], k=cfg.cv_folds, seed=derive_seed(cfg.seed, "cv"))
+    return [(train_idx, test_idx)] + [(train_idx[fit], train_idx[val]) for fit, val in folds]
+
+
+def _fit(X, y, rows, cfg: ml.TrainConfig):
     """Standardizer fit on the given rows and the classifier trained on them."""
-    scaler = standardize_fit(X)
-    return ml.train(standardize_apply(scaler, X), y, cfg), scaler
+    scaler = standardize_fit(X[rows])
+    return ml.train(standardize_apply(scaler, X[rows]), y[rows], cfg), scaler
 
 
-def _confusion(fitted, X, y) -> ConfusionMatrix:
+def _confusion(fitted, X, y, rows) -> ConfusionMatrix:
     model, scaler = fitted
-    return ConfusionMatrix.from_labels(y, ml.predict(model, standardize_apply(scaler, X)))
+    return ConfusionMatrix.from_labels(y[rows], ml.predict(model, standardize_apply(scaler, X[rows])))
 
 
-def cross_validate(X, y, cfg: ml.TrainConfig) -> np.ndarray:
-    """Accuracies on cfg.cv_folds stratified folds from cfg.seed; each fold refits its scaler."""
+def cross_validate(X, y, cfg: ml.TrainConfig, jobs) -> np.ndarray:
+    """Accuracies on the CV folds of `jobs`, `plan(y, cfg)`; each fold refits its scaler."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    accuracies = []
-    for train_idx, val_idx in kfold(y, k=cfg.cv_folds, seed=derive_seed(cfg.seed, "cv")):
-        fitted = _fit(X[train_idx], y[train_idx], cfg)
-        accuracies.append(accuracy(_confusion(fitted, X[val_idx], y[val_idx])))
-    return np.array(accuracies)
+    return np.array([accuracy(_confusion(_fit(X, y, fit, cfg), X, y, scored))
+                     for fit, scored in jobs[1:]])
 
 
-def fit_holdout(X, y, cfg: ml.TrainConfig):
-    """(model, standardizer) fit on the training side of cfg.seed's stratified split."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    train_idx, _ = train_test_split(y, cfg.train_fraction, cfg.seed)
-    return _fit(X[train_idx], y[train_idx], cfg)
+def fit_holdout(X, y, cfg: ml.TrainConfig, jobs):
+    """(model, standardizer) fit on the train side of the holdout of `jobs`, `plan(y, cfg)`."""
+    return _fit(np.asarray(X, dtype=float), np.asarray(y, dtype=int), jobs[0][0], cfg)
 
 
-def evaluate(X, y, cfg: ml.TrainConfig, fitted=None) -> EvalReport:
+def evaluate(X, y, cfg: ml.TrainConfig, fitted=None, jobs=None) -> EvalReport:
     """Score one classifier on the held-out rows of the stratified split.
 
-    cfg.seed is the one seed: it draws the split, the CV folds and the
-    model's own randomness.  `fitted` is the (model, standardizer) pair
-    `fit_holdout` returns for the same (X, y, cfg), e.g. a saved model;
-    without it the classifier is fit here.  CV accuracies come from
-    cfg.cv_folds stratified folds inside the training portion.  Random
-    forests also report impurity-based feature importance.
+    cfg.seed is the one seed: it draws the plan (the split and the CV folds
+    inside its training side; `jobs` is `plan(y, cfg)`, drawn here when None)
+    and the model's own randomness.  `fitted` is what `fit_holdout` returns
+    for the same (X, y, cfg, jobs), e.g. a saved model; without it the
+    classifier is fit here.  Random forests also report impurity-based
+    feature importance.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    fitted = fit_holdout(X, y, cfg) if fitted is None else fitted
-    train_idx, test_idx = train_test_split(y, cfg.train_fraction, cfg.seed)
-    cm = _confusion(fitted, X[test_idx], y[test_idx])
-    cv = cross_validate(X[train_idx], y[train_idx], cfg)
+    jobs = plan(y, cfg) if jobs is None else jobs
+    fitted = fit_holdout(X, y, cfg, jobs) if fitted is None else fitted
+    cm = _confusion(fitted, X, y, jobs[0][1])
+    cv = cross_validate(X, y, cfg, jobs)
     importance = None
     if cfg.algorithm == "rf":
         importance = tuple(float(v) for v in ml.mdi_importance(fitted[0]))

@@ -27,10 +27,10 @@ FEATURE_CSV_HEADER = "label," + ",".join(FEATURE_NAMES)
 
 
 class FeatureFormatError(ValueError):
-    """Malformed feature-matrix file; carries the 1-based line number."""
+    """Malformed feature-matrix file; carries the 1-based line number (None: the whole file)."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roomsense import cli
+from roomsense import cli, evaluation
 from roomsense.dataset import ingest_traces
 from roomsense.features import FEATURE_CSV_HEADER, read_feature_matrix, write_feature_matrix
 
@@ -426,6 +426,15 @@ REFUSED_RUNS = {
     "benchmark-one-class": (
         ("benchmark",), "n_positive=0", 3,
         "error: config: algorithm: lr requires both classes in the training data"),
+    "benchmark-one-positive-sample": (
+        ("benchmark",), "n_positive=1", 3,
+        "error: config: n_positive: 1 sample fits no split; need >= 2"),
+    "train-features-one-class-1-row": (
+        ("train", "one-positive", "--algorithm", "knn"), "", 2,
+        "one-positive.csv: class 1 has 1 row; need >= 2"),
+    "evaluate-features-one-class-1-row": (
+        ("evaluate", "one-positive", "--algorithm", "knn"), "", 2,
+        "one-positive.csv: class 1 has 1 row; need >= 2"),
 }
 
 
@@ -434,11 +443,14 @@ def test_refused_run_leaves_no_output(tmp_path, saved_models, capsys, case):
     argv, config, code, message = REFUSED_RUNS[case]
     X, y = read_feature_matrix(saved_models / "features.csv")
     write_feature_matrix(X[y == 0], y[y == 0], tmp_path / "one-class.csv")
+    one_positive = np.flatnonzero(y == 0).tolist() + [int(np.flatnonzero(y == 1)[0])]
+    write_feature_matrix(X[one_positive], y[one_positive], tmp_path / "one-positive.csv")
     (tmp_path / "no-rows.csv").write_text(FEATURE_CSV_HEADER + "\n", encoding="utf-8")
     paths = {
         "features": saved_models / "features.csv",
         "traces": saved_models / "traces.csv",
         "one-class": tmp_path / "one-class.csv",
+        "one-positive": tmp_path / "one-positive.csv",
         "no-rows": tmp_path / "no-rows.csv",
         "model": saved_models / "model_dt.json",
     }
@@ -453,8 +465,24 @@ def test_refused_run_leaves_no_output(tmp_path, saved_models, capsys, case):
         warnings.simplefilter("error")
         assert run(*(str(paths.get(a, a)) for a in argv),
                    "--config", str(tmp_path / "run.cfg"), "--out", str(out)) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # exit 2 is a bad input file and exit 3 a bad config; no refused run exits 1
+    assert err.startswith({2: "error: input: ", 3: "error: config: "}[code])
+    assert message in err and "line None" not in err
     assert not out.exists()
+
+
+def test_benchmark_draws_the_split_and_folds_once(tmp_path, config_path, monkeypatch):
+    # one plan serves _check_fits and all five classifiers' holdout fits, scores and CV
+    calls = dict.fromkeys(("train_test_split", "kfold"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _draw=getattr(evaluation, name), **kwargs):
+            calls[_name] += 1
+            return _draw(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, counted)
+    assert run("benchmark", "--config", config_path, "--seed", "42",
+               "--out", str(tmp_path / "out")) == 0
+    assert calls == {"train_test_split": 1, "kfold": 1}
 
 
 def test_knn_k_at_the_smallest_fit_runs(tmp_path, saved_models):

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import recount_accuracy, recount_confusion, recount_f1, trapezoid
 from roomsense import ml
+from roomsense._seeds import derive_seed
 from roomsense.evaluation import (
     ConfusionMatrix,
     EvalReport,
@@ -20,6 +21,7 @@ from roomsense.evaluation import (
     kde,
     kfold,
     overlap_coefficient,
+    plan,
     silverman_bandwidth,
     standardize_apply,
     standardize_fit,
@@ -267,9 +269,28 @@ def test_evaluate_confusion_sums_to_test_size():
 
 def test_cross_validate_shape():
     X, y = _oracle_dataset(seed=7)
-    scores = cross_validate(X, y, ml.TrainConfig(algorithm="knn", seed=8, cv_folds=5))
+    cfg = ml.TrainConfig(algorithm="knn", seed=8, cv_folds=5)
+    scores = cross_validate(X, y, cfg, plan(y, cfg))
     assert scores.shape == (5,)
     assert np.all((0.0 <= scores) & (scores <= 1.0))
+    assert tuple(scores.tolist()) == evaluate(X, y, cfg).cv_accuracies
+
+
+@pytest.mark.parametrize("cv_folds", [3, 10])
+def test_plan_is_the_split_then_its_folds(cv_folds):
+    for seed in range(10):
+        y = np.random.default_rng(seed).permutation([1] * 37 + [0] * 71)
+        cfg = ml.TrainConfig(seed=seed, cv_folds=cv_folds)
+        jobs = plan(y, cfg)
+        train, test = train_test_split(y, cfg.train_fraction, cfg.seed)
+        assert np.array_equal(jobs[0][0], train) and np.array_equal(jobs[0][1], test)
+        folds = kfold(y[train], cfg.cv_folds, derive_seed(cfg.seed, "cv"))
+        assert len(jobs) == 1 + cv_folds
+        for (fit, scored), (fold_fit, fold_val) in zip(jobs[1:], folds):
+            assert np.array_equal(fit, train[fold_fit]) and np.array_equal(scored, train[fold_val])
+            assert not np.isin(scored, fit).any()
+        # the folds' scored rows partition the training side
+        assert np.array_equal(np.sort(np.concatenate([scored for _, scored in jobs[1:]])), train)
 
 
 def test_report_json_round_trip():
