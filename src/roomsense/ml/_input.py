@@ -8,7 +8,7 @@ def check_labels(labels):
     """Reject an empty label set and any label other than 0 and 1."""
     if labels.size == 0:
         raise ValueError("empty label set")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
 
 

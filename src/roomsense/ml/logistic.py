@@ -19,15 +19,19 @@ class LRParams:
             raise ValueError(f"lr_iterations must be >= 1, got {self.iterations}")
 
 
+LOSS_BLOCK = 64  # steps whose z are kept and scored together
+
+
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
 
 
 class LogisticRegression:
     """Unregularized batch gradient descent on mean cross-entropy.
 
     loss_history_ holds the loss before training and after every step
-    (iterations + 1 values).  A probability of exactly 0.5 classifies as 1.
+    (iterations + 1 values), taken per LOSS_BLOCK steps from their kept z,
+    with the same values.  A probability of exactly 0.5 classifies as 1.
     """
 
     def __init__(self, params=LRParams()):
@@ -50,28 +54,30 @@ class LogisticRegression:
         model.bias_ = float(check_finite("bias", params["bias"], ndim=0))
         return model
 
-    @staticmethod
-    def _loss(z, y):
-        # mean cross-entropy via logaddexp, stable for large |z|
-        return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
     def fit(self, X, y):
         X, y = check_fit_input(X, y)
         y = y.astype(float)  # float labels keep the loop's arithmetic in one dtype
         n, d = X.shape
+        steps = self.params.iterations
         w = np.zeros(d)
         b = 0.0
-        history = []
-        for _ in range(self.params.iterations):
-            z = X @ w + b
-            history.append(self._loss(z, y))
-            residual = _sigmoid(z) - y
-            w -= self.params.learning_rate * (X.T @ residual) / n
-            b -= self.params.learning_rate * float(np.mean(residual))
-        history.append(self._loss(X @ w + b, y))
+        history = np.empty(steps + 1)
+        Z = np.empty((min(LOSS_BLOCK, steps + 1), n))
+        for step in range(steps + 1):
+            k = step % LOSS_BLOCK
+            Z[k] = z = X @ w + b
+            if k == LOSS_BLOCK - 1 or step == steps:
+                block = Z[: k + 1]  # mean cross-entropy via logaddexp, stable for large |z|
+                losses = np.logaddexp(0.0, block)
+                losses -= np.multiply(block, y, out=block)  # these z are not read again
+                history[step - k : step + 1] = losses.mean(axis=1)
+            if step < steps:
+                residual = _sigmoid(z) - y
+                w -= self.params.learning_rate * (X.T @ residual) / n
+                b -= self.params.learning_rate * float(residual.sum() / n)
         self.weights_ = w
         self.bias_ = b
-        self.loss_history_ = np.array(history)
+        self.loss_history_ = history
         return self
 
     @property

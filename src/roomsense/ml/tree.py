@@ -129,6 +129,9 @@ def class1_votes(roots, X):
     return votes
 
 
+_CUT_SIZES = np.empty((2, 0))  # row 0: 1, 2, 3, ...; row 1: their doubles
+
+
 def _best_split(X, y, feature_indices, parent_impurity):
     """Best (feature, threshold, decrease) over candidate features, or None.
 
@@ -137,26 +140,34 @@ def _best_split(X, y, feature_indices, parent_impurity):
     splits are allowed so impure nodes keep splitting (XOR-style structure
     needs them).  All candidate features are scored in one array pass: row c
     of the sorted columns is the cut after the first c + 1 samples.
+
+    `n_left`, `n_right` and their doubles are views of `_CUT_SIZES`, grown to
+    the largest node so far: exact integers in float, so every product rounds
+    the same as with `n_left * 2.0`.
     """
+    global _CUT_SIZES
     n = len(y)
-    sub = X[:, feature_indices]
-    order = np.argsort(sub, axis=0, kind="stable")
+    sizes = _CUT_SIZES  # a local reference stays whole if another fit regrows the array
+    if sizes.shape[1] < n - 1:
+        _CUT_SIZES = sizes = np.arange(1.0, n) * np.array([[1.0], [2.0]])
+    n_left, twice_left = sizes[0, : n - 1, None], sizes[1, : n - 1, None]
+    n_right, twice_right = sizes[0, n - 2 :: -1, None], sizes[1, n - 2 :: -1, None]
+    sub = X.take(feature_indices, axis=1)
+    order = sub.argsort(axis=0)  # equal values in any order: a valid cut keeps them on one side
     cols = sub[order, np.arange(sub.shape[1])]
-    ones = np.cumsum(y[order], axis=0)
+    ones = y[order].cumsum(axis=0)
     valid = cols[1:] > cols[:-1]  # a cut between equal values splits nothing
-    if not valid.any():
-        return None
-    n_left = np.arange(1.0, n)[:, None]
-    n_right = n - n_left
     p_left = ones[:-1] / n_left
     p_right = (ones[-1] - ones[:-1]) / n_right
     child_impurity = (
-        n_left * 2.0 * p_left * (1.0 - p_left)
-        + n_right * 2.0 * p_right * (1.0 - p_right)
+        twice_left * p_left * (1.0 - p_left)
+        + twice_right * p_right * (1.0 - p_right)
     ) / n
     decrease = np.where(valid, parent_impurity - child_impurity, -np.inf)
     # first maximum in (feature, cut) order: lowest feature, then lowest threshold
-    f, c = divmod(int(np.argmax(decrease.T)), n - 1)
+    f, c = divmod(int(decrease.T.argmax()), n - 1)
+    if not valid[c, f]:  # every cell is -inf: no cut separates two values
+        return None
     threshold = (cols[c, f] + cols[c + 1, f]) / 2.0
     return int(feature_indices[f]), float(threshold), float(decrease[c, f])
 
@@ -206,7 +217,8 @@ class DecisionTree:
         if self.params.max_features is None or self.params.max_features >= self.n_features_:
             return np.arange(self.n_features_)
         picked = rng.choice(self.n_features_, size=self.params.max_features, replace=False)
-        return np.sort(picked)  # ascending keeps the lowest-index tie rule meaningful
+        picked.sort()  # ascending keeps the lowest-index tie rule meaningful
+        return picked
 
     def _grow(self, X, y, depth, rng):
         n = len(y)
@@ -223,15 +235,11 @@ class DecisionTree:
             return self._leaf(ones, n)
         feature, threshold, decrease = split
         mask = X[:, feature] <= threshold
-        node = Node(
-            feature=feature,
-            threshold=threshold,
-            n_samples=n,
-            impurity_decrease=decrease,
+        return Node(
+            feature=feature, threshold=threshold, n_samples=n, impurity_decrease=decrease,
+            left=self._grow(X.compress(mask, axis=0), y.compress(mask), depth + 1, rng),
+            right=self._grow(X.compress(~mask, axis=0), y.compress(~mask), depth + 1, rng),
         )
-        node.left = self._grow(X[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1, rng)
-        return node
 
     def predict(self, X):
         return class1_votes([self.root_], check_predict_input(X, self.n_features_))

@@ -5,7 +5,8 @@ are enumerated explicitly, DTW with its backtrack also runs on an inf-bordered
 numpy grid, features are recomputed with plain Python sets and
 statistics, metrics are recounted from raw label pairs, and integrals use the
 trapezoid rule over explicit grids.  The tree split search, SMO and tree
-prediction keep their per-feature, per-check and per-row loop forms, and pair
+prediction keep their per-feature, per-check and per-row loop forms, logistic
+regression takes one loss per gradient step, and pair
 draws list every (pair, trial) combination before drawing from the list.
 The simulator and per-AP feature oracles are the library's earlier loop
 forms: one `sample_rssi` call per reading, and the union statistics taken
@@ -332,6 +333,28 @@ def smo_oracle(K, y_signed, C, tol, max_passes, max_sweeps, rng):
         sweeps += 1
         updates += changed
     return alphas, float(b), sweeps, updates
+
+
+def lr_oracle(X, y, learning_rate, iterations):
+    """(weights, bias, loss history) of batch gradient descent that takes the
+    mean cross-entropy of each step's z as it goes."""
+
+    def loss(z):
+        return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    history = []
+    for _ in range(iterations):
+        z = X @ w + b
+        history.append(loss(z))
+        residual = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))) - y
+        w -= learning_rate * (X.T @ residual) / n
+        b -= learning_rate * float(np.mean(residual))
+    history.append(loss(X @ w + b))
+    return w, b, np.array(history)
 
 
 def tree_predict_oracle(root, X):

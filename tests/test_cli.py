@@ -145,15 +145,24 @@ def test_evaluate_importance_and_kde_outputs(tmp_path, config_path):
 
 
 def test_stage_outputs_match_pinned_digests(tmp_path):
-    # traces.csv and features.csv involve no BLAS, so their seed-42 digests
-    # hold on any CPU; the model and report files are pinned by perfbench only
+    # these seed-42 files involve no BLAS and no exp: traces and features,
+    # and the tree and kNN files (standardization, Gini arithmetic, sqrt and
+    # sorts), so their digests hold on any CPU; the rest are pinned by perfbench only
     pinned = json.loads(
         (Path(__file__).parents[1] / "perfbench" / "digests.json").read_text(encoding="utf-8")
     )["paper-default"]["*"]
     assert run("simulate", "--seed", "42", "--out", str(tmp_path)) == 0
+    features = str(tmp_path / "features.csv")
     assert run("featurize", str(tmp_path / "traces.csv"), "--seed", "42",
                "--out", str(tmp_path)) == 0
-    for name in ("traces.csv", "features.csv"):
+    for algorithm in ("rf", "dt", "knn"):
+        assert run("train", features, "--algorithm", algorithm, "--seed", "42",
+                   "--out", str(tmp_path)) == 0
+    assert run("evaluate", features, "--algorithm", "dt", "--seed", "42",
+               "--out", str(tmp_path)) == 0
+    names = ("traces.csv", "features.csv", "model_rf.json", "model_dt.json", "report_dt.json",
+             "model_knn.json")
+    for name in names:
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned[name], name
 
 

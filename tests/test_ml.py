@@ -1,11 +1,12 @@
 """Classifier behavior: Gini, trees, forest, KNN, LR, SVM, and serialization."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from oracles import best_split_oracle, smo_oracle, tree_predict_oracle
+from oracles import best_split_oracle, lr_oracle, smo_oracle, tree_predict_oracle
 
 from roomsense import ml
 from roomsense._seeds import generator
@@ -26,7 +27,8 @@ from roomsense.ml import (
     gini,
     mdi_importance,
 )
-from roomsense.ml import svm
+from roomsense.ml import svm, tree
+from roomsense.ml._input import check_labels
 from roomsense.ml.svm import rbf_kernel
 from roomsense.ml.tree import Node, _best_split
 
@@ -160,8 +162,33 @@ def test_svm_rejects_single_class():
             SupportVectorMachine().fit([[0.0], [1.0], [2.0]], [label] * 3)
 
 
+LABEL_SETS = [
+    np.array([0, 1, 1]), np.array([[0, 1], [1, 0]]), np.array(1), np.array([2, 0]),
+    np.array([-1, 0]), np.array([0, 1], dtype=np.uint8), np.array([0, 255], dtype=np.uint8),
+    np.array([True, False]), np.array([True]),
+    np.array([0.0, 1.0]), np.array([0.0, 0.5]), np.array([1.0, np.nan]), np.array(np.inf),
+    np.array(["0", "1"]), np.array(["a"]), np.array([b"0"]),
+    np.array([0, 1], dtype=object), np.array([1.0, True], dtype=object),
+    np.array([0, "a"], dtype=object), np.array([None, 1], dtype=object),
+]
+
+
+def test_check_labels_accepts_what_isin_accepts():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for labels in LABEL_SETS:
+            if np.isin(labels, (0, 1)).all():
+                check_labels(labels)
+            else:
+                with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                    check_labels(labels)
+        for empty in (np.array([]), np.array([], dtype=int), np.array([], dtype=str)):
+            with pytest.raises(ValueError, match="empty label set"):
+                check_labels(empty)
+
+
 def _split_cases():
-    """~500 seeded (X, y, feature_indices) nodes, including degenerate ones."""
+    """~590 seeded (X, y, feature_indices) nodes of 2 to 250 rows, including degenerate ones."""
     rng = np.random.default_rng(2024)
     for _ in range(420):
         n = int(rng.integers(2, 40))
@@ -183,11 +210,19 @@ def _split_cases():
             yield np.full((n, 6), -0.3), y, np.arange(6)  # every column constant
     for _ in range(20):
         yield np.round(rng.normal(size=(2, 5)), 1), np.array([0, 1]), np.arange(5)
+    # large, small, then larger nodes: the shared cut sizes are read after each growth
+    for n in (120, 3, 40, 250, 2, 17, 199, 250, 9, 64):
+        for _ in range(8):
+            X = np.round(rng.normal(size=(n, 18)), 1)
+            y = rng.integers(0, 2, size=n)
+            yield X, y, np.sort(rng.choice(18, size=4, replace=False))
+        yield np.full((n, 4), 2.5), rng.integers(0, 2, size=n), np.arange(4)
 
 
-def test_best_split_matches_per_feature_oracle():
+def test_best_split_matches_per_feature_oracle(monkeypatch):
+    monkeypatch.setattr(tree, "_CUT_SIZES", np.empty((2, 0)))
     cases = list(_split_cases())
-    assert len(cases) >= 500
+    assert len(cases) >= 590
     for X, y, features in cases:
         parent = gini(y)
         assert _best_split(X, y, features, parent) == best_split_oracle(X, y, features, parent)
@@ -310,6 +345,38 @@ def test_logistic_regression_loss_monotone_nonincreasing():
     assert len(model.loss_history_) == 1001
     diffs = np.diff(model.loss_history_)
     assert np.all(diffs <= 1e-12)
+
+
+@pytest.mark.parametrize("learning_rate", [0.1, 3.0])
+@pytest.mark.parametrize("iterations", [1, 63, 64, 65, 129, 1000])
+def test_logistic_regression_matches_per_step_oracle(learning_rate, iterations):
+    # losses are taken per block of LOSS_BLOCK steps: check each side of a block edge
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(90, 6))
+    y = (X[:, 0] - X[:, 2] + rng.normal(size=90) > 0).astype(int)
+    model = LogisticRegression(LRParams(learning_rate, iterations)).fit(X, y)
+    weights, bias, history = lr_oracle(X, y, learning_rate, iterations)
+    assert np.array_equal(model.weights_, weights)
+    assert model.bias_ == bias
+    assert np.array_equal(model.loss_history_, history)
+
+
+def test_logistic_regression_loss_buffer_does_not_grow_with_iterations():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(100, 4))
+    y = (X[:, 0] > 0).astype(int)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for iterations in (1_000, 20_000):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            LogisticRegression(LRParams(iterations=iterations)).fit(X, y)
+            peaks[iterations] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # loss_history_ itself takes 8 bytes a step; keeping every step's z would take 800
+    assert peaks[20_000] - peaks[1_000] <= 8 * 19_000 + 32 * 2**10
 
 
 def test_svm_zero_decision_maps_to_class_zero():
