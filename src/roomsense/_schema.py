@@ -11,6 +11,10 @@ import typing
 from dataclasses import fields, is_dataclass
 
 
+class ConfigError(ValueError):
+    """Invalid configuration (bad key, bad value, or inconsistent settings)."""
+
+
 def field_specs(cls, prefix="") -> dict:
     """Config key -> dataclass Field, in declaration order."""
     specs = {}
@@ -35,14 +39,17 @@ def flatten(obj, prefix="") -> dict:
 
 
 def build(cls, values: dict, prefix="", **given):
-    """A `cls` from config key -> value; `given` fields win, absent keys keep defaults."""
+    """A `cls` from config key -> value (else ConfigError); `given` wins, absent keys default."""
     kwargs = {}
     for f in fields(cls):
         if is_dataclass(f.type):
             kwargs[f.name] = build(f.type, values, f"{prefix}{f.name}_")
         elif prefix + f.name in values:
             kwargs[f.name] = values[prefix + f.name]
-    return cls(**(kwargs | given))
+    try:
+        return cls(**(kwargs | given))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_value(text: str, spec):

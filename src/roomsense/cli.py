@@ -10,6 +10,7 @@ echoed into every output.  Every command computes all of its outputs before
 """
 
 import argparse
+import io
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -18,11 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, ml
-from ._schema import build, field_specs, flatten, format_value, parse_value
+from ._schema import ConfigError, build, field_specs, flatten, format_value, parse_value
 from ._seeds import derive_seed
 from .dataset import (
-    PairingConfig, TraceFormatError, build_pairs, check_pairable, csv_writer, ingest_traces,
-    pair_totals, write_traces,
+    PairingConfig, TraceFormatError, build_pairs, csv_writer, ingest_traces, write_traces,
 )
 from .evaluation import EvalReport
 from .features import FEATURE_NAMES, FeatureFormatError, read_feature_matrix, write_feature_matrix
@@ -33,10 +33,6 @@ KDE_EXPORT_FEATURES = ("dtw_1", "dtw_2", "dtw_3", "high_3")
 EXIT_RUNTIME = 1
 EXIT_BAD_FILE = 2
 EXIT_BAD_CONFIG = 3
-
-
-class ConfigError(ValueError):
-    """Invalid configuration (bad key, bad value, or inconsistent settings)."""
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +81,12 @@ def parse_config(lines, source) -> dict:
 def build_run_config(values: dict) -> RunConfig:
     """Every stage config, range-checked; absent keys take the dataclass defaults."""
     seed = values.get("seed", 0)
-    try:
-        return RunConfig(
-            seed,
-            build(SimConfig, values, seed=derive_seed(seed, "simulate")),
-            build(PairingConfig, values),
-            build(ml.TrainConfig, values, seed=derive_seed(seed, "train")),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(
+        seed,
+        build(SimConfig, values, seed=derive_seed(seed, "simulate")),
+        build(PairingConfig, values),
+        build(ml.TrainConfig, values, seed=derive_seed(seed, "train")),
+    )
 
 
 def load_config_values(config_path=None, **overrides) -> dict:
@@ -106,10 +99,6 @@ def load_config_values(config_path=None, **overrides) -> dict:
             raise ConfigError(f"config file not found: {config_path}") from None
         values = parse_config(text.splitlines(), config_path)
     return values | {k: v for k, v in overrides.items() if v is not None}
-
-
-def load_run_config(config_path=None, **overrides) -> RunConfig:
-    return build_run_config(load_config_values(config_path, **overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +115,11 @@ def _write(args, outputs: dict, shown=None) -> int:
         if shown is None or name in shown:
             print(out / name)
     return 0
+
+
+def _text(text):
+    """A writer of one file holding `text`."""
+    return lambda path: path.write_text(text, encoding="utf-8")
 
 
 def _csv(header, rows, comments):
@@ -148,17 +142,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _pairs(cfg: RunConfig, points):
-    """The featurize stage's pair dataset, drawn with its derived seed.
-
-    A class count above what the points can give is a config error, raised
-    before any pair is featurized.
-    """
-    for key, total in zip(("n_positive", "n_negative"),
-                          pair_totals(points, cfg.pairing.trial_matching)):
-        count = getattr(cfg.pairing, key)
-        if count > total:
-            raise ConfigError(f"{key}: {count} samples requested but only {total} "
-                              "distinct (pair, trial) combinations exist")
+    """The featurize stage's pair dataset, drawn with its derived seed."""
     return build_pairs(points, cfg.pairing, seed=derive_seed(cfg.seed, "featurize"))
 
 
@@ -180,8 +164,7 @@ def _model_file(fitted, cfg: RunConfig) -> dict:
 
 
 def _report_file(report: EvalReport, cfg: RunConfig) -> dict:
-    text = report.to_json(extra={"config": cfg.echo()})
-    return {f"report_{report.algorithm}.json": lambda path: path.write_text(text, encoding="utf-8")}
+    return {f"report_{report.algorithm}.json": _text(report.to_json(extra={"config": cfg.echo()}))}
 
 
 def cmd_simulate(args) -> int:
@@ -192,12 +175,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_featurize(args) -> int:
     cfg = _load_config(args)
-    points = ingest_traces(args.traces)
-    try:
-        check_pairable(points)
-    except ValueError as exc:
-        raise TraceFormatError(None, str(exc)) from None
-    return _write(args, _features_file(_pairs(cfg, points), cfg))
+    return _write(args, _features_file(_pairs(cfg, ingest_traces(args.traces)), cfg))
 
 
 def cmd_train(args) -> int:
@@ -227,11 +205,14 @@ def _check_fits(y, train: ml.TrainConfig, algorithms, features=None, cv=True):
     """The evaluation plan of labels `y`, refused before any fit if they cannot meet it.
 
     A class with one row fits no split: bad input in a `features` file, else
-    a bad n_positive or n_negative.  The fits are the plan's holdout fit and,
-    with `cv`, its folds: cv_folds must fit the training side (also without
-    `cv`: the model records it), knn_k must not exceed the smallest fit's
-    rows, and every classifier but knn needs both classes in every fit.
+    a bad n_positive or n_negative, and so are no rows at all.  The fits are
+    the plan's holdout fit and, with `cv`, its folds: cv_folds must fit the
+    training side (also without `cv`: the model records it), knn_k must not
+    exceed the smallest fit's rows, and every classifier but knn needs both
+    classes in every fit.
     """
+    if not len(y):
+        raise ConfigError("n_positive, n_negative: both are 0, so there is nothing to fit")
     for cls in np.flatnonzero(np.bincount(y) == 1):
         if features:
             raise FeatureFormatError(None, f"{features}: class {cls} has 1 row; need >= 2")
@@ -272,6 +253,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("--importance requires the rf algorithm")
     X, y = read_feature_matrix(args.features)
     jobs = _check_fits(y, cfg.train, (cfg.train.algorithm,), args.features)
+    if args.kde and len(set(y.tolist())) < 2:
+        raise ConfigError(f"--kde requires both classes, but {args.features} has only class {y[0]}")
 
     report = evaluation.evaluate(X, y, cfg.train, fitted=fitted, jobs=jobs)
     outputs = _report_file(report, cfg)
@@ -280,9 +263,9 @@ def cmd_evaluate(args) -> int:
         outputs["importance.csv"] = _csv("feature,importance", rows, cfg.echo())
     if args.kde:
         indices = [FEATURE_NAMES.index(name) for name in KDE_EXPORT_FEATURES]
-        outputs["kde.csv"] = partial(
-            evaluation.write_kde_csv, X, y, FEATURE_NAMES, indices, comments=cfg.echo()
-        )
+        kde = io.StringIO()
+        evaluation.write_kde_csv(X, y, FEATURE_NAMES, indices, kde, comments=cfg.echo())
+        outputs["kde.csv"] = _text(kde.getvalue())
     return _write(args, outputs)
 
 

@@ -7,12 +7,14 @@ into the sorted point records, the n x 18 feature matrix, and the labels.
 """
 
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._schema import ConfigError
 from ._seeds import generator
 
 ROOM_LEFT = "left"
@@ -237,32 +239,30 @@ class PairingConfig:
             raise ValueError(f"unknown trial_matching {self.trial_matching!r}")
 
 
-def check_pairable(points):
-    """Raise ValueError unless there are points, two per room, each with a trial all APs cover."""
-    if not points:
-        raise ValueError("no points to pair")
-    for record in points:
-        if not record.trial_ids():
-            raise ValueError(f"point {record.point} lacks a trace for every access point")
-    rooms = [record.room for record in points]
-    for room in dict.fromkeys(rooms):
-        if rooms.count(room) < 2:
-            raise ValueError(f"room {room!r} has {rooms.count(room)} point(s); need >= 2")
-
-
 def _pair_counts(points, trial_matching):
     """Every (i, j) pair of `points` in itertools.combinations order, as index arrays;
     whether each pair shares a room; how many (trial_a, trial_b) combinations it
     has; and the point x trial membership matrix with the trial id of each column.
 
     "equal" counts the trials both points cover, "random" the product of the
-    two points' trial counts.
+    two points' trial counts.  Points that cannot pair raise TraceFormatError:
+    none, a room with fewer than two, or one without a trial every AP covers.
     """
+    if not points:
+        raise TraceFormatError(None, "no points to pair")
     trial_sets = [record.trial_ids() for record in points]
+    for record, trials in zip(points, trial_sets):
+        if not trials:
+            raise TraceFormatError(
+                None, f"point {record.point} lacks a trace for every access point")
+    rooms = [record.room for record in points]
+    for room, n in Counter(rooms).items():
+        if n < 2:
+            raise TraceFormatError(None, f"room {room!r} has {n} point(s); need >= 2")
     trial_ids = np.unique(np.concatenate(trial_sets))
     member = np.array([np.isin(trial_ids, trials) for trials in trial_sets], dtype=np.int64)
     i, j = np.triu_indices(len(points), k=1)
-    left = np.array([record.room == ROOM_LEFT for record in points])
+    left = np.array(rooms) == ROOM_LEFT
     if trial_matching == "equal":
         counts = (member @ member.T)[i, j]
     else:
@@ -274,15 +274,6 @@ def _pair_counts(points, trial_matching):
 def _nth_member(member_rows, n):
     """Column of each row's n-th (0-based) member."""
     return np.argmax(np.cumsum(member_rows, axis=1) > n[:, None], axis=1)
-
-
-def pair_totals(points, trial_matching: str) -> tuple[int, int]:
-    """(positive, negative): the distinct (pair, trial) combinations each class can draw.
-
-    The points must pass `check_pairable`.
-    """
-    _, _, same, counts, _, _ = _pair_counts(points, trial_matching)
-    return int(counts[same].sum()), int(counts[~same].sum())
 
 
 def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> Dataset:
@@ -297,23 +288,23 @@ def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> D
     in row-major order for "random"); a draw picks numbers and decodes them
     through the per-pair counts, so the combinations are never listed.
     Positive samples come first in the output, then negatives; within each
-    class the order is the generator's draw order.
+    class the order is the generator's draw order.  Points that cannot pair
+    raise TraceFormatError, and a class count above its combinations
+    ConfigError, both before any pair is featurized.
     """
     from .features import featurize_pair  # deferred: features needs this module's types
 
     config = config or PairingConfig()
     points = tuple(sorted(points, key=lambda p: p.point))
-    check_pairable(points)
     i, j, same, counts, member, trial_ids = _pair_counts(points, config.trial_matching)
 
     drawn = []
-    for label, count, in_class in ((1, config.n_positive, same), (0, config.n_negative, ~same)):
+    for label, key, in_class in ((1, "n_positive", same), (0, "n_negative", ~same)):
         class_i, class_j, class_counts = i[in_class], j[in_class], counts[in_class]
-        ends, total = np.cumsum(class_counts), int(class_counts.sum())
+        ends, total, count = np.cumsum(class_counts), int(class_counts.sum()), getattr(config, key)
         if count > total:
-            kind = ("negative", "positive")[label]
-            raise ValueError(f"{count} {kind} samples requested but only {total} "
-                             "distinct (pair, trial) combinations exist")
+            raise ConfigError(f"{key}: {count} samples requested but only {total} "
+                              "distinct (pair, trial) combinations exist")
         rng = generator(seed, "pairs", label)
         picks = rng.choice(total, size=count, replace=False)
         pair = np.searchsorted(ends, picks, side="right")

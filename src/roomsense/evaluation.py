@@ -141,6 +141,8 @@ def train_test_split(y, train_fraction: float = 0.75, seed: int = 0):
     25/50 test split.
     """
     y = np.asarray(y, dtype=int)
+    if not len(y):
+        raise ValueError("no labels to split")
     if not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     rng = generator(seed, "split")
@@ -253,19 +255,6 @@ class EvalReport:
         if extra:
             doc.update(extra)
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            algorithm=d["algorithm"],
-            seed=d["seed"],
-            confusion=ConfusionMatrix(**d["confusion"]),
-            accuracy=d["accuracy"],
-            f1_class0=d["f1"]["class0"],
-            f1_class1=d["f1"]["class1"],
-            cv_accuracies=tuple(d["cv_accuracies"]),
-            importance=None if d["importance"] is None else tuple(d["importance"]),
-        )
 
 
 def plan(y, cfg: ml.TrainConfig) -> list:

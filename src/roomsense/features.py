@@ -10,6 +10,7 @@ sequences.  Concatenating the six features over the three APs yields the
 """
 
 import math
+import sys
 from array import array
 from bisect import bisect_right
 
@@ -124,4 +125,11 @@ def read_feature_matrix(source):
             values.extend(row)
     if not labels:
         raise FeatureFormatError(1, "no samples in the file")
-    return np.frombuffer(values).reshape(-1, width), np.frombuffer(labels, dtype=np.int8).astype(int)
+    X = np.frombuffer(values).reshape(-1, width)
+    # a standardizer sums the squared deviations of up to len(X) rows; keep that sum finite
+    limit = math.sqrt(sys.float_info.max / len(X)) / 4
+    if max(X.max(), -X.min()) >= limit:  # whole-matrix reductions: no n x 18 temporary
+        row = np.flatnonzero(np.abs(X).max(axis=1) >= limit)[0]
+        raise FeatureFormatError(None, f"sample {row + 1}: a feature value of magnitude "
+                                       f">= {limit:.3g} is too large to standardize")
+    return X, np.frombuffer(labels, dtype=np.int8).astype(int)

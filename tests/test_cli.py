@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import random
+import shutil
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from roomsense import cli, evaluation
+from roomsense import cli, dataset, evaluation
 from roomsense.dataset import ingest_traces
 from roomsense.features import FEATURE_CSV_HEADER, read_feature_matrix, write_feature_matrix
 
@@ -409,6 +411,9 @@ REFUSED_RUNS = {
     "evaluate-lr-one-class": (
         ("evaluate", "one-class", "--algorithm", "lr"), "", 3,
         "error: config: algorithm: lr requires both classes in the training data"),
+    "evaluate-kde-one-class": (
+        ("evaluate", "one-class", "--algorithm", "knn", "--kde"), "", 3,
+        "error: config: --kde requires both classes, but "),
     "evaluate-model-other-seed": (
         ("evaluate", "features", "--model", "model", "--seed", "7"), "", 3,
         "seed=7 contradicts the model's seed=42"),
@@ -438,6 +443,9 @@ REFUSED_RUNS = {
     "benchmark-one-positive-sample": (
         ("benchmark",), "n_positive=1", 3,
         "error: config: n_positive: 1 sample fits no split; need >= 2"),
+    "benchmark-no-samples": (
+        ("benchmark",), "n_positive=0\nn_negative=0", 3,
+        "error: config: n_positive, n_negative: both are 0, so there is nothing to fit"),
     "train-features-one-class-1-row": (
         ("train", "one-positive", "--algorithm", "knn"), "", 2,
         "one-positive.csv: class 1 has 1 row; need >= 2"),
@@ -492,6 +500,23 @@ def test_benchmark_draws_the_split_and_folds_once(tmp_path, config_path, monkeyp
     assert run("benchmark", "--config", config_path, "--seed", "42",
                "--out", str(tmp_path / "out")) == 0
     assert calls == {"train_test_split": 1, "kfold": 1}
+
+
+def test_featurize_and_benchmark_count_pairs_once(tmp_path, config_path, monkeypatch):
+    # build_pairs alone decides whether the points pair and give the class counts
+    calls = []
+    pair_counts = dataset._pair_counts
+    monkeypatch.setattr(dataset, "_pair_counts", lambda *a: calls.append(a) or pair_counts(*a))
+    assert run("simulate", "--config", config_path, "--out", str(tmp_path)) == 0
+    traces = str(tmp_path / "traces.csv")
+    assert run("featurize", traces, "--config", config_path, "--out", str(tmp_path)) == 0
+    assert len(calls) == 1
+    too_many = tmp_path / "too-many.cfg"
+    too_many.write_text(SMALL_CONFIG + "n_positive=100000\n", encoding="utf-8")
+    assert run("featurize", traces, "--config", str(too_many), "--out", str(tmp_path / "x")) == 3
+    assert len(calls) == 2
+    assert run("benchmark", "--config", config_path, "--out", str(tmp_path / "bench")) == 0
+    assert len(calls) == 3
 
 
 def test_knn_k_at_the_smallest_fit_runs(tmp_path, saved_models):
@@ -594,19 +619,98 @@ NON_DEFAULT_CONFIG = {
 }
 
 
+def _run_config(config_path=None, **overrides):
+    return cli.build_run_config(cli.load_config_values(config_path, **overrides))
+
+
 def test_parse_config_round_trip(tmp_path):
-    cfg = cli.load_run_config(None, seed=9)
+    cfg = _run_config(None, seed=9)
     echo = cfg.echo()
     path = tmp_path / "echo.cfg"
     path.write_text("".join(f"{k}={v}\n" for k, v in echo.items()), encoding="utf-8")
-    assert cli.load_run_config(str(path)) == cfg
+    assert _run_config(str(path)) == cfg
 
-    defaults = cli.load_run_config(None).echo()
+    defaults = _run_config(None).echo()
     assert list(NON_DEFAULT_CONFIG) == list(defaults)
     assert all(NON_DEFAULT_CONFIG[k] != defaults[k] for k in defaults)
     path.write_text("".join(f"{k}={v}\n" for k, v in NON_DEFAULT_CONFIG.items()))
-    cfg = cli.load_run_config(str(path))
+    cfg = _run_config(str(path))
     assert cfg.echo() == NON_DEFAULT_CONFIG
     assert cfg.train.svm.gamma == 0.3 and cfg.train.dt.max_depth == 6
     assert cfg.train.dt.max_features == 2 and cfg.train.rf.max_features == 3
     assert cfg.train.rf.bootstrap is False
+
+
+# field values a mutation writes: empty, not a number, not finite, signed zero,
+# small, negative and huge
+MUTANT_VALUES = ("", "x", "nan", "inf", "-inf", "none", "true", "0", "-0", "-1", "1", "2",
+                 "3.5", "-100", "99999", "1e308")
+
+
+def _mutate(text, rng, sep=","):
+    """`text` with one seeded edit: a field (split on `sep`) replaced, dropped or
+    doubled, a line dropped or doubled, or the text cut short."""
+    lines = text.splitlines(keepends=True)
+    k = rng.randrange(len(lines))
+    edit = rng.choice(("replace", "replace", "drop-field", "double-field", "drop-line",
+                       "double-line", "cut"))
+    if edit == "cut":
+        return text[:rng.randrange(len(text))]
+    if edit == "drop-line":
+        del lines[k]
+    elif edit == "double-line":
+        lines.insert(k, lines[k])
+    else:
+        fields = lines[k].rstrip("\n").split(sep)
+        f = rng.randrange(len(fields))
+        if edit == "replace":
+            fields[f] = rng.choice(MUTANT_VALUES)
+        elif edit == "drop-field":
+            del fields[f]
+        else:
+            fields.insert(f, fields[f])
+        lines[k] = sep.join(fields) + "\n"
+    return "".join(lines)
+
+
+def test_mutated_inputs_exit_0_2_or_3_and_leave_no_output_on_failure(
+        tmp_path, saved_models, capsys):
+    """Seeded edits of trace, feature and config files through featurize, train
+    and evaluate --kde: each run succeeds, or is refused with exit 2 or 3 and no
+    `--out`.  Case 0 is the unedited one-class feature file."""
+    X, y = read_feature_matrix(saved_models / "features.csv")
+    one_class = tmp_path / "one-class.csv"
+    write_feature_matrix(X[y == 0], y[y == 0], one_class)
+    base = {
+        "traces": (saved_models / "traces.csv").read_text(encoding="utf-8"),
+        "features": (saved_models / "features.csv").read_text(encoding="utf-8"),
+        "one-class": one_class.read_text(encoding="utf-8"),
+    }
+    config_keys = ["seed", *cli.CONFIG_KEYS]
+    runs = [("featurize", "traces"), ("train", "features", "--algorithm", "dt"),
+            ("evaluate", "features", "--algorithm", "knn", "--kde")]
+    failures = []
+    for case in range(150):
+        rng = random.Random(case)
+        kind = "one-class" if case == 0 else rng.choice((*base, "config"))
+        files = {"traces": base["traces"], "features": base["features"], "config": SMALL_CONFIG}
+        if kind == "config" and rng.random() < 0.5:
+            files["config"] += f"{rng.choice(config_keys)}={rng.choice(MUTANT_VALUES)}\n"
+        elif kind == "config":
+            files["config"] = _mutate(SMALL_CONFIG, rng, sep="=")
+        else:
+            files["traces" if kind == "traces" else "features"] = (
+                _mutate(base[kind], rng) if case else base[kind])
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        for argv in {"traces": runs[:1], "config": runs}.get(kind, runs[1:]):
+            out = tmp_path / "out"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(*(str(tmp_path / a) if a in files else a for a in argv),
+                           "--config", str(tmp_path / "config"), "--out", str(out))
+            err = capsys.readouterr().err.strip()
+            if code not in (0, 2, 3) or out.exists() != (code == 0):
+                failures.append((case, kind, argv[0], code, out.exists(), err))
+            shutil.rmtree(out, ignore_errors=True)
+    assert failures == []

@@ -9,6 +9,7 @@ import pytest
 from conftest import make_point_same_traces
 from oracles import pair_rows_oracle
 from roomsense import features
+from roomsense._schema import ConfigError
 from roomsense._seeds import derive_seed
 from roomsense.cli import build_run_config
 from roomsense.dataset import (
@@ -19,7 +20,6 @@ from roomsense.dataset import (
     TraceFormatError,
     build_pairs,
     ingest_traces,
-    pair_totals,
     room_of,
     write_traces,
 )
@@ -227,10 +227,11 @@ def test_build_pairs_unreachable_counts(monkeypatch):
         make_point_same_traces(-5, 4, [-60]),
         make_point_same_traces(-7, 6, [-62]),
     ]
-    with pytest.raises(ValueError, match="negative"):
+    # the CLI prints these messages as they are raised, and exits 3 on a ConfigError
+    with pytest.raises(ConfigError, match="^n_negative: 1 samples requested but only 0 distinct"):
         build_pairs(one_room, PairingConfig(n_positive=1, n_negative=1), seed=0)
     points = _two_room_points(per_room=2, trials=(0,))
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ConfigError, match="^n_positive: 50 samples requested but only 2 distinct"):
         build_pairs(points, PairingConfig(n_positive=50, n_negative=1), seed=0)
     assert calls == []  # both counts are checked before any pair is featurized
 
@@ -241,9 +242,10 @@ def test_build_pairs_requires_two_points_per_room():
         make_point_same_traces(5, 4, [-50]),
         make_point_same_traces(6, 5, [-51]),
     ]
-    with pytest.raises(ValueError, match="need >= 2"):
+    # a file that cannot pair is a TraceFormatError of the whole file, exit 2 from the CLI
+    with pytest.raises(TraceFormatError, match=r"^room 'left' has 1 point\(s\); need >= 2$"):
         build_pairs(points, PairingConfig(n_positive=1, n_negative=1), seed=0)
-    with pytest.raises(ValueError, match="no points to pair"):
+    with pytest.raises(TraceFormatError, match="^no points to pair$"):
         build_pairs([], PairingConfig(n_positive=0, n_negative=0), seed=0)
 
 
@@ -265,8 +267,7 @@ def _uneven_points():
 @pytest.mark.parametrize("trial_matching", ["equal", "random"])
 def test_build_pairs_draws_the_listed_combinations(trial_matching):
     points = _uneven_points()
-    n_pos, n_neg = pair_totals(points, trial_matching)
-    assert (n_pos, n_neg) == {"equal": (33, 44), "random": (99, 132)}[trial_matching]
+    n_pos, n_neg = {"equal": (33, 44), "random": (99, 132)}[trial_matching]
     # a few of each, every combination, and none of one class
     for counts in ((5, 7), (n_pos, n_neg), (0, 4), (3, 0), (0, 0)):
         for seed in (0, 1, 7):
@@ -274,7 +275,7 @@ def test_build_pairs_draws_the_listed_combinations(trial_matching):
             assert ds.samples.dtype == np.int64
             assert ds.samples.tolist() == pair_rows_oracle(points, *counts, trial_matching, seed)
     for counts in ((n_pos + 1, 0), (0, n_neg + 1)):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ConfigError, match=f"only {max(counts) - 1} distinct"):
             build_pairs(points, PairingConfig(*counts, trial_matching))
 
 

@@ -12,7 +12,6 @@ from roomsense import ml
 from roomsense._seeds import derive_seed
 from roomsense.evaluation import (
     ConfusionMatrix,
-    EvalReport,
     accuracy,
     cross_validate,
     density_grid,
@@ -145,6 +144,8 @@ def test_split_errors():
         train_test_split(np.array([0, 1, 1]), 0.75, seed=0)  # class 0 too small
     with pytest.raises(ValueError):
         train_test_split(np.array([0, 0, 1, 1]), 1.5, seed=0)
+    with pytest.raises(ValueError, match="^no labels to split$"):
+        train_test_split(np.array([], dtype=int), 0.75, seed=0)
 
 
 def test_kfold_even_division():
@@ -302,7 +303,7 @@ def test_report_json_round_trip():
         "algorithm", "seed", "confusion", "accuracy", "f1", "cv_accuracies", "importance",
     }
     assert doc["confusion"].keys() == {"tp", "fp", "fn", "tn"}
-    assert EvalReport.from_dict(doc) == report
+    assert doc == report.to_dict()  # lossless: every float survives the JSON text
 
 
 def test_write_kde_csv_format():

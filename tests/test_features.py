@@ -1,12 +1,16 @@
 """Feature operations: worked examples, symmetry, and the matrix file format."""
 
 import io
+import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_point, make_point_same_traces
 from oracles import ap_features_oracle, naive_features
+from roomsense.evaluation import standardize_fit
 from roomsense.features import (
     AP_FEATURE_NAMES,
     FEATURE_CSV_HEADER,
@@ -218,3 +222,23 @@ def test_feature_matrix_errors():
         read_feature_matrix(io.StringIO(bad_value))
     with pytest.raises(FeatureFormatError, match="no samples"):
         read_feature_matrix(io.StringIO("# seed=3\n" + FEATURE_CSV_HEADER + "\n"))
+
+
+def test_feature_values_too_large_to_standardize_are_refused():
+    # the bound keeps every fit's sum of squared deviations finite: the largest
+    # accepted magnitude standardizes without overflow, the bound itself is refused
+    y = np.array([0, 0, 1, 1])
+    limit = math.sqrt(sys.float_info.max / len(y)) / 4
+    X = np.zeros((len(y), 18))
+    X[0, 0], X[1, 0] = np.nextafter(limit, 0), -np.nextafter(limit, 0)
+    buf = io.StringIO()
+    write_feature_matrix(X, y, buf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaler = standardize_fit(read_feature_matrix(io.StringIO(buf.getvalue()))[0])
+    assert np.isfinite(scaler.std).all()
+    X[2, 5] = -limit
+    buf = io.StringIO()
+    write_feature_matrix(X, y, buf)
+    with pytest.raises(FeatureFormatError, match="^sample 3: .* too large to standardize$"):
+        read_feature_matrix(io.StringIO(buf.getvalue()))
