@@ -15,27 +15,25 @@ class ConfigError(ValueError):
     """Invalid configuration (bad key, bad value, or inconsistent settings)."""
 
 
-def field_specs(cls, prefix="") -> dict:
-    """Config key -> dataclass Field, in declaration order."""
-    specs = {}
-    for f in fields(cls):
+def _leaves(node, prefix=""):
+    """(config key, Field, holder) of each field of the dataclass or instance `node`
+    that is not itself a dataclass, in declaration order; the holder has the field."""
+    for f in fields(node):
         if is_dataclass(f.type):
-            specs |= field_specs(f.type, f"{prefix}{f.name}_")
+            child = f.type if isinstance(node, type) else getattr(node, f.name)
+            yield from _leaves(child, f"{prefix}{f.name}_")
         else:
-            specs[prefix + f.name] = f
-    return specs
+            yield prefix + f.name, f, node
 
 
-def flatten(obj, prefix="") -> dict:
+def field_specs(cls) -> dict:
+    """Config key -> dataclass Field, in declaration order."""
+    return {key: f for key, f, _ in _leaves(cls)}
+
+
+def flatten(obj) -> dict:
     """Config key -> value, in declaration order; seeds derive from the run seed, so not kept."""
-    values = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            values |= flatten(value, f"{prefix}{f.name}_")
-        elif f.name != "seed":
-            values[prefix + f.name] = value
-    return values
+    return {key: getattr(holder, f.name) for key, f, holder in _leaves(obj) if f.name != "seed"}
 
 
 def build(cls, values: dict, prefix="", **given):

@@ -89,18 +89,6 @@ def build_run_config(values: dict) -> RunConfig:
     )
 
 
-def load_config_values(config_path=None, **overrides) -> dict:
-    """The config file's typed values, then every override that is not None."""
-    values = {}
-    if config_path:
-        try:
-            text = Path(config_path).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {config_path}") from None
-        values = parse_config(text.splitlines(), config_path)
-    return values | {k: v for k, v in overrides.items() if v is not None}
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -131,10 +119,16 @@ def _csv(header, rows, comments):
 
 
 def _config_values(args) -> dict:
-    """The values this command was given, by --config file or by flag."""
-    return load_config_values(
-        args.config, seed=args.seed, algorithm=getattr(args, "algorithm", None)
-    )
+    """The values this command was given: its --config file's, then each flag it was given."""
+    values = {}
+    if args.config:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        values = parse_config(text.splitlines(), args.config)
+    flags = {"seed": args.seed, "algorithm": getattr(args, "algorithm", None)}
+    return values | {key: value for key, value in flags.items() if value is not None}
 
 
 def _load_config(args) -> RunConfig:
@@ -192,7 +186,7 @@ def _load_fitted(path):
         echo = (f"{key}={value}" for key, value in doc["config"].items())
         cfg = build_run_config(parse_config(echo, path))
         scaler = evaluation.Standardizer.from_dict(doc["pipeline"]["standardizer"])
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ml.ModelFormatError(f"bad pipeline info in model document ({exc})") from None
     if len(scaler.mean) != model.n_features_:
         raise ml.ModelFormatError(
@@ -272,9 +266,6 @@ def cmd_evaluate(args) -> int:
 def cmd_benchmark(args) -> int:
     """Full pipeline over all five classifiers, in memory; writes every stage output."""
     cfg = _load_config(args)
-    if cfg.sim.devices_per_room < 2:
-        raise ConfigError(f"devices_per_room: {cfg.sim.devices_per_room} device(s) per room "
-                          "leave no pair within a room; need >= 2")
     points = generate(cfg.sim)
     dataset = _pairs(cfg, points)
     X, y = dataset.X, dataset.y
@@ -340,7 +331,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (TraceFormatError, FeatureFormatError, ml.ModelFormatError, FileNotFoundError) as exc:
+    except (TraceFormatError, FeatureFormatError, ml.ModelFormatError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -120,12 +120,16 @@ def csv_reader(source, header, error):
 
     `source` may be a path, an open text file, or an iterable of lines.
     Blank and '#' comment lines are skipped; a missing or different header
-    raises `error(line_no, message)`.
+    raises `error(line_no, message)`, and so does a path that cannot be
+    read or decoded as UTF-8 (`error(None, ...)`, chained from the cause).
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as fh:
-            with csv_reader(fh, header, error) as rows:
-                yield rows
+        try:
+            with open(source, encoding="utf-8", newline="") as fh:
+                with csv_reader(fh, header, error) as rows:
+                    yield rows
+        except (OSError, UnicodeDecodeError) as exc:
+            raise error(None, f"cannot read {source}: {exc}") from exc
         return
     lines = ((n, raw.strip()) for n, raw in enumerate(source, start=1))
     lines = ((n, line) for n, line in lines if line and not line.startswith("#"))

@@ -133,7 +133,7 @@ def model_from_dict(doc: dict):
         return MODELS[algorithm].from_params(doc["params"])
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ModelFormatError(f"malformed model document ({exc})") from None
 
 
@@ -146,9 +146,10 @@ def save_model(model, path, extra: dict | None = None):
 
 
 def load_model(path):
-    """Load a model saved by save_model; returns (model, full document)."""
+    """Load a model saved by save_model; returns (model, full document).  A path
+    that is unreadable, not UTF-8 or not JSON (too deep included) raises ModelFormatError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON ({exc})") from None
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise ModelFormatError(f"cannot read {path}: {exc}") from exc
     return model_from_dict(doc), doc

@@ -7,7 +7,6 @@ has one wall between itself and every AP.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from ._seeds import generator
@@ -62,8 +61,11 @@ class SimConfig:
                 raise ValueError(f"{name} dimensions must be positive, got {width}x{depth}")
         if len(self.ap_positions) != 3:
             raise ValueError("expected exactly three access points")
-        if self.devices_per_room < 1 or self.trials < 1 or self.samples_per_trial < 1:
-            raise ValueError("devices_per_room, trials and samples_per_trial must be >= 1")
+        if self.devices_per_room < 2:
+            raise ValueError(f"devices_per_room: {self.devices_per_room} device(s) per room "
+                             "leave no pair within a room; need >= 2")
+        if self.trials < 1 or self.samples_per_trial < 1:
+            raise ValueError("trials and samples_per_trial must be >= 1")
 
 
 def path_loss_db(d_m: float, gamma: float = 2.5, d0_m: float = 1.0) -> float:
@@ -148,12 +150,6 @@ def generate(cfg: SimConfig) -> list[PointRecord]:
     at a time from that stream (with noise_sigma_db 0 every draw is 0.0,
     which leaves the level as it is).
     """
-    if cfg.devices_per_room < 2:
-        warnings.warn(
-            "devices_per_room < 2 leaves too few points per room to build pairs",
-            stacklevel=2,
-        )
-
     left_w, left_d = cfg.room_left
     right_w, right_d = cfg.room_right
     placements = _room_points(

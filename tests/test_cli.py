@@ -289,7 +289,18 @@ def _drop_last_scaled_feature(doc):
     _scaler(doc)["std"].pop()
 
 
-# saved-model edits that loading must reject: (algorithm, edit of the whole document)
+def _nested_tree_text(doc, depth):
+    """The document's text with a tree of `depth` nested splits, deeper than `json`
+    decodes or `Node.from_dict` recurses (`json.dumps` cannot write it either)."""
+    doc["params"]["tree"] = None
+    leaf = '{"value": 0, "n": 1}'
+    split = f'{{"feature": 0, "threshold": 0.0, "decrease": 0.0, "n": 1, "right": {leaf}, "left": '
+    tree = split * depth + leaf + "}" * depth
+    return json.dumps(doc).replace('"tree": null', f'"tree": {tree}')
+
+
+# saved-model edits that loading must reject: (algorithm, edit of the whole document,
+# which returns the document's text when json.dumps cannot write it)
 TAMPERED_MODELS = {
     "dt-split-feature-99": ("dt", lambda d: d["params"]["tree"].update(feature=99)),
     "rf-split-feature-negative":
@@ -313,6 +324,11 @@ TAMPERED_MODELS = {
     "lr-scaler-one-feature-short": ("lr", _drop_last_scaled_feature),
     "svm-scaler-one-feature-short": ("svm", _drop_last_scaled_feature),
     "knn-scaler-one-feature-short": ("knn", _drop_last_scaled_feature),
+    "lr-weight-400-digits": ("lr", lambda d: d["params"]["weights"].__setitem__(0, 10**400)),
+    "lr-mean-400-digits": ("lr", lambda d: _scaler(d)["mean"].__setitem__(0, 10**400)),
+    "knn-y-1e308": ("knn", lambda d: d["params"]["y"].__setitem__(0, 1e308)),
+    "svm-n-features-inf": ("svm", lambda d: d["params"].update(n_features=float("inf"))),
+    "dt-tree-5000-deep": ("dt", lambda d: _nested_tree_text(d, 5000)),
 }
 
 
@@ -331,14 +347,17 @@ def saved_models(tmp_path_factory):
 
 
 @pytest.mark.parametrize("case", TAMPERED_MODELS)
-def test_tampered_model_exits_2(tmp_path, saved_models, case):
+def test_tampered_model_exits_2(tmp_path, saved_models, capsys, case):
     algorithm, tamper = TAMPERED_MODELS[case]
     doc = json.loads((saved_models / f"model_{algorithm}.json").read_text())
-    tamper(doc)
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc), encoding="utf-8")
-    assert run("evaluate", str(saved_models / "features.csv"), "--out", str(tmp_path),
+    text = tamper(doc)
+    model.write_text(text if isinstance(text, str) else json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("evaluate", str(saved_models / "features.csv"), "--out", str(out),
                "--model", str(model)) == 2
+    assert capsys.readouterr().err.startswith("error: input: ")
+    assert not out.exists()
 
 
 def test_scaler_width_mismatch_exits_2_naming_both_counts(tmp_path, saved_models, capsys):
@@ -370,10 +389,47 @@ TRACE_FILES = {
 
 # (argv, config lines, exit code, stderr fragment) of runs refused before
 # `--out` exists.  "features", "traces", "one-class", "no-rows" and "model"
-# name input files, and so does each TRACE_FILES name.  The saved features
-# have 24 rows, 18 of them on the training side; the saved traces hold 36
-# positive (pair, trial) combinations.
+# name input files, and so does each TRACE_FILES name.  "missing" names no
+# file, "directory" a directory, and "non-utf-8-<kind>" the saved file of that
+# kind with a 0xff byte near its end.  The config lines' file is passed
+# before the rest of argv, so an argv's own `--config` wins.  The saved
+# features have 24 rows, 18 of them on the training side; the saved traces
+# hold 36 positive (pair, trial) combinations.
 REFUSED_RUNS = {
+    "featurize-traces-missing": (
+        ("featurize", "missing"), "", 2, "missing: [Errno 2] No such file or directory"),
+    "featurize-traces-directory": (
+        ("featurize", "directory"), "", 2, "directory: [Errno 21] Is a directory"),
+    "featurize-traces-non-utf-8": (
+        ("featurize", "non-utf-8-traces"), "", 2,
+        "non-utf-8-traces: 'utf-8' codec can't decode byte 0xff"),
+    "train-features-missing": (
+        ("train", "missing"), "", 2, "missing: [Errno 2] No such file or directory"),
+    "train-features-directory": (
+        ("train", "directory"), "", 2, "directory: [Errno 21] Is a directory"),
+    "train-features-non-utf-8": (
+        ("train", "non-utf-8-features"), "", 2,
+        "non-utf-8-features: 'utf-8' codec can't decode byte 0xff"),
+    "evaluate-model-missing": (
+        ("evaluate", "features", "--model", "missing"), "", 2,
+        "missing: [Errno 2] No such file or directory"),
+    "evaluate-model-directory": (
+        ("evaluate", "features", "--model", "directory"), "", 2,
+        "directory: [Errno 21] Is a directory"),
+    "evaluate-model-non-utf-8": (
+        ("evaluate", "features", "--model", "non-utf-8-model"), "", 2,
+        "non-utf-8-model: 'utf-8' codec can't decode byte 0xff"),
+    "simulate-config-missing": (
+        ("simulate", "--config", "missing"), "", 3,
+        "missing: [Errno 2] No such file or directory"),
+    "simulate-config-directory": (
+        ("simulate", "--config", "directory"), "", 3, "directory: [Errno 21] Is a directory"),
+    "simulate-config-non-utf-8": (
+        ("simulate", "--config", "non-utf-8-config"), "", 3,
+        "non-utf-8-config: 'utf-8' codec can't decode byte 0xff"),
+    "simulate-one-device-per-room": (
+        ("simulate",), "devices_per_room=1", 3,
+        "error: config: devices_per_room: 1 device(s) per room leave no pair within a room"),
     "featurize-traces-header-only": (
         ("featurize", "header-only"), "", 2, "error: input: no points to pair"),
     "featurize-traces-bad-row": (
@@ -470,18 +526,26 @@ def test_refused_run_leaves_no_output(tmp_path, saved_models, capsys, case):
         "one-positive": tmp_path / "one-positive.csv",
         "no-rows": tmp_path / "no-rows.csv",
         "model": saved_models / "model_dt.json",
+        "missing": tmp_path / "missing",
+        "directory": tmp_path / "directory",
     }
+    paths["directory"].mkdir()
+    (tmp_path / "run.cfg").write_text(config + "\n", encoding="utf-8")
+    for kind, path in (("traces", paths["traces"]), ("features", paths["features"]),
+                       ("model", paths["model"]), ("config", tmp_path / "run.cfg")):
+        data = path.read_bytes()
+        paths[f"non-utf-8-{kind}"] = tmp_path / f"non-utf-8-{kind}"
+        paths[f"non-utf-8-{kind}"].write_bytes(data[:-10] + b"\xff" + data[-10:])
     for name, rows in TRACE_FILES.items():
         paths[name] = tmp_path / f"{name}.csv"
         paths[name].write_text("point_x,point_y,ap_id,trial,seq,rssi_dbm\n" + rows,
                                encoding="utf-8")
-    (tmp_path / "run.cfg").write_text(config + "\n", encoding="utf-8")
     out = tmp_path / "out"
+    argv = [str(paths.get(a, a)) for a in argv]
     with warnings.catch_warnings():
-        # a refused run warns of nothing: benchmark refuses one device per room before generate()
-        warnings.simplefilter("error")
-        assert run(*(str(paths.get(a, a)) for a in argv),
-                   "--config", str(tmp_path / "run.cfg"), "--out", str(out)) == code
+        warnings.simplefilter("error")  # a refused run warns of nothing
+        assert run(argv[0], "--config", str(tmp_path / "run.cfg"), *argv[1:],
+                   "--out", str(out)) == code
     err = capsys.readouterr().err
     # exit 2 is a bad input file and exit 3 a bad config; no refused run exits 1
     assert err.startswith({2: "error: input: ", 3: "error: config: "}[code])
@@ -619,22 +683,24 @@ NON_DEFAULT_CONFIG = {
 }
 
 
-def _run_config(config_path=None, **overrides):
-    return cli.build_run_config(cli.load_config_values(config_path, **overrides))
+def _run_config(*flags):
+    """The run config of `simulate` with these flags."""
+    args = cli.build_parser().parse_args(["simulate", *flags])
+    return cli.build_run_config(cli._config_values(args))
 
 
 def test_parse_config_round_trip(tmp_path):
-    cfg = _run_config(None, seed=9)
+    cfg = _run_config("--seed", "9")
     echo = cfg.echo()
     path = tmp_path / "echo.cfg"
     path.write_text("".join(f"{k}={v}\n" for k, v in echo.items()), encoding="utf-8")
-    assert _run_config(str(path)) == cfg
+    assert _run_config("--config", str(path)) == cfg
 
-    defaults = _run_config(None).echo()
+    defaults = _run_config().echo()
     assert list(NON_DEFAULT_CONFIG) == list(defaults)
     assert all(NON_DEFAULT_CONFIG[k] != defaults[k] for k in defaults)
     path.write_text("".join(f"{k}={v}\n" for k, v in NON_DEFAULT_CONFIG.items()))
-    cfg = _run_config(str(path))
+    cfg = _run_config("--config", str(path))
     assert cfg.echo() == NON_DEFAULT_CONFIG
     assert cfg.train.svm.gamma == 0.3 and cfg.train.dt.max_depth == 6
     assert cfg.train.dt.max_features == 2 and cfg.train.rf.max_features == 3
@@ -649,13 +715,17 @@ MUTANT_VALUES = ("", "x", "nan", "inf", "-inf", "none", "true", "0", "-0", "-1",
 
 def _mutate(text, rng, sep=","):
     """`text` with one seeded edit: a field (split on `sep`) replaced, dropped or
-    doubled, a line dropped or doubled, or the text cut short."""
+    doubled, a line dropped or doubled, the text cut short, or a lone surrogate
+    inserted, which `surrogateescape` writes as the byte 0xff (not UTF-8)."""
     lines = text.splitlines(keepends=True)
     k = rng.randrange(len(lines))
     edit = rng.choice(("replace", "replace", "drop-field", "double-field", "drop-line",
-                       "double-line", "cut"))
+                       "double-line", "cut", "byte-ff"))
     if edit == "cut":
         return text[:rng.randrange(len(text))]
+    if edit == "byte-ff":
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + "\udcff" + text[at:]
     if edit == "drop-line":
         del lines[k]
     elif edit == "double-line":
@@ -702,7 +772,7 @@ def test_mutated_inputs_exit_0_2_or_3_and_leave_no_output_on_failure(
             files["traces" if kind == "traces" else "features"] = (
                 _mutate(base[kind], rng) if case else base[kind])
         for name, text in files.items():
-            (tmp_path / name).write_text(text, encoding="utf-8")
+            (tmp_path / name).write_bytes(text.encode("utf-8", "surrogateescape"))
         for argv in {"traces": runs[:1], "config": runs}.get(kind, runs[1:]):
             out = tmp_path / "out"
             with warnings.catch_warnings():

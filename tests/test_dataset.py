@@ -1,6 +1,7 @@
 """Trace ingestion, unique values, and pair-dataset construction."""
 
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import make_point_same_traces
 from oracles import pair_rows_oracle
-from roomsense import features
+from roomsense import features, ml
 from roomsense._schema import ConfigError
 from roomsense._seeds import derive_seed
 from roomsense.cli import build_run_config
@@ -23,6 +24,7 @@ from roomsense.dataset import (
     room_of,
     write_traces,
 )
+from roomsense.features import FeatureFormatError, read_feature_matrix
 from roomsense.simulator import SimConfig, generate
 
 HEADER = "point_x,point_y,ap_id,trial,seq,rssi_dbm\n"
@@ -124,6 +126,20 @@ def test_write_ingest_round_trip(tmp_path):
     path = tmp_path / "traces.csv"
     write_traces(points, path, comments={"origin": "unit-test"})
     assert ingest_traces(path) == sorted(points, key=lambda p: p.point)
+
+
+def test_unreadable_paths_raise_the_format_error_chained_from_the_cause(tmp_path):
+    not_utf_8 = tmp_path / "not-utf-8"
+    not_utf_8.write_bytes(b"point_x,point_y,ap_id,trial,seq,rssi_dbm\n\xff\n")
+    readers = ((ingest_traces, TraceFormatError), (read_feature_matrix, FeatureFormatError),
+               (ml.load_model, ml.ModelFormatError))
+    causes = ((tmp_path / "missing", FileNotFoundError), (tmp_path, IsADirectoryError),
+              (not_utf_8, UnicodeDecodeError))
+    for read, error in readers:
+        for path, cause in causes:
+            with pytest.raises(error, match=f"^cannot read {re.escape(str(path))}: ") as raised:
+                read(path)
+            assert isinstance(raised.value.__cause__, cause)
 
 
 def test_trace_unique_examples():

@@ -673,6 +673,14 @@ def test_load_model_rejects_garbage(tmp_path):
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ml.ModelFormatError, match="malformed"):
             ml.load_model(path)
+    tree = {"value": 0, "n": 1}
+    for _ in range(5000):  # deeper than Node.from_dict recurses
+        tree = {"feature": 0, "threshold": 0.0, "decrease": 0.0, "n": 1, "left": tree,
+                "right": {"value": 1, "n": 1}}
+    doc = {"format_version": ml.MODEL_FORMAT_VERSION, "algorithm": "dt",
+           "params": {"n_features": 1, "tree": tree}}
+    with pytest.raises(ml.ModelFormatError, match="malformed"):
+        ml.model_from_dict(doc)
 
 
 def test_rf_importance_survives_serialization(tmp_path):

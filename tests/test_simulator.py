@@ -1,6 +1,7 @@
 """Signal model, geometry, and trace generation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,10 +166,13 @@ def test_generate_round_trips_through_trace_file(tmp_path):
     assert ingest_traces(path) == sorted(records, key=lambda r: r.point)
 
 
-def test_generate_warns_on_single_device_room():
-    cfg = SimConfig(devices_per_room=1, trials=1, samples_per_trial=1, seed=1)
-    with pytest.warns(UserWarning, match="devices_per_room"):
-        generate(cfg)
+def test_config_refuses_fewer_than_two_devices_per_room():
+    # a pair is two devices in one room, so one device per room can never yield one
+    for n in (1, 0):
+        message = f"devices_per_room: {n} device(s) per room leave no pair within a room"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}; need >= 2$"):
+            SimConfig(devices_per_room=n)
+    assert len(generate(SimConfig(devices_per_room=2, trials=1, samples_per_trial=1))) == 4
 
 
 def test_noiseless_rssi_monotone_in_distance():
