@@ -14,6 +14,7 @@ import io
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +176,7 @@ def cmd_featurize(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     X, y = read_feature_matrix(args.features)
-    jobs = _check_fits(y, cfg.train, (cfg.train.algorithm,), args.features, cv=False)
+    jobs = _check_fits(y, cfg.train, (cfg.train.algorithm,), args.features)
     return _write(args, _model_file(evaluation.fit_holdout(X, y, cfg.train, jobs), cfg))
 
 
@@ -195,15 +196,13 @@ def _load_fitted(path):
     return (model, scaler), cfg
 
 
-def _check_fits(y, train: ml.TrainConfig, algorithms, features=None, cv=True):
+def _check_fits(y, train: ml.TrainConfig, algorithms, features=None):
     """The evaluation plan of labels `y`, refused before any fit if they cannot meet it.
 
     A class with one row fits no split: bad input in a `features` file, else
-    a bad n_positive or n_negative, and so are no rows at all.  The fits are
-    the plan's holdout fit and, with `cv`, its folds: cv_folds must fit the
-    training side (also without `cv`: the model records it), knn_k must not
-    exceed the smallest fit's rows, and every classifier but knn needs both
-    classes in every fit.
+    a bad n_positive or n_negative, and so are no rows at all.  cv_folds must
+    fit the training side, and every algorithm must be trainable on every fit
+    of the plan, the holdout's and each fold's (`ml.check_trainable`).
     """
     if not len(y):
         raise ConfigError("n_positive, n_negative: both are 0, so there is nothing to fit")
@@ -215,17 +214,8 @@ def _check_fits(y, train: ml.TrainConfig, algorithms, features=None, cv=True):
         jobs = evaluation.plan(y, train)
     except ValueError as exc:
         raise ConfigError(f"cv_folds: {exc}") from None
-    fits = [rows for rows, _ in (jobs if cv else jobs[:1])]
-    smallest = min(map(len, fits))
-    if "knn" in algorithms and train.knn.k > smallest:
-        raise ConfigError(f"knn_k: k={train.knn.k} exceeds the {smallest} training samples "
-                          "of the smallest fit")
-    needs_both = [algorithm for algorithm in algorithms if algorithm != "knn"]
-    for fit in fits if needs_both else ():
-        classes = set(y[fit].tolist())
-        if len(classes) < 2:
-            raise ConfigError(f"algorithm: {needs_both[0]} requires both classes in the "
-                              f"training data, but a fit would see only class {classes.pop()}")
+    for (rows, _), algorithm in product(jobs, algorithms):
+        ml.check_trainable(y[rows], algorithm, train.knn.k)
     return jobs
 
 

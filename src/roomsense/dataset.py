@@ -120,8 +120,9 @@ def csv_reader(source, header, error):
 
     `source` may be a path, an open text file, or an iterable of lines.
     Blank and '#' comment lines are skipped; a missing or different header
-    raises `error(line_no, message)`, and so does a path that cannot be
-    read or decoded as UTF-8 (`error(None, ...)`, chained from the cause).
+    raises `error(line_no, message)`, and so does a path that cannot be read
+    (`error(None, ...)`) or decoded as UTF-8 (the line of its first bad byte),
+    chained from the cause.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -129,7 +130,14 @@ def csv_reader(source, header, error):
                 with csv_reader(fh, header, error) as rows:
                     yield rows
         except (OSError, UnicodeDecodeError) as exc:
-            raise error(None, f"cannot read {source}: {exc}") from exc
+            line_no = None
+            if isinstance(exc, UnicodeDecodeError):  # raised per chunk: find the byte in the file
+                data = Path(source).read_bytes()
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError as in_file:
+                    line_no, exc = data.count(b"\n", 0, in_file.start) + 1, in_file
+            raise error(line_no, f"cannot read {source}: {exc}") from exc
         return
     lines = ((n, raw.strip()) for n, raw in enumerate(source, start=1))
     lines = ((n, line) for n, line in lines if line and not line.startswith("#"))

@@ -254,7 +254,7 @@ class EvalReport:
         doc = self.to_dict()
         if extra:
             doc.update(extra)
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def plan(y, cfg: ml.TrainConfig) -> list:
@@ -263,6 +263,9 @@ def plan(y, cfg: ml.TrainConfig) -> list:
     y = np.asarray(y, dtype=int)
     train_idx, test_idx = train_test_split(y, cfg.train_fraction, cfg.seed)
     folds = kfold(y[train_idx], k=cfg.cv_folds, seed=derive_seed(cfg.seed, "cv"))
+    if min(len(fit) for fit, _ in folds) < 2:  # each fit's standardizer needs 2 rows
+        raise ValueError(f"{cfg.cv_folds} folds of {len(train_idx)} samples leave a fit of 1 row; "
+                         "need >= 2")
     return [(train_idx, test_idx)] + [(train_idx[fit], train_idx[val]) for fit, val in folds]
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._input import check_fit_input
+from ._input import check_fit_input, check_trainable
 from .forest import RandomForest, RFParams, mdi_importance
 from .knn import KNearestNeighbors, KNNParams
 from .logistic import LogisticRegression, LRParams
@@ -54,6 +54,7 @@ __all__ = [
     "gini",
     "mdi_importance",
     "train",
+    "check_trainable",
     "predict",
     "model_to_dict",
     "model_from_dict",
@@ -94,11 +95,7 @@ class TrainConfig:
 def train(X, y, cfg: TrainConfig):
     """Train the configured classifier; deterministic in (X, y, cfg, seed)."""
     X, y = check_fit_input(X, y)
-    if len(y) < 2:
-        raise ValueError("training needs at least 2 samples")
-    # knn degenerates gracefully with one class; the others cannot learn from it
-    if cfg.algorithm != "knn" and len(np.unique(y)) < 2:
-        raise ValueError(f"{cfg.algorithm} requires both classes in the training data")
+    check_trainable(y, cfg.algorithm, cfg.knn.k)
     return MODELS[cfg.algorithm].from_config(cfg).fit(X, y)
 
 
@@ -142,7 +139,8 @@ def save_model(model, path, extra: dict | None = None):
     doc = model_to_dict(model)
     if extra:
         doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)  # no NaN or Infinity
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_model(path):

@@ -3,6 +3,8 @@ and by the saved standardizer."""
 
 import numpy as np
 
+from .._schema import ConfigError
+
 
 def check_labels(labels):
     """Reject an empty label set and any label other than 0 and 1."""
@@ -30,6 +32,16 @@ def check_fit_input(X, y):
         raise ValueError(f"{len(X)} rows but {len(y)} labels")
     check_labels(y)
     return X, y
+
+
+def check_trainable(y, algorithm, k=None):
+    """Refuse labels y that `algorithm` cannot be fit on with a ConfigError naming
+    the key: knn needs at least k rows, every other classifier both classes."""
+    if algorithm == "knn" and k > len(y):
+        raise ConfigError(f"knn_k: k={k} exceeds the {len(y)} training samples")
+    if algorithm != "knn" and y.min() == y.max():
+        raise ConfigError(f"algorithm: {algorithm} requires both classes in the training data, "
+                          f"but a fit would see only class {y[0]}")
 
 
 def check_predict_input(X, n_features):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._input import check_fit_input, check_predict_input
+from ._input import check_fit_input, check_predict_input, check_trainable
 
 # Rows scored per distance block: bounds predict's temporaries at
 # PREDICT_BLOCK x training rows x features doubles, whatever the batch size.
@@ -47,8 +47,7 @@ class KNearestNeighbors:
 
     def fit(self, X, y):
         X, y = check_fit_input(X, y)
-        if self.params.k > len(y):
-            raise ValueError(f"k={self.params.k} exceeds the {len(y)} training samples")
+        check_trainable(y, "knn", self.params.k)
         self.X_ = X.copy()
         self.y_ = y.copy()
         return self

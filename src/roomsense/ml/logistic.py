@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._schema import ConfigError
 from ._input import check_finite, check_fit_input, check_predict_input
 
 
@@ -63,18 +64,22 @@ class LogisticRegression:
         b = 0.0
         history = np.empty(steps + 1)
         Z = np.empty((min(LOSS_BLOCK, steps + 1), n))
-        for step in range(steps + 1):
-            k = step % LOSS_BLOCK
-            Z[k] = z = X @ w + b
-            if k == LOSS_BLOCK - 1 or step == steps:
-                block = Z[: k + 1]  # mean cross-entropy via logaddexp, stable for large |z|
-                losses = np.logaddexp(0.0, block)
-                losses -= np.multiply(block, y, out=block)  # these z are not read again
-                history[step - k : step + 1] = losses.mean(axis=1)
-            if step < steps:
-                residual = _sigmoid(z) - y
-                w -= self.params.learning_rate * (X.T @ residual) / n
-                b -= self.params.learning_rate * float(residual.sum() / n)
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is refused below
+            for step in range(steps + 1):
+                k = step % LOSS_BLOCK
+                Z[k] = z = X @ w + b
+                if k == LOSS_BLOCK - 1 or step == steps:
+                    block = Z[: k + 1]  # mean cross-entropy; logaddexp is stable at large |z|
+                    losses = np.logaddexp(0.0, block)
+                    losses -= np.multiply(block, y, out=block)  # these z are not read again
+                    history[step - k : step + 1] = losses.mean(axis=1)
+                if step < steps:
+                    residual = _sigmoid(z) - y
+                    w -= self.params.learning_rate * (X.T @ residual) / n
+                    b -= self.params.learning_rate * float(residual.sum() / n)
+        if not np.isfinite([*w, b]).all():
+            raise ConfigError(f"lr_learning_rate: gradient descent at {self.params.learning_rate} "
+                              "diverges to non-finite weights")
         self.weights_ = w
         self.bias_ = b
         self.loss_history_ = history

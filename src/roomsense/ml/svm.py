@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._seeds import generator
-from ._input import check_finite, check_fit_input, check_predict_input
+from ._input import check_finite, check_fit_input, check_predict_input, check_trainable
 
 # Hard cap on SMO sweeps, a safety net behind max_passes.
 MAX_SWEEPS = 1000
@@ -214,9 +214,7 @@ class SupportVectorMachine:
 
     def fit(self, X, y):
         X, y = check_fit_input(X, y)
-        if y.min() == y.max():
-            # every pair then has L == H, so no alpha moves and all rows predict 0
-            raise ValueError("svm requires both classes in the training data")
+        check_trainable(y, "svm")  # one class: every pair has L == H, so no alpha would move
         n = len(y)
         y_signed = np.where(y == 1, 1.0, -1.0)
 

@@ -391,10 +391,12 @@ TRACE_FILES = {
 # `--out` exists.  "features", "traces", "one-class", "no-rows" and "model"
 # name input files, and so does each TRACE_FILES name.  "missing" names no
 # file, "directory" a directory, and "non-utf-8-<kind>" the saved file of that
-# kind with a 0xff byte near its end.  The config lines' file is passed
-# before the rest of argv, so an argv's own `--config` wins.  The saved
-# features have 24 rows, 18 of them on the training side; the saved traces
-# hold 36 positive (pair, trial) combinations.
+# kind with a 0xff byte near its end; "{tmp}" in a message is the directory of
+# these files.  "two-per-class" holds 2 rows of each class.  The config
+# lines' file is passed before the rest of argv, so an argv's own `--config`
+# wins.  The saved features have 24 rows, 18 of them on the training side,
+# and 16 in the smallest of 10 fold fits; the saved traces hold 36 positive
+# (pair, trial) combinations.
 REFUSED_RUNS = {
     "featurize-traces-missing": (
         ("featurize", "missing"), "", 2, "missing: [Errno 2] No such file or directory"),
@@ -402,14 +404,16 @@ REFUSED_RUNS = {
         ("featurize", "directory"), "", 2, "directory: [Errno 21] Is a directory"),
     "featurize-traces-non-utf-8": (
         ("featurize", "non-utf-8-traces"), "", 2,
-        "non-utf-8-traces: 'utf-8' codec can't decode byte 0xff"),
+        "line 321: cannot read {tmp}/non-utf-8-traces: 'utf-8' codec can't decode byte 0xff "
+        "in position 14233"),
     "train-features-missing": (
         ("train", "missing"), "", 2, "missing: [Errno 2] No such file or directory"),
     "train-features-directory": (
         ("train", "directory"), "", 2, "directory: [Errno 21] Is a directory"),
     "train-features-non-utf-8": (
         ("train", "non-utf-8-features"), "", 2,
-        "non-utf-8-features: 'utf-8' codec can't decode byte 0xff"),
+        "line 57: cannot read {tmp}/non-utf-8-features: 'utf-8' codec can't decode byte 0xff "
+        "in position 4008"),
     "evaluate-model-missing": (
         ("evaluate", "features", "--model", "missing"), "", 2,
         "missing: [Errno 2] No such file or directory"),
@@ -453,13 +457,26 @@ REFUSED_RUNS = {
         ("evaluate", "features"), "cv_folds=19", 3, "cv_folds: cannot make 19 folds from 18"),
     "train-knn-k-over-samples": (
         ("train", "features", "--algorithm", "knn"), "knn_k=19", 3,
-        "error: config: knn_k: k=19 exceeds the 18 training samples of the smallest fit"),
+        "error: config: knn_k: k=19 exceeds the 18 training samples\n"),
     "evaluate-knn-k-over-samples": (
         ("evaluate", "features", "--algorithm", "knn"), "knn_k=19", 3,
-        "error: config: knn_k: k=19 exceeds the 16 training samples of the smallest fit"),
+        "error: config: knn_k: k=19 exceeds the 18 training samples\n"),
+    "train-knn-k-over-cv-fold-samples": (
+        ("train", "features", "--algorithm", "knn"), "knn_k=17", 3,
+        "error: config: knn_k: k=17 exceeds the 16 training samples\n"),
     "evaluate-knn-k-over-cv-fold-samples": (
         ("evaluate", "features", "--algorithm", "knn"), "knn_k=17", 3,
-        "error: config: knn_k: k=17 exceeds the 16 training samples of the smallest fit"),
+        "error: config: knn_k: k=17 exceeds the 16 training samples\n"),
+    "train-cv-fit-of-one-row": (
+        ("train", "two-per-class", "--algorithm", "knn"), "cv_folds=2\nknn_k=1", 3,
+        "error: config: cv_folds: 2 folds of 2 samples leave a fit of 1 row; need >= 2"),
+    "evaluate-cv-fit-of-one-row": (
+        ("evaluate", "two-per-class", "--algorithm", "knn"), "cv_folds=2\nknn_k=1", 3,
+        "error: config: cv_folds: 2 folds of 2 samples leave a fit of 1 row; need >= 2"),
+    "train-lr-diverges": (
+        ("train", "features", "--algorithm", "lr"), "lr_learning_rate=1e308", 3,
+        "error: config: lr_learning_rate: gradient descent at 1e+308 diverges to non-finite "
+        "weights\n"),
     "train-lr-one-class": (
         ("train", "one-class", "--algorithm", "lr"), "", 3,
         "error: config: algorithm: lr requires both classes in the training data, "
@@ -492,7 +509,11 @@ REFUSED_RUNS = {
         ("benchmark",), "cv_folds=300", 3, "cv_folds: cannot make 300 folds from 225"),
     "benchmark-knn-k-over-cv-fold-samples": (
         ("benchmark",), "knn_k=203", 3,
-        "error: config: knn_k: k=203 exceeds the 202 training samples of the smallest fit"),
+        "error: config: knn_k: k=203 exceeds the 202 training samples\n"),
+    "benchmark-lr-diverges": (
+        ("benchmark",), "lr_learning_rate=1e308", 3,
+        "error: config: lr_learning_rate: gradient descent at 1e+308 diverges to non-finite "
+        "weights\n"),
     "benchmark-one-class": (
         ("benchmark",), "n_positive=0", 3,
         "error: config: algorithm: lr requires both classes in the training data"),
@@ -518,12 +539,15 @@ def test_refused_run_leaves_no_output(tmp_path, saved_models, capsys, case):
     write_feature_matrix(X[y == 0], y[y == 0], tmp_path / "one-class.csv")
     one_positive = np.flatnonzero(y == 0).tolist() + [int(np.flatnonzero(y == 1)[0])]
     write_feature_matrix(X[one_positive], y[one_positive], tmp_path / "one-positive.csv")
+    two_per_class = [*np.flatnonzero(y == 0)[:2], *np.flatnonzero(y == 1)[:2]]
+    write_feature_matrix(X[two_per_class], y[two_per_class], tmp_path / "two-per-class.csv")
     (tmp_path / "no-rows.csv").write_text(FEATURE_CSV_HEADER + "\n", encoding="utf-8")
     paths = {
         "features": saved_models / "features.csv",
         "traces": saved_models / "traces.csv",
         "one-class": tmp_path / "one-class.csv",
         "one-positive": tmp_path / "one-positive.csv",
+        "two-per-class": tmp_path / "two-per-class.csv",
         "no-rows": tmp_path / "no-rows.csv",
         "model": saved_models / "model_dt.json",
         "missing": tmp_path / "missing",
@@ -549,7 +573,7 @@ def test_refused_run_leaves_no_output(tmp_path, saved_models, capsys, case):
     err = capsys.readouterr().err
     # exit 2 is a bad input file and exit 3 a bad config; no refused run exits 1
     assert err.startswith({2: "error: input: ", 3: "error: config: "}[code])
-    assert message in err and "line None" not in err
+    assert message.replace("{tmp}", str(tmp_path)) in err and "line None" not in err
     assert not out.exists()
 
 
@@ -588,6 +612,20 @@ def test_knn_k_at_the_smallest_fit_runs(tmp_path, saved_models):
     (tmp_path / "run.cfg").write_text("knn_k=15\n", encoding="utf-8")
     assert run("evaluate", str(saved_models / "features.csv"), "--algorithm", "knn",
                "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")) == 0
+
+
+@pytest.mark.parametrize("config", [f"knn_k={k}" for k in range(13, 20, 2)]
+                         + [f"knn_k=3\ncv_folds={folds}" for folds in range(2, 19)])
+def test_train_refuses_what_evaluate_refuses(tmp_path, saved_models, config):
+    # train checks every fit of the plan, so it never saves a model evaluate would refuse
+    (tmp_path / "run.cfg").write_text(config + "\n", encoding="utf-8")
+    codes = []
+    for command in ("train", "evaluate"):
+        out = tmp_path / command
+        codes.append(run(command, str(saved_models / "features.csv"), "--algorithm", "knn",
+                         "--config", str(tmp_path / "run.cfg"), "--out", str(out)))
+        assert out.exists() == (codes[-1] == 0)
+    assert codes[0] == codes[1] and codes[0] in (0, 3)
 
 
 def test_forest_without_splits_has_zero_importance(tmp_path):

@@ -137,9 +137,25 @@ def test_unreadable_paths_raise_the_format_error_chained_from_the_cause(tmp_path
               (not_utf_8, UnicodeDecodeError))
     for read, error in readers:
         for path, cause in causes:
-            with pytest.raises(error, match=f"^cannot read {re.escape(str(path))}: ") as raised:
+            # a CSV reader names the line of the first byte that is not UTF-8
+            line = "line 2: " if path == not_utf_8 and read is not ml.load_model else ""
+            prefix = f"^{line}cannot read {re.escape(str(path))}: "
+            with pytest.raises(error, match=prefix) as raised:
                 read(path)
             assert isinstance(raised.value.__cause__, cause)
+
+
+def test_non_utf_8_byte_is_named_by_its_line_and_file_position(tmp_path):
+    # the reader decodes in chunks; the message counts from the start of the file
+    rows = "".join(f"1,1,1,0,{seq},-50\n" for seq in range(2000))
+    data = ("point_x,point_y,ap_id,trial,seq,rssi_dbm\n" + rows).encode()
+    at = data.index(b"1,1,1,0,1500,")
+    path = tmp_path / "traces.csv"
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(TraceFormatError, match="byte 0xff in position 24431: ") as raised:
+        ingest_traces(path)
+    assert raised.value.line_no == 1502
+    assert str(raised.value).startswith(f"line 1502: cannot read {path}: ")
 
 
 def test_trace_unique_examples():

@@ -10,7 +10,7 @@ from oracles import best_split_oracle, lr_oracle, smo_oracle, tree_predict_oracl
 
 from roomsense import ml
 from roomsense._seeds import generator
-from roomsense._schema import build, flatten
+from roomsense._schema import ConfigError, build, flatten
 from roomsense.evaluation import standardize_apply, standardize_fit
 from roomsense.ml import (
     DecisionTree,
@@ -379,6 +379,22 @@ def test_logistic_regression_loss_buffer_does_not_grow_with_iterations():
     assert peaks[20_000] - peaks[1_000] <= 8 * 19_000 + 32 * 2**10
 
 
+def test_logistic_regression_refuses_divergence(tmp_path):
+    Xs, y = separable_clusters()
+    diverged = r"^lr_learning_rate: gradient descent at 1e\+308 diverges to non-finite weights$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow it refuses warns of nothing
+        with pytest.raises(ConfigError, match=diverged):
+            LogisticRegression(LRParams(learning_rate=1e308)).fit(Xs, y)
+        with pytest.raises(ConfigError, match=diverged):
+            ml.train(Xs, y, TrainConfig("lr", lr=LRParams(learning_rate=1e308)))
+    # nor can a model with a non-finite weight be saved
+    model = LogisticRegression().fit(Xs, y)
+    model.weights_[0] = np.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        ml.save_model(model, tmp_path / "model.json")
+
+
 def test_svm_zero_decision_maps_to_class_zero():
     model = SupportVectorMachine()
     model.X_ = np.zeros((0, 2))
@@ -600,6 +616,28 @@ def test_train_input_validation():
     for algorithm in ("lr", "svm", "dt", "rf"):
         with pytest.raises(ValueError, match="both classes"):
             ml.train(X, np.zeros(4, dtype=int), TrainConfig(algorithm))
+
+
+def test_untrainable_labels_raise_one_config_error():
+    # ml.check_trainable refuses them for ml.train, knn's fit and svm's fit alike
+    X = np.arange(6.0).reshape(3, 2)
+    too_few = "^knn_k: k=5 exceeds the 3 training samples$"
+    cases = [
+        (lambda: ml.train(X, [0, 1, 0], TrainConfig("knn", knn=KNNParams(k=5))), too_few),
+        (lambda: KNearestNeighbors(KNNParams(k=5)).fit(X, [0, 1, 0]), too_few),
+        (lambda: SupportVectorMachine().fit(X, [0, 0, 0]), "^algorithm: svm requires both "
+         "classes in the training data, but a fit would see only class 0$"),
+    ]
+    for algorithm in ("lr", "svm", "dt", "rf"):
+        cases.append((lambda a=algorithm: ml.train(X, [1, 1, 1], TrainConfig(a)),
+                      f"^algorithm: {algorithm} requires both classes in the training data, "
+                      "but a fit would see only class 1$"))
+    for fit, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            fit()
+    # knn needs only k rows: one class, and k equal to the rows, train
+    model = ml.train(X, [1, 1, 1], TrainConfig("knn", knn=KNNParams(k=3)))
+    assert model.predict(X).tolist() == [1] * 3
 
 
 @pytest.mark.parametrize("algorithm", ml.ALGORITHMS)
