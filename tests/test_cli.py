@@ -655,6 +655,7 @@ def test_forest_without_splits_has_zero_importance(tmp_path):
         "svm_gamma=-1",
         "svm_gamma=0",
         "svm_tol=-1",
+        "svm_tol=0",
         "svm_max_passes=0",
         "lr_learning_rate=-1",
         "cv_folds=1",
