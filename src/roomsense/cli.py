@@ -177,7 +177,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     X, y = read_feature_matrix(args.features)
     jobs = _check_fits(y, cfg.train, (cfg.train.algorithm,), args.features)
-    return _write(args, _model_file(evaluation.fit_holdout(X, y, cfg.train, jobs), cfg))
+    return _write(args, _model_file(evaluation.fit(X, y, jobs[0][0], cfg.train), cfg))
 
 
 def _load_fitted(path):
@@ -200,9 +200,10 @@ def _check_fits(y, train: ml.TrainConfig, algorithms, features=None):
     """The evaluation plan of labels `y`, refused before any fit if they cannot meet it.
 
     A class with one row fits no split: bad input in a `features` file, else
-    a bad n_positive or n_negative, and so are no rows at all.  cv_folds must
-    fit the training side, and every algorithm must be trainable on every fit
-    of the plan, the holdout's and each fold's (`ml.check_trainable`).
+    a bad n_positive or n_negative, and so are no rows at all.  `plan` refuses
+    a cv_folds the training side cannot meet, and every algorithm must be
+    trainable on every fit of the plan, the holdout's and each fold's
+    (`ml.check_trainable`).
     """
     if not len(y):
         raise ConfigError("n_positive, n_negative: both are 0, so there is nothing to fit")
@@ -210,10 +211,7 @@ def _check_fits(y, train: ml.TrainConfig, algorithms, features=None):
         if features:
             raise FeatureFormatError(None, f"{features}: class {cls} has 1 row; need >= 2")
         raise ConfigError(f"{('n_negative', 'n_positive')[cls]}: 1 sample fits no split; need >= 2")
-    try:
-        jobs = evaluation.plan(y, train)
-    except ValueError as exc:
-        raise ConfigError(f"cv_folds: {exc}") from None
+    jobs = evaluation.plan(y, train)
     for (rows, _), algorithm in product(jobs, algorithms):
         ml.check_trainable(y[rows], algorithm, train.knn.k)
     return jobs
@@ -266,7 +264,7 @@ def cmd_benchmark(args) -> int:
     rows = []
     for algorithm in ml.ALGORITHMS:
         run = replace(cfg, train=replace(cfg.train, algorithm=algorithm))
-        fitted = evaluation.fit_holdout(X, y, run.train, jobs)
+        fitted = evaluation.fit(X, y, jobs[0][0], run.train)
         report = evaluation.evaluate(X, y, run.train, fitted=fitted, jobs=jobs)
         outputs |= _model_file(fitted, run) | _report_file(report, run)
         rows.append([algorithm, *map(repr, (report.accuracy, report.f1_class0, report.f1_class1))])

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import ml
+from ._schema import ConfigError
 from ._seeds import derive_seed, generator
 from .dataset import csv_writer
 from .ml._input import check_finite
@@ -259,18 +260,23 @@ class EvalReport:
 
 def plan(y, cfg: ml.TrainConfig) -> list:
     """Every fit of one evaluation as (fit rows, scored rows) into y: the holdout
-    (train, test) of cfg.seed's split, then each CV fold as (train[fit], train[val])."""
+    (train, test) of cfg.seed's split, then each CV fold as (train[fit], train[val]).
+    A cv_folds that the training side cannot meet is a ConfigError naming it."""
     y = np.asarray(y, dtype=int)
     train_idx, test_idx = train_test_split(y, cfg.train_fraction, cfg.seed)
-    folds = kfold(y[train_idx], k=cfg.cv_folds, seed=derive_seed(cfg.seed, "cv"))
+    try:
+        folds = kfold(y[train_idx], k=cfg.cv_folds, seed=derive_seed(cfg.seed, "cv"))
+    except ValueError as exc:
+        raise ConfigError(f"cv_folds: {exc}") from None
     if min(len(fit) for fit, _ in folds) < 2:  # each fit's standardizer needs 2 rows
-        raise ValueError(f"{cfg.cv_folds} folds of {len(train_idx)} samples leave a fit of 1 row; "
-                         "need >= 2")
+        raise ConfigError(f"cv_folds: {cfg.cv_folds} folds of {len(train_idx)} samples leave "
+                          "a fit of 1 row; need >= 2")
     return [(train_idx, test_idx)] + [(train_idx[fit], train_idx[val]) for fit, val in folds]
 
 
-def _fit(X, y, rows, cfg: ml.TrainConfig):
-    """Standardizer fit on the given rows and the classifier trained on them."""
+def fit(X, y, rows, cfg: ml.TrainConfig):
+    """(model, standardizer) fit on X[rows], y[rows]; `rows` are one job's fit rows of `plan`."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=int)
     scaler = standardize_fit(X[rows])
     return ml.train(standardize_apply(scaler, X[rows]), y[rows], cfg), scaler
 
@@ -284,13 +290,8 @@ def cross_validate(X, y, cfg: ml.TrainConfig, jobs) -> np.ndarray:
     """Accuracies on the CV folds of `jobs`, `plan(y, cfg)`; each fold refits its scaler."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    return np.array([accuracy(_confusion(_fit(X, y, fit, cfg), X, y, scored))
-                     for fit, scored in jobs[1:]])
-
-
-def fit_holdout(X, y, cfg: ml.TrainConfig, jobs):
-    """(model, standardizer) fit on the train side of the holdout of `jobs`, `plan(y, cfg)`."""
-    return _fit(np.asarray(X, dtype=float), np.asarray(y, dtype=int), jobs[0][0], cfg)
+    return np.array([accuracy(_confusion(fit(X, y, rows, cfg), X, y, scored))
+                     for rows, scored in jobs[1:]])
 
 
 def evaluate(X, y, cfg: ml.TrainConfig, fitted=None, jobs=None) -> EvalReport:
@@ -298,15 +299,15 @@ def evaluate(X, y, cfg: ml.TrainConfig, fitted=None, jobs=None) -> EvalReport:
 
     cfg.seed is the one seed: it draws the plan (the split and the CV folds
     inside its training side; `jobs` is `plan(y, cfg)`, drawn here when None)
-    and the model's own randomness.  `fitted` is what `fit_holdout` returns
-    for the same (X, y, cfg, jobs), e.g. a saved model; without it the
+    and the model's own randomness.  `fitted` is what `fit` returns for the
+    holdout's fit rows, `jobs[0][0]`, e.g. a saved model; without it the
     classifier is fit here.  Random forests also report impurity-based
     feature importance.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     jobs = plan(y, cfg) if jobs is None else jobs
-    fitted = fit_holdout(X, y, cfg, jobs) if fitted is None else fitted
+    fitted = fit(X, y, jobs[0][0], cfg) if fitted is None else fitted
     cm = _confusion(fitted, X, y, jobs[0][1])
     cv = cross_validate(X, y, cfg, jobs)
     importance = None

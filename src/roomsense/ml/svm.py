@@ -45,7 +45,8 @@ def rbf_kernel(A, B, gamma):
         + np.sum(B * B, axis=1)[None, :]
         - 2.0 * (A @ B.T)
     )
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    with np.errstate(over="ignore"):  # an overflowing product is -inf: exp gives the limit 0
+        return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
 class SupportVectorMachine:

@@ -129,10 +129,12 @@ def class1_votes(roots, X):
     return votes
 
 
-_CUT_SIZES = np.empty((2, 0))  # row 0: 1, 2, 3, ...; row 1: their doubles
+def _cut_sizes(n):
+    """The sizes 1, 2, ..., n - 1 (row 0) and their doubles (row 1), as floats."""
+    return np.arange(1.0, n) * np.array([[1.0], [2.0]])
 
 
-def _best_split(X, y, feature_indices, parent_impurity):
+def _best_split(X, y, feature_indices, parent_impurity, sizes):
     """Best (feature, threshold, decrease) over candidate features, or None.
 
     Thresholds are midpoints between consecutive sorted unique values.  Ties
@@ -141,15 +143,11 @@ def _best_split(X, y, feature_indices, parent_impurity):
     needs them).  All candidate features are scored in one array pass: row c
     of the sorted columns is the cut after the first c + 1 samples.
 
-    `n_left`, `n_right` and their doubles are views of `_CUT_SIZES`, grown to
-    the largest node so far: exact integers in float, so every product rounds
-    the same as with `n_left * 2.0`.
+    `n_left`, `n_right` and their doubles are views of `sizes`, a `_cut_sizes`
+    table for at least len(y) rows: exact integers in float, so every product
+    rounds the same as with `n_left * 2.0`.
     """
-    global _CUT_SIZES
     n = len(y)
-    sizes = _CUT_SIZES  # a local reference stays whole if another fit regrows the array
-    if sizes.shape[1] < n - 1:
-        _CUT_SIZES = sizes = np.arange(1.0, n) * np.array([[1.0], [2.0]])
     n_left, twice_left = sizes[0, : n - 1, None], sizes[1, : n - 1, None]
     n_right, twice_right = sizes[0, n - 2 :: -1, None], sizes[1, n - 2 :: -1, None]
     sub = X.take(feature_indices, axis=1)
@@ -206,7 +204,8 @@ class DecisionTree:
         if rng is None:
             rng = generator(self.seed, "dt")
         self.n_features_ = X.shape[1]
-        self.root_ = self._grow(X, y, depth=0, rng=rng)
+        # no node has more rows than the root, so one table serves every split search
+        self.root_ = self._grow(X, y, depth=0, rng=rng, sizes=_cut_sizes(len(y)))
         return self
 
     @staticmethod
@@ -220,7 +219,7 @@ class DecisionTree:
         picked.sort()  # ascending keeps the lowest-index tie rule meaningful
         return picked
 
-    def _grow(self, X, y, depth, rng):
+    def _grow(self, X, y, depth, rng, sizes):
         n = len(y)
         ones = int(np.count_nonzero(y))
         impurity = _impurity(ones, n)
@@ -230,15 +229,15 @@ class DecisionTree:
             or (self.params.max_depth is not None and depth >= self.params.max_depth)
         ):
             return self._leaf(ones, n)
-        split = _best_split(X, y, self._candidate_features(rng), impurity)
+        split = _best_split(X, y, self._candidate_features(rng), impurity, sizes)
         if split is None:
             return self._leaf(ones, n)
         feature, threshold, decrease = split
         mask = X[:, feature] <= threshold
         return Node(
             feature=feature, threshold=threshold, n_samples=n, impurity_decrease=decrease,
-            left=self._grow(X.compress(mask, axis=0), y.compress(mask), depth + 1, rng),
-            right=self._grow(X.compress(~mask, axis=0), y.compress(~mask), depth + 1, rng),
+            left=self._grow(X.compress(mask, axis=0), y.compress(mask), depth + 1, rng, sizes),
+            right=self._grow(X.compress(~mask, axis=0), y.compress(~mask), depth + 1, rng, sizes),
         )
 
     def predict(self, X):

@@ -5,9 +5,11 @@ criterion either way.  Expected feature values were derived with the
 independent reference implementations in oracles.py and frozen here.
 """
 
+import hashlib
 import json
 import time
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,15 +298,35 @@ def test_c7_kde_and_dtw_overlap():
 # ---------------------------------------------------------------------------
 # Criterion 8: determinism
 
+# These seed-42 files involve no BLAS and no exp: traces and features, and the
+# tree and kNN files (standardization, Gini arithmetic, sqrt and sorts), so
+# their pinned digests hold on any CPU.
+CPU_INDEPENDENT_FILES = ("traces.csv", "features.csv", "model_rf.json", "model_dt.json",
+                         "model_knn.json", "report_rf.json", "report_dt.json", "report_knn.json")
+
 
 def test_c8_determinism(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    out_a, out_b, saved = tmp_path / "a", tmp_path / "b", tmp_path / "saved"
     assert cli.main(["benchmark", "--seed", "42", "--out", str(out_a)]) == 0
     assert cli.main(["benchmark", "--seed", "42", "--out", str(out_b)]) == 0
     files_a = {p.name: p.read_bytes() for p in sorted(out_a.iterdir())}
     files_b = {p.name: p.read_bytes() for p in sorted(out_b.iterdir())}
     assert files_a == files_b
     assert len(files_a) == 13  # traces, features, 5 models, 5 reports, table
+    pinned = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "digests.json").read_text(encoding="utf-8")
+    )["paper-default"]["*"]
+    for name in CPU_INDEPENDENT_FILES:
+        assert hashlib.sha256(files_a[name]).hexdigest() == pinned[name], name
+
+    # a saved model, evaluated with the config it records, rewrites benchmark's report
+    features = str(out_a / "features.csv")
+    assert cli.main(["evaluate", features, "--model", str(out_a / "model_dt.json"),
+                     "--out", str(saved)]) == 0
+    assert cli.main(["evaluate", features, "--model", str(out_a / "model_rf.json"),
+                     "--importance", "--out", str(saved)]) == 0
+    for name in ("report_dt.json", "report_rf.json"):
+        assert (saved / name).read_bytes() == files_a[name], name
 
     y = np.array([0] * 37 + [1] * 23)
     for _ in range(3):
@@ -313,8 +335,8 @@ def test_c8_determinism(tmp_path):
         assert sorted(seen) == list(range(60))
         for train_idx, val_idx in folds:
             assert set(train_idx) & set(val_idx) == set()
-    print("ACCEPTANCE 8 PASS: benchmark --seed 42 is byte-identical across runs; "
-          "folds partition the data")
+    print("ACCEPTANCE 8 PASS: benchmark --seed 42 is byte-identical across runs and to "
+          "its pinned digests; saved models rewrite their reports; folds partition the data")
 
 
 # ---------------------------------------------------------------------------

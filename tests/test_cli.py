@@ -64,6 +64,20 @@ def test_simulate_with_overflowing_path_loss_exits_0(tmp_path):
     assert -100 in values and all(-100 <= v <= 0 for v in values)
 
 
+def test_evaluate_svm_with_overflowing_gamma_exits_0(tmp_path, saved_models):
+    # gamma * d^2 overflows to inf: the kernel takes its limit, 0 between distinct rows
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG + "svm_gamma=1e308\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("evaluate", str(saved_models / "features.csv"), "--algorithm", "svm",
+                   "--config", str(cfg), "--seed", "42", "--out", str(out)) == 0
+    # each held-out row scores the bias alone, so all of them get one class
+    confusion = json.loads((out / "report_svm.json").read_text())["confusion"]
+    assert 0 in (confusion["tp"] + confusion["fp"], confusion["tn"] + confusion["fn"])
+
+
 def test_featurize_produces_labeled_matrix(tmp_path, config_path):
     out = tmp_path / "out"
     run("simulate", "--config", config_path, "--seed", "42", "--out", str(out))

@@ -27,10 +27,10 @@ from roomsense.ml import (
     gini,
     mdi_importance,
 )
-from roomsense.ml import svm, tree
+from roomsense.ml import svm
 from roomsense.ml._input import check_labels
 from roomsense.ml.svm import rbf_kernel
-from roomsense.ml.tree import Node, _best_split
+from roomsense.ml.tree import Node, _best_split, _cut_sizes
 
 
 def separable_clusters(n=60, seed=0):
@@ -210,7 +210,7 @@ def _split_cases():
             yield np.full((n, 6), -0.3), y, np.arange(6)  # every column constant
     for _ in range(20):
         yield np.round(rng.normal(size=(2, 5)), 1), np.array([0, 1]), np.arange(5)
-    # large, small, then larger nodes: the shared cut sizes are read after each growth
+    # nodes of many sizes, each reading a prefix of the one cut-size table
     for n in (120, 3, 40, 250, 2, 17, 199, 250, 9, 64):
         for _ in range(8):
             X = np.round(rng.normal(size=(n, 18)), 1)
@@ -219,15 +219,15 @@ def _split_cases():
         yield np.full((n, 4), 2.5), rng.integers(0, 2, size=n), np.arange(4)
 
 
-def test_best_split_matches_per_feature_oracle(monkeypatch):
-    monkeypatch.setattr(tree, "_CUT_SIZES", np.empty((2, 0)))
+def test_best_split_matches_per_feature_oracle():
     cases = list(_split_cases())
     assert len(cases) >= 590
-    for X, y, features in cases:
-        parent = gini(y)
-        assert _best_split(X, y, features, parent) == best_split_oracle(X, y, features, parent)
+    # one table for the largest case, as every node of a tree reads its root's
+    sizes = _cut_sizes(max(len(y) for _, y, _ in cases))
+    for X, y, f in cases:
+        assert _best_split(X, y, f, gini(y), sizes) == best_split_oracle(X, y, f, gini(y))
     constant = [c for c in cases if np.all(c[0] == c[0][0])]
-    assert constant and all(_best_split(X, y, f, gini(y)) is None for X, y, f in constant)
+    assert constant and all(_best_split(X, y, f, gini(y), sizes) is None for X, y, f in constant)
 
 
 def test_tree_predict_matches_per_row_walk():
