@@ -15,8 +15,9 @@ dataset = build_pairs(points, PairingConfig(), seed=42)
 X, y = dataset.feature_matrix(), dataset.labels()
 
 print(f"{'algorithm':<10s} {'accuracy':>8s} {'f1 (0)':>8s} {'f1 (1)':>8s} {'cv mean':>8s}")
+reports = {}
 for algorithm in ("lr", "knn", "rf", "svm", "dt"):
-    report = evaluate(X, y, TrainConfig(algorithm=algorithm, seed=42))
+    report = reports[algorithm] = evaluate(X, y, TrainConfig(algorithm=algorithm, seed=42))
     cv_mean = float(np.mean(report.cv_accuracies))
     print(
         f"{algorithm:<10s} {report.accuracy:8.3f} {report.f1_class0:8.3f} "
@@ -25,7 +26,6 @@ for algorithm in ("lr", "knn", "rf", "svm", "dt"):
 
 print()
 print("confusion matrix of the random forest (tp fp / fn tn):")
-report = evaluate(X, y, TrainConfig(algorithm="rf", seed=42))
-cm = report.confusion
+cm = reports["rf"].confusion
 print(f"  {cm.tp:3d} {cm.fp:3d}")
 print(f"  {cm.fn:3d} {cm.tn:3d}")

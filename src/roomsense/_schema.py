@@ -3,7 +3,9 @@
 A key is a field name; fields of a nested dataclass are prefixed with the
 parent field's name (`TrainConfig.rf.n_trees` is `rf_n_trees`).  Types,
 defaults and ranges stay in the dataclasses.  A field's `metadata["none"]`
-names a word that parses to None besides "none".
+names a word that parses to None besides "none".  The two errors of the
+input boundary live here too: `ConfigError` for a bad config value and
+`InputError` for a file no config could use.
 """
 
 import math
@@ -13,6 +15,14 @@ from dataclasses import fields, is_dataclass
 
 class ConfigError(ValueError):
     """Invalid configuration (bad key, bad value, or inconsistent settings)."""
+
+
+class InputError(ValueError):
+    """An unusable input file; carries the 1-based offending line number (None: the whole file)."""
+
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
+        self.line_no = line_no
 
 
 def _leaves(node, prefix=""):

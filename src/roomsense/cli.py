@@ -20,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, ml
-from ._schema import ConfigError, build, field_specs, flatten, format_value, parse_value
-from ._seeds import derive_seed
-from .dataset import (
-    PairingConfig, TraceFormatError, build_pairs, csv_writer, ingest_traces, write_traces,
+from ._schema import (
+    ConfigError, InputError, build, field_specs, flatten, format_value, parse_value,
 )
+from ._seeds import derive_seed
+from .dataset import PairingConfig, build_pairs, csv_writer, ingest_traces, write_traces
 from .evaluation import EvalReport
-from .features import FEATURE_NAMES, FeatureFormatError, read_feature_matrix, write_feature_matrix
+from .features import FEATURE_NAMES, read_feature_matrix, write_feature_matrix
 from .simulator import SimConfig, generate
 
 KDE_EXPORT_FEATURES = ("dtw_1", "dtw_2", "dtw_3", "high_3")
@@ -72,11 +72,16 @@ def parse_config(lines, source) -> dict:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{source}:{line_no}: unknown config key {key!r}")
-        try:
-            values[key] = parse_value(value, CONFIG_KEYS[key])
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{line_no}: bad value for {key}: {exc}") from None
+        values[key] = _parse_key(key, value, f"{source}:{line_no}")
     return values
+
+
+def _parse_key(key, text, where):
+    """The typed value of config `key` from `text`; a bad one is a ConfigError naming `where`."""
+    try:
+        return parse_value(text, CONFIG_KEYS[key])
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
 
 
 def build_run_config(values: dict) -> RunConfig:
@@ -120,7 +125,7 @@ def _csv(header, rows, comments):
 
 
 def _config_values(args) -> dict:
-    """The values this command was given: its --config file's, then each flag it was given."""
+    """Typed values from the --config file, then from each flag given, parsed as its config key."""
     values = {}
     if args.config:
         try:
@@ -129,7 +134,7 @@ def _config_values(args) -> dict:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         values = parse_config(text.splitlines(), args.config)
     flags = {"seed": args.seed, "algorithm": getattr(args, "algorithm", None)}
-    return values | {key: value for key, value in flags.items() if value is not None}
+    return values | {k: _parse_key(k, v, f"--{k}") for k, v in flags.items() if v is not None}
 
 
 def _load_config(args) -> RunConfig:
@@ -188,11 +193,10 @@ def _load_fitted(path):
         cfg = build_run_config(parse_config(echo, path))
         scaler = evaluation.Standardizer.from_dict(doc["pipeline"]["standardizer"])
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
-        raise ml.ModelFormatError(f"bad pipeline info in model document ({exc})") from None
+        raise InputError(None, f"bad pipeline info in model document ({exc})") from None
     if len(scaler.mean) != model.n_features_:
-        raise ml.ModelFormatError(
-            f"standardizer has {len(scaler.mean)} features but the model has {model.n_features_}"
-        )
+        widths = f"{len(scaler.mean)} features but the model has {model.n_features_}"
+        raise InputError(None, f"standardizer has {widths}")
     return (model, scaler), cfg
 
 
@@ -200,16 +204,13 @@ def _check_fits(y, train: ml.TrainConfig, algorithms, features=None):
     """The evaluation plan of labels `y`, refused before any fit if they cannot meet it.
 
     A class with one row fits no split: bad input in a `features` file, else
-    a bad n_positive or n_negative, and so are no rows at all.  `plan` refuses
-    a cv_folds the training side cannot meet, and every algorithm must be
-    trainable on every fit of the plan, the holdout's and each fold's
-    (`ml.check_trainable`).
+    a bad n_positive or n_negative.  `plan` refuses a cv_folds the training
+    side cannot meet, and every algorithm must be trainable on every fit of
+    the plan, the holdout's and each fold's (`ml.check_trainable`).
     """
-    if not len(y):
-        raise ConfigError("n_positive, n_negative: both are 0, so there is nothing to fit")
     for cls in np.flatnonzero(np.bincount(y) == 1):
         if features:
-            raise FeatureFormatError(None, f"{features}: class {cls} has 1 row; need >= 2")
+            raise InputError(None, f"{features}: class {cls} has 1 row; need >= 2")
         raise ConfigError(f"{('n_negative', 'n_positive')[cls]}: 1 sample fits no split; need >= 2")
     jobs = evaluation.plan(y, train)
     for (rows, _), algorithm in product(jobs, algorithms):
@@ -289,22 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
         for arg, arg_help in positional:
             p.add_argument(arg, help=arg_help)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="top-level seed (derives all stage seeds)")
+        p.add_argument("--seed", help="top-level seed (derives all stage seeds)")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.set_defaults(func=func)
         return p
 
     features = ("features", "feature CSV produced by featurize")
-    algorithm = {
-        "choices": ml.ALGORITHMS, "help": f"classifier (default: {ml.TrainConfig.algorithm})"
-    }
+    algorithm = f"classifier: {', '.join(ml.ALGORITHMS)} (default: {ml.TrainConfig.algorithm})"
     command("simulate", cmd_simulate, "generate synthetic RSSI traces")
     command("featurize", cmd_featurize, "build the labeled feature matrix from traces",
             ("traces", "trace CSV produced by simulate (or compatible)"))
     p = command("train", cmd_train, "train one classifier on a feature matrix", features)
-    p.add_argument("--algorithm", **algorithm)
+    p.add_argument("--algorithm", help=algorithm)
     p = command("evaluate", cmd_evaluate, "evaluate a classifier on a feature matrix", features)
-    p.add_argument("--algorithm", **algorithm)
+    p.add_argument("--algorithm", help=algorithm)
     p.add_argument("--model", help="evaluate a saved model JSON instead of retraining")
     p.add_argument("--importance", action="store_true", help="write importance.csv (rf only)")
     p.add_argument("--kde", action="store_true", help="write class-conditional KDE curves")
@@ -319,7 +318,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (TraceFormatError, FeatureFormatError, ml.ModelFormatError) as exc:
+    except InputError as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._schema import ConfigError
+from ._schema import ConfigError, InputError
 from ._seeds import generator
 
 ROOM_LEFT = "left"
@@ -22,14 +22,6 @@ ROOM_RIGHT = "right"
 AP_IDS = (1, 2, 3)
 
 TRACE_HEADER = "point_x,point_y,ap_id,trial,seq,rssi_dbm"
-
-
-class TraceFormatError(ValueError):
-    """Malformed trace file; carries the 1-based offending line number (None: the whole file)."""
-
-    def __init__(self, line_no: int | None, message: str):
-        super().__init__(message if line_no is None else f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 def room_of(x) -> str:
@@ -115,19 +107,19 @@ class Dataset:
 
 
 @contextmanager
-def csv_reader(source, header, error):
+def csv_reader(source, header):
     """The data rows of `source` as (line number, fields), after its header.
 
     `source` may be a path, an open text file, or an iterable of lines.
     Blank and '#' comment lines are skipped; a missing or different header
-    raises `error(line_no, message)`, and so does a path that cannot be read
-    (`error(None, ...)`) or decoded as UTF-8 (the line of its first bad byte),
+    raises `InputError(line_no, message)`, and so does a path that cannot be
+    read (line None) or decoded as UTF-8 (the line of its first bad byte),
     chained from the cause.
     """
     if isinstance(source, (str, Path)):
         try:
             with open(source, encoding="utf-8", newline="") as fh:
-                with csv_reader(fh, header, error) as rows:
+                with csv_reader(fh, header) as rows:
                     yield rows
         except (OSError, UnicodeDecodeError) as exc:
             line_no = None
@@ -137,13 +129,13 @@ def csv_reader(source, header, error):
                     data.decode("utf-8")
                 except UnicodeDecodeError as in_file:
                     line_no, exc = data.count(b"\n", 0, in_file.start) + 1, in_file
-            raise error(line_no, f"cannot read {source}: {exc}") from exc
+            raise InputError(line_no, f"cannot read {source}: {exc}") from exc
         return
     lines = ((n, raw.strip()) for n, raw in enumerate(source, start=1))
     lines = ((n, line) for n, line in lines if line and not line.startswith("#"))
     line_no, first = next(lines, (1, None))
     if first != header:
-        raise error(line_no, f"expected header {header!r}")
+        raise InputError(line_no, f"expected header {header!r}")
     yield ((n, line.split(",")) for n, line in lines)
 
 
@@ -172,24 +164,24 @@ def csv_writer(dest, header, comments=None):
 
 def _parse_row(line_no, fields):
     if len(fields) != 6:
-        raise TraceFormatError(line_no, f"expected 6 fields, got {len(fields)}")
+        raise InputError(line_no, f"expected 6 fields, got {len(fields)}")
     try:
         x, y = float(fields[0]), float(fields[1])
         ap_id, trial, seq, rssi = map(int, fields[2:])
     except ValueError as exc:
-        raise TraceFormatError(line_no, f"unparseable field ({exc})") from None
+        raise InputError(line_no, f"unparseable field ({exc})") from None
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise TraceFormatError(line_no, f"non-finite coordinate ({x}, {y})")
+        raise InputError(line_no, f"non-finite coordinate ({x}, {y})")
     if x == 0:
-        raise TraceFormatError(line_no, "point_x = 0 lies on the partition wall")
+        raise InputError(line_no, "point_x = 0 lies on the partition wall")
     if ap_id not in AP_IDS:
-        raise TraceFormatError(line_no, f"ap_id must be one of {AP_IDS}, got {ap_id}")
+        raise InputError(line_no, f"ap_id must be one of {AP_IDS}, got {ap_id}")
     if trial < 0:
-        raise TraceFormatError(line_no, f"trial must be >= 0, got {trial}")
+        raise InputError(line_no, f"trial must be >= 0, got {trial}")
     if seq < 0:
-        raise TraceFormatError(line_no, f"seq must be >= 0, got {seq}")
+        raise InputError(line_no, f"seq must be >= 0, got {seq}")
     if rssi > 0:
-        raise TraceFormatError(line_no, f"rssi is reported in negative dBm, got {rssi}")
+        raise InputError(line_no, f"rssi is reported in negative dBm, got {rssi}")
     return (x, y), ap_id, trial, seq, rssi
 
 
@@ -201,13 +193,13 @@ def ingest_traces(source) -> list[PointRecord]:
     seq; the room label comes from the sign of x.
     """
     grouped = {}  # point -> (ap_id, trial) -> seq -> rssi
-    with csv_reader(source, TRACE_HEADER, TraceFormatError) as rows:
+    with csv_reader(source, TRACE_HEADER) as rows:
         for line_no, fields in rows:
             point, ap_id, trial, seq, rssi = _parse_row(line_no, fields)
             readings = grouped.setdefault(point, {}).setdefault((ap_id, trial), {})
             if seq in readings:
                 key = (point, ap_id, trial, seq)
-                raise TraceFormatError(line_no, f"duplicate reading key {key}")
+                raise InputError(line_no, f"duplicate reading key {key}")
             readings[seq] = rssi
     return [
         PointRecord(point, {key: Trace([by_seq[s] for s in sorted(by_seq)])
@@ -247,6 +239,8 @@ class PairingConfig:
     def __post_init__(self):
         if self.n_positive < 0 or self.n_negative < 0:
             raise ValueError("sample counts must be >= 0")
+        if self.n_positive == self.n_negative == 0:
+            raise ValueError("n_positive, n_negative: both are 0, so there is nothing to fit")
         if self.trial_matching not in ("equal", "random"):
             raise ValueError(f"unknown trial_matching {self.trial_matching!r}")
 
@@ -257,20 +251,19 @@ def _pair_counts(points, trial_matching):
     has; and the point x trial membership matrix with the trial id of each column.
 
     "equal" counts the trials both points cover, "random" the product of the
-    two points' trial counts.  Points that cannot pair raise TraceFormatError:
+    two points' trial counts.  Points that cannot pair raise InputError:
     none, a room with fewer than two, or one without a trial every AP covers.
     """
     if not points:
-        raise TraceFormatError(None, "no points to pair")
+        raise InputError(None, "no points to pair")
     trial_sets = [record.trial_ids() for record in points]
     for record, trials in zip(points, trial_sets):
         if not trials:
-            raise TraceFormatError(
-                None, f"point {record.point} lacks a trace for every access point")
+            raise InputError(None, f"point {record.point} lacks a trace for every access point")
     rooms = [record.room for record in points]
     for room, n in Counter(rooms).items():
         if n < 2:
-            raise TraceFormatError(None, f"room {room!r} has {n} point(s); need >= 2")
+            raise InputError(None, f"room {room!r} has {n} point(s); need >= 2")
     trial_ids = np.unique(np.concatenate(trial_sets))
     member = np.array([np.isin(trial_ids, trials) for trials in trial_sets], dtype=np.int64)
     i, j = np.triu_indices(len(points), k=1)
@@ -288,7 +281,7 @@ def _nth_member(member_rows, n):
     return np.argmax(np.cumsum(member_rows, axis=1) > n[:, None], axis=1)
 
 
-def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> Dataset:
+def build_pairs(points, config: PairingConfig, seed: int) -> Dataset:
     """Construct the labeled pair dataset from point records.
 
     A sample is a (point pair, trial assignment) combination; combinations are
@@ -301,12 +294,11 @@ def build_pairs(points, config: PairingConfig | None = None, seed: int = 0) -> D
     through the per-pair counts, so the combinations are never listed.
     Positive samples come first in the output, then negatives; within each
     class the order is the generator's draw order.  Points that cannot pair
-    raise TraceFormatError, and a class count above its combinations
+    raise InputError, and a class count above its combinations
     ConfigError, both before any pair is featurized.
     """
     from .features import featurize_pair  # deferred: features needs this module's types
 
-    config = config or PairingConfig()
     points = tuple(sorted(points, key=lambda p: p.point))
     i, j, same, counts, member, trial_ids = _pair_counts(points, config.trial_matching)
 

@@ -134,7 +134,7 @@ def standardize_apply(s: Standardizer, X) -> np.ndarray:
 # Stratified splitting
 
 
-def train_test_split(y, train_fraction: float = 0.75, seed: int = 0):
+def train_test_split(y, train_fraction: float, seed: int):
     """Stratified holdout split; returns sorted (train_idx, test_idx).
 
     Each class lands in the test side in proportion to its frequency
@@ -161,7 +161,7 @@ def train_test_split(y, train_fraction: float = 0.75, seed: int = 0):
     return np.flatnonzero(~test), np.flatnonzero(test)
 
 
-def kfold(y, k: int = 10, seed: int = 0):
+def kfold(y, k: int, seed: int):
     """Stratified k folds; returns k (train_idx, validation_idx) pairs.
 
     Class-grouped indices are dealt round-robin, so folds are pairwise

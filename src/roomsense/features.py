@@ -16,6 +16,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from ._schema import InputError
 from .dataset import AP_IDS, PointRecord, csv_reader, csv_writer
 from .dtw import dtw_distance
 
@@ -25,14 +26,6 @@ AVG_STRENGTH_DBM = -70
 AP_FEATURE_NAMES = ("md", "savg", "smin", "high", "avg", "dtw")
 FEATURE_NAMES = tuple(f"{name}_{ap}" for ap in AP_IDS for name in AP_FEATURE_NAMES)
 FEATURE_CSV_HEADER = "label," + ",".join(FEATURE_NAMES)
-
-
-class FeatureFormatError(ValueError):
-    """Malformed feature-matrix file; carries the 1-based line number (None: the whole file)."""
-
-    def __init__(self, line_no: int | None, message: str):
-        super().__init__(message if line_no is None else f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 def ap_features(u, v) -> tuple[float, ...]:
@@ -108,28 +101,28 @@ def read_feature_matrix(source):
     """
     width = len(FEATURE_NAMES)
     values, labels = array("d"), array("b")
-    with csv_reader(source, FEATURE_CSV_HEADER, FeatureFormatError) as lines:
+    with csv_reader(source, FEATURE_CSV_HEADER) as lines:
         for line_no, fields in lines:
             if len(fields) != 1 + width:
-                raise FeatureFormatError(line_no, f"expected {1 + width} fields, got {len(fields)}")
+                raise InputError(line_no, f"expected {1 + width} fields, got {len(fields)}")
             try:
                 label = int(fields[0])
                 row = list(map(float, fields[1:]))
             except ValueError as exc:
-                raise FeatureFormatError(line_no, f"unparseable field ({exc})") from None
+                raise InputError(line_no, f"unparseable field ({exc})") from None
             if label not in (0, 1):
-                raise FeatureFormatError(line_no, f"label must be 0 or 1, got {label}")
+                raise InputError(line_no, f"label must be 0 or 1, got {label}")
             if not all(map(math.isfinite, row)):
-                raise FeatureFormatError(line_no, "non-finite feature value")
+                raise InputError(line_no, "non-finite feature value")
             labels.append(label)
             values.extend(row)
     if not labels:
-        raise FeatureFormatError(1, "no samples in the file")
+        raise InputError(1, "no samples in the file")
     X = np.frombuffer(values).reshape(-1, width)
     # a standardizer sums the squared deviations of up to len(X) rows; keep that sum finite
     limit = math.sqrt(sys.float_info.max / len(X)) / 4
     if max(X.max(), -X.min()) >= limit:  # whole-matrix reductions: no n x 18 temporary
         row = np.flatnonzero(np.abs(X).max(axis=1) >= limit)[0]
-        raise FeatureFormatError(None, f"sample {row + 1}: a feature value of magnitude "
-                                       f">= {limit:.3g} is too large to standardize")
+        raise InputError(None, f"sample {row + 1}: a feature value of magnitude "
+                               f">= {limit:.3g} is too large to standardize")
     return X, np.frombuffer(labels, dtype=np.int8).astype(int)

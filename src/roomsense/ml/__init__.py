@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .._schema import InputError
 from ._input import check_fit_input, check_trainable
 from .forest import RandomForest, RFParams, mdi_importance
 from .knn import KNearestNeighbors, KNNParams
@@ -60,12 +61,7 @@ __all__ = [
     "model_from_dict",
     "save_model",
     "load_model",
-    "ModelFormatError",
 ]
-
-
-class ModelFormatError(ValueError):
-    """Raised when a serialized model document cannot be decoded."""
 
 
 @dataclass(frozen=True)
@@ -123,15 +119,15 @@ def model_from_dict(doc: dict):
     try:
         version = doc["format_version"]
         if version != MODEL_FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported model format version {version}")
+            raise InputError(None, f"unsupported model format version {version}")
         algorithm = doc["algorithm"]
         if algorithm not in MODELS:
-            raise ModelFormatError(f"unknown algorithm {algorithm!r}")
+            raise InputError(None, f"unknown algorithm {algorithm!r}")
         return MODELS[algorithm].from_params(doc["params"])
-    except ModelFormatError:
+    except InputError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise ModelFormatError(f"malformed model document ({exc})") from None
+        raise InputError(None, f"malformed model document ({exc})") from None
 
 
 def save_model(model, path, extra: dict | None = None):
@@ -145,9 +141,9 @@ def save_model(model, path, extra: dict | None = None):
 
 def load_model(path):
     """Load a model saved by save_model; returns (model, full document).  A path
-    that is unreadable, not UTF-8 or not JSON (too deep included) raises ModelFormatError."""
+    that is unreadable, not UTF-8 or not JSON (too deep included) raises InputError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
-        raise ModelFormatError(f"cannot read {path}: {exc}") from exc
+        raise InputError(None, f"cannot read {path}: {exc}") from exc
     return model_from_dict(doc), doc

@@ -68,7 +68,7 @@ class SimConfig:
             raise ValueError("trials and samples_per_trial must be >= 1")
 
 
-def path_loss_db(d_m: float, gamma: float = 2.5, d0_m: float = 1.0) -> float:
+def path_loss_db(d_m: float, gamma: float, d0_m: float) -> float:
     """Distance-dependent loss beyond the reference power: 10 * gamma * log10(d/d0).
 
     Distances at or below d0 lose nothing, so the loss never goes negative

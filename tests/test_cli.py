@@ -23,7 +23,6 @@ n_positive=10
 n_negative=14
 rf_n_trees=5
 lr_iterations=200
-svm_max_passes=3
 knn_k=3
 cv_folds=3
 """
@@ -271,6 +270,15 @@ def test_flag_overrides_config_file(tmp_path, config_path):
     assert (out / "report_dt.json").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_algorithm_help_names_every_classifier(capsys, command):
+    # --algorithm is parsed as the config key, so its help is the one list of choices
+    with pytest.raises(SystemExit) as exited:
+        run(command, "--help")
+    assert exited.value.code == 0
+    assert "lr, knn, rf, svm, dt (default: rf)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_missing_input_file_exits_2(tmp_path):
     assert run("featurize", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
     assert run("evaluate", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
@@ -419,7 +427,7 @@ REFUSED_RUNS = {
     "featurize-traces-non-utf-8": (
         ("featurize", "non-utf-8-traces"), "", 2,
         "line 321: cannot read {tmp}/non-utf-8-traces: 'utf-8' codec can't decode byte 0xff "
-        "in position 14233"),
+        "in position 14234"),
     "train-features-missing": (
         ("train", "missing"), "", 2, "missing: [Errno 2] No such file or directory"),
     "train-features-directory": (
@@ -427,7 +435,7 @@ REFUSED_RUNS = {
     "train-features-non-utf-8": (
         ("train", "non-utf-8-features"), "", 2,
         "line 57: cannot read {tmp}/non-utf-8-features: 'utf-8' codec can't decode byte 0xff "
-        "in position 4008"),
+        "in position 4009"),
     "evaluate-model-missing": (
         ("evaluate", "features", "--model", "missing"), "", 2,
         "missing: [Errno 2] No such file or directory"),
@@ -458,6 +466,9 @@ REFUSED_RUNS = {
     "featurize-traces-no-trial-with-every-ap": (
         ("featurize", "no-trial-with-every-ap"), "", 2,
         "error: input: point (1.0, 1.0) lacks a trace for every access point"),
+    "featurize-no-samples": (
+        ("featurize", "traces"), "n_positive=0\nn_negative=0", 3,
+        "error: config: n_positive, n_negative: both are 0, so there is nothing to fit"),
     "featurize-pair-count-unreachable": (
         ("featurize", "traces"), "n_positive=100000", 3,
         "error: config: n_positive: 100000 samples requested but only 36 distinct (pair, trial)"),
@@ -465,6 +476,12 @@ REFUSED_RUNS = {
         ("train", "no-rows"), "", 2, "error: input: line 1: no samples in the file"),
     "evaluate-features-without-rows": (
         ("evaluate", "no-rows"), "", 2, "error: input: line 1: no samples in the file"),
+    "train-algorithm-unknown": (
+        ("train", "features", "--algorithm", "xyz"), "", 3,
+        "error: config: algorithm must be one of ('lr', 'knn', 'rf', 'svm', 'dt'), got 'xyz'"),
+    "evaluate-algorithm-unknown": (
+        ("evaluate", "features", "--algorithm", "xyz"), "", 3,
+        "error: config: algorithm must be one of ('lr', 'knn', 'rf', 'svm', 'dt'), got 'xyz'"),
     "train-cv-folds-over-samples": (
         ("train", "features"), "cv_folds=19", 3, "cv_folds: cannot make 19 folds from 18"),
     "evaluate-cv-folds-over-train-side": (
@@ -510,6 +527,10 @@ REFUSED_RUNS = {
     "evaluate-model-other-config": (
         ("evaluate", "features", "--model", "model"), "cv_folds=5", 3,
         "cv_folds=5 contradicts the model's cv_folds=3"),
+    "benchmark-seed-not-an-integer": (
+        ("benchmark", "--seed", "abc"), "", 3,
+        "error: config: --seed: bad value for seed: invalid literal for int() with base 10: "
+        "'abc'"),
     "benchmark-one-trial-two-devices": (
         ("benchmark",), "devices_per_room=2\ntrials=1", 3,
         "error: config: n_positive: 100 samples requested but only 2 distinct (pair, trial)"),

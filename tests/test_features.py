@@ -10,12 +10,12 @@ import pytest
 
 from conftest import make_point, make_point_same_traces
 from oracles import ap_features_oracle, naive_features
+from roomsense._schema import InputError
 from roomsense.evaluation import standardize_fit
 from roomsense.features import (
     AP_FEATURE_NAMES,
     FEATURE_CSV_HEADER,
     FEATURE_NAMES,
-    FeatureFormatError,
     ap_features,
     featurize_pair,
     read_feature_matrix,
@@ -209,18 +209,18 @@ def test_feature_matrix_text_is_float_repr():
 
 
 def test_feature_matrix_errors():
-    with pytest.raises(FeatureFormatError):
+    with pytest.raises(InputError):
         read_feature_matrix(io.StringIO("not,a,header\n"))
     bad_row = FEATURE_CSV_HEADER + "\n1," + ",".join(["0.0"] * 17) + "\n"
-    with pytest.raises(FeatureFormatError, match="line 2"):
+    with pytest.raises(InputError, match="line 2"):
         read_feature_matrix(io.StringIO(bad_row))
     bad_label = FEATURE_CSV_HEADER + "\n7," + ",".join(["0.0"] * 18) + "\n"
-    with pytest.raises(FeatureFormatError, match="label"):
+    with pytest.raises(InputError, match="label"):
         read_feature_matrix(io.StringIO(bad_label))
     bad_value = FEATURE_CSV_HEADER + "\n1," + ",".join(["0.0"] * 17 + ["inf"]) + "\n"
-    with pytest.raises(FeatureFormatError, match="non-finite"):
+    with pytest.raises(InputError, match="non-finite"):
         read_feature_matrix(io.StringIO(bad_value))
-    with pytest.raises(FeatureFormatError, match="no samples"):
+    with pytest.raises(InputError, match="no samples"):
         read_feature_matrix(io.StringIO("# seed=3\n" + FEATURE_CSV_HEADER + "\n"))
 
 
@@ -240,5 +240,5 @@ def test_feature_values_too_large_to_standardize_are_refused():
     X[2, 5] = -limit
     buf = io.StringIO()
     write_feature_matrix(X, y, buf)
-    with pytest.raises(FeatureFormatError, match="^sample 3: .* too large to standardize$"):
+    with pytest.raises(InputError, match="^sample 3: .* too large to standardize$"):
         read_feature_matrix(io.StringIO(buf.getvalue()))

@@ -10,7 +10,7 @@ from oracles import best_split_oracle, lr_oracle, smo_oracle, tree_predict_oracl
 
 from roomsense import ml
 from roomsense._seeds import generator
-from roomsense._schema import ConfigError, build, flatten
+from roomsense._schema import ConfigError, InputError, build, flatten
 from roomsense.evaluation import standardize_apply, standardize_fit
 from roomsense.ml import (
     DecisionTree,
@@ -678,10 +678,10 @@ def test_serialization_round_trip(tmp_path, algorithm):
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ml.ModelFormatError):
+    with pytest.raises(InputError):
         ml.load_model(path)
     path.write_text('{"format_version": 99, "algorithm": "lr", "params": {}}', encoding="utf-8")
-    with pytest.raises(ml.ModelFormatError):
+    with pytest.raises(InputError):
         ml.load_model(path)
     Xs, y = separable_clusters(seed=21)
     for algorithm, key, bad in (("knn", "k", 4), ("svm", "gamma", "abc")):
@@ -689,7 +689,7 @@ def test_load_model_rejects_garbage(tmp_path):
         doc = ml.model_to_dict(model)
         doc["params"][key] = bad
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ml.ModelFormatError, match="malformed"):
+        with pytest.raises(InputError, match="malformed"):
             ml.load_model(path)
     tree = {"value": 0, "n": 1}
     for _ in range(5000):  # deeper than Node.from_dict recurses
@@ -697,7 +697,7 @@ def test_load_model_rejects_garbage(tmp_path):
                 "right": {"value": 1, "n": 1}}
     doc = {"format_version": ml.MODEL_FORMAT_VERSION, "algorithm": "dt",
            "params": {"n_features": 1, "tree": tree}}
-    with pytest.raises(ml.ModelFormatError, match="malformed"):
+    with pytest.raises(InputError, match="malformed"):
         ml.model_from_dict(doc)
 
 
