@@ -6,7 +6,7 @@ other sequence.  Small distances mean the devices saw similar signal
 profiles from that access point.
 """
 
-from roomsense import SimConfig, dtw_distance, generate
+from roomsense import SimConfig, dtw_path, generate
 
 points = generate(SimConfig(seed=42))
 left = [p for p in points if p.room == "left"]
@@ -20,15 +20,15 @@ pairs = {
 for label, (a, b) in pairs.items():
     u = list(a.traces[(3, 0)].unique)
     v = list(b.traces[(3, 0)].unique)
-    result = dtw_distance(u, v)
+    distance, path = dtw_path(u, v)
     print(label)
     print(f"  x = {u}")
     print(f"  y = {v}")
-    print(f"  distance = {result.distance}")
-    print(f"  path     = {result.path}")
+    print(f"  distance = {distance}")
+    print(f"  path     = {path}")
     print()
 
 # toy example with unequal lengths: the middle value of x stretches over
 # the repeated 2s of y
-toy = dtw_distance([1, 2, 3], [2, 2, 2, 3, 4])
-print(f"dtw([1,2,3], [2,2,2,3,4]) = {toy.distance}, path {toy.path}")
+distance, path = dtw_path([1, 2, 3], [2, 2, 2, 3, 4])
+print(f"dtw([1,2,3], [2,2,2,3,4]) = {distance}, path {path}")

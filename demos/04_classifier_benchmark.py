@@ -9,6 +9,7 @@ trails on the positive (adjacent) class.
 import numpy as np
 
 from roomsense import PairingConfig, SimConfig, TrainConfig, build_pairs, evaluate, generate
+from roomsense.evaluation import plan
 
 points = generate(SimConfig(seed=42))
 dataset = build_pairs(points, PairingConfig(), seed=42)
@@ -17,7 +18,8 @@ X, y = dataset.feature_matrix(), dataset.labels()
 print(f"{'algorithm':<10s} {'accuracy':>8s} {'f1 (0)':>8s} {'f1 (1)':>8s} {'cv mean':>8s}")
 reports = {}
 for algorithm in ("lr", "knn", "rf", "svm", "dt"):
-    report = reports[algorithm] = evaluate(X, y, TrainConfig(algorithm=algorithm, seed=42))
+    cfg = TrainConfig(algorithm=algorithm, seed=42)
+    report = reports[algorithm] = evaluate(X, y, cfg, plan(y, cfg))
     cv_mean = float(np.mean(report.cv_accuracies))
     print(
         f"{algorithm:<10s} {report.accuracy:8.3f} {report.f1_class0:8.3f} "

@@ -10,14 +10,15 @@ coefficient means the two classes rarely share feature values.
 import numpy as np
 
 from roomsense import PairingConfig, SimConfig, TrainConfig, build_pairs, evaluate, generate
-from roomsense.evaluation import overlap_coefficient, write_kde_csv
+from roomsense.evaluation import overlap_coefficient, plan, write_kde_csv
 from roomsense.features import FEATURE_NAMES
 
 points = generate(SimConfig(seed=42))
 dataset = build_pairs(points, PairingConfig(), seed=42)
 X, y = dataset.feature_matrix(), dataset.labels()
 
-report = evaluate(X, y, TrainConfig(algorithm="rf", seed=42))
+cfg = TrainConfig(algorithm="rf", seed=42)
+report = evaluate(X, y, cfg, plan(y, cfg))
 importance = np.array(report.importance)
 
 print("feature importance (mean decrease of impurity), descending:")
@@ -32,6 +33,5 @@ for name in ("dtw_1", "dtw_2", "dtw_3"):
     overlap = overlap_coefficient(X[y == 0, idx], X[y == 1, idx])
     print(f"  {name}: {overlap:.3f}")
 
-indices = [FEATURE_NAMES.index(n) for n in ("dtw_1", "dtw_2", "dtw_3", "high_3")]
-write_kde_csv(X, y, FEATURE_NAMES, indices, "kde.csv", comments={"seed": 42})
+write_kde_csv(X, y, ("dtw_1", "dtw_2", "dtw_3", "high_3"), "kde.csv", comments={"seed": 42})
 print("\nwrote kde.csv (feature,class,x,density) for plotting")

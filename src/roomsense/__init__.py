@@ -16,7 +16,7 @@ from .dataset import (
     ingest_traces,
     write_traces,
 )
-from .dtw import WarpResult, dtw_distance
+from .dtw import dtw_distance, dtw_path
 from .evaluation import ConfusionMatrix, EvalReport, Standardizer, evaluate
 from .features import FEATURE_NAMES, featurize_pair
 from .ml import TrainConfig, predict, train
@@ -32,8 +32,8 @@ __all__ = [
     "build_pairs",
     "ingest_traces",
     "write_traces",
-    "WarpResult",
     "dtw_distance",
+    "dtw_path",
     "ConfusionMatrix",
     "EvalReport",
     "Standardizer",

@@ -239,15 +239,14 @@ def cmd_evaluate(args) -> int:
     if args.kde and len(set(y.tolist())) < 2:
         raise ConfigError(f"--kde requires both classes, but {args.features} has only class {y[0]}")
 
-    report = evaluation.evaluate(X, y, cfg.train, fitted=fitted, jobs=jobs)
+    report = evaluation.evaluate(X, y, cfg.train, jobs, fitted)
     outputs = _report_file(report, cfg)
     if args.importance:
         rows = [(name, repr(value)) for name, value in zip(FEATURE_NAMES, report.importance)]
         outputs["importance.csv"] = _csv("feature,importance", rows, cfg.echo())
     if args.kde:
-        indices = [FEATURE_NAMES.index(name) for name in KDE_EXPORT_FEATURES]
         kde = io.StringIO()
-        evaluation.write_kde_csv(X, y, FEATURE_NAMES, indices, kde, comments=cfg.echo())
+        evaluation.write_kde_csv(X, y, KDE_EXPORT_FEATURES, kde, comments=cfg.echo())
         outputs["kde.csv"] = _text(kde.getvalue())
     return _write(args, outputs)
 
@@ -266,7 +265,7 @@ def cmd_benchmark(args) -> int:
     for algorithm in ml.ALGORITHMS:
         run = replace(cfg, train=replace(cfg.train, algorithm=algorithm))
         fitted = evaluation.fit(X, y, jobs[0][0], run.train)
-        report = evaluation.evaluate(X, y, run.train, fitted=fitted, jobs=jobs)
+        report = evaluation.evaluate(X, y, run.train, jobs, fitted)
         outputs |= _model_file(fitted, run) | _report_file(report, run)
         rows.append([algorithm, *map(repr, (report.accuracy, report.f1_class0, report.f1_class1))])
     outputs["benchmark.csv"] = _csv("algorithm,accuracy,f1_class0,f1_class1", rows, cfg.echo())
@@ -277,8 +276,13 @@ def cmd_benchmark(args) -> int:
 # Argument parsing and entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad config, exit 3
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="roomsense",
         description="Same-room vs different-room classification from Wi-Fi RSSI traces.",
     )
@@ -312,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

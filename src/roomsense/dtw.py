@@ -6,61 +6,19 @@ inf elsewhere, so cell (i, j) of the sequences sits at rows[i + 1][j + 1].
 Each cell adds |x_i - y_j| to the first minimum of its diagonal, up and left
 neighbours, found with two `<` comparisons in that order: the result is
 exactly builtin `min`'s, ties and NaN included (a NaN taken first stays, a
-later NaN never replaces a number).  The rows are kept, and the path is
-backtracked from them with the same first-minimum rule the first time it is
-read, so a caller that needs only the distance pays for the fill alone.
+later NaN never replaces a number).  `dtw_distance` reads the last cell;
+`dtw_path` also backtracks the path from the rows with the same
+first-minimum rule.
 """
 
 import math
-from functools import cached_property
 
 _NOT_1D = "dtw_distance expects 1-D sequences"
 _TEXT = (str, bytes)
 
 
-class WarpResult:
-    """Optimal alignment: total cost plus the index-pair path realizing it."""
-
-    def __init__(self, distance: float, rows: list[list[float]]):
-        self.distance = distance
-        self._rows = rows
-
-    def __repr__(self):
-        return f"WarpResult(distance={self.distance!r}, path={self.path!r})"
-
-    @cached_property
-    def path(self) -> tuple[tuple[int, int], ...]:
-        rows = self._rows
-        i, j = len(rows) - 1, len(rows[0]) - 1
-        path = [(i - 1, j - 1)]
-        while i > 1 or j > 1:
-            above = rows[i - 1]
-            diag, up, left = above[j - 1], above[j], rows[i][j - 1]
-            # the fill's first minimum: diagonal, then vertical, then horizontal
-            if up < diag:
-                if left < up:
-                    j -= 1
-                else:
-                    i -= 1
-            elif left < diag:
-                j -= 1
-            else:
-                i -= 1
-                j -= 1
-            path.append((i - 1, j - 1))
-        path.reverse()
-        return tuple(path)
-
-
-def dtw_distance(x, y) -> WarpResult:
-    """Minimum cumulative alignment cost between sequences x and y.
-
-    Local cost is |x_i - y_j|.  The alignment may stretch either sequence,
-    so a single element of one can map to several elements of the other and
-    the inputs may have different lengths.  Backtracking ties are resolved
-    diagonal first, then vertical (advance i), then horizontal (advance j),
-    which makes the returned path deterministic.
-    """
+def _fill(x, y) -> list[list[float]]:
+    """The cumulative-cost rows of x against y, border included; refuses bad input."""
     # float() refuses a row and iteration refuses a scalar, so nested lists,
     # (n, k) arrays and scalars raise TypeError.  The tests before it stop
     # (n, 1) arrays, which numpy before 2.4 converts with only a warning, and
@@ -95,4 +53,42 @@ def dtw_distance(x, y) -> WarpResult:
     distance = row[-1]
     if not math.isfinite(distance):
         raise ValueError(f"dtw_distance requires finite values and costs, got distance {distance}")
-    return WarpResult(distance, rows)
+    return rows
+
+
+def dtw_distance(x, y) -> float:
+    """Minimum cumulative alignment cost between sequences x and y.
+
+    Local cost is |x_i - y_j|.  The alignment may stretch either sequence,
+    so a single element of one can map to several elements of the other and
+    the inputs may have different lengths.
+    """
+    return _fill(x, y)[-1][-1]
+
+
+def dtw_path(x, y) -> tuple[float, tuple[tuple[int, int], ...]]:
+    """(dtw_distance(x, y), the (i, j) index pairs of an alignment realizing it).
+
+    Backtracking ties are resolved diagonal first, then vertical (advance i),
+    then horizontal (advance j), which makes the path deterministic.
+    """
+    rows = _fill(x, y)
+    i, j = len(rows) - 1, len(rows[0]) - 1
+    path = [(i - 1, j - 1)]
+    while i > 1 or j > 1:
+        above = rows[i - 1]
+        diag, up, left = above[j - 1], above[j], rows[i][j - 1]
+        # the fill's first minimum: diagonal, then vertical, then horizontal
+        if up < diag:
+            if left < up:
+                j -= 1
+            else:
+                i -= 1
+        elif left < diag:
+            j -= 1
+        else:
+            i -= 1
+            j -= 1
+        path.append((i - 1, j - 1))
+    path.reverse()
+    return rows[-1][-1], tuple(path)

@@ -16,6 +16,7 @@ from . import ml
 from ._schema import ConfigError
 from ._seeds import derive_seed, generator
 from .dataset import csv_writer
+from .features import FEATURE_NAMES
 from .ml._input import check_finite
 
 
@@ -251,11 +252,8 @@ class EvalReport:
             "importance": None if self.importance is None else list(self.importance),
         }
 
-    def to_json(self, extra: dict | None = None) -> str:
-        doc = self.to_dict()
-        if extra:
-            doc.update(extra)
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    def to_json(self, extra: dict) -> str:
+        return json.dumps(self.to_dict() | extra, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def plan(y, cfg: ml.TrainConfig) -> list:
@@ -294,19 +292,17 @@ def cross_validate(X, y, cfg: ml.TrainConfig, jobs) -> np.ndarray:
                      for rows, scored in jobs[1:]])
 
 
-def evaluate(X, y, cfg: ml.TrainConfig, fitted=None, jobs=None) -> EvalReport:
+def evaluate(X, y, cfg: ml.TrainConfig, jobs, fitted=None) -> EvalReport:
     """Score one classifier on the held-out rows of the stratified split.
 
     cfg.seed is the one seed: it draws the plan (the split and the CV folds
-    inside its training side; `jobs` is `plan(y, cfg)`, drawn here when None)
-    and the model's own randomness.  `fitted` is what `fit` returns for the
-    holdout's fit rows, `jobs[0][0]`, e.g. a saved model; without it the
-    classifier is fit here.  Random forests also report impurity-based
-    feature importance.
+    inside its training side; `jobs` is `plan(y, cfg)`) and the model's own
+    randomness.  `fitted` is what `fit` returns for the holdout's fit rows,
+    `jobs[0][0]`, e.g. a saved model; without it the classifier is fit here.
+    Random forests also report impurity-based feature importance.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    jobs = plan(y, cfg) if jobs is None else jobs
     fitted = fit(X, y, jobs[0][0], cfg) if fitted is None else fitted
     cm = _confusion(fitted, X, y, jobs[0][1])
     cv = cross_validate(X, y, cfg, jobs)
@@ -325,17 +321,17 @@ def evaluate(X, y, cfg: ml.TrainConfig, fitted=None, jobs=None) -> EvalReport:
     )
 
 
-def write_kde_csv(X, y, feature_names, feature_indices, dest, points: int = 256,
-                  comments: dict | None = None):
-    """Class-conditional KDE curves as CSV rows `feature,class,x,density`."""
+def write_kde_csv(X, y, names, dest, comments: dict | None = None):
+    """Class-conditional KDE curves of the named FEATURE_NAMES columns of X, each
+    on a 256-point grid, as CSV rows `feature,class,x,density`."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     with csv_writer(dest, "feature,class,x,density", comments) as out:
-        for idx in feature_indices:
-            name = feature_names[idx]
+        for name in names:
+            idx = FEATURE_NAMES.index(name)
             per_class = [X[y == cls, idx] for cls in (0, 1)]
             try:
-                grid = density_grid(*per_class, points=points)
+                grid = density_grid(*per_class, points=256)
             except ValueError:
                 # degenerate column: all values identical within a class
                 for cls, values in zip((0, 1), per_class):

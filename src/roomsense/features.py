@@ -49,19 +49,13 @@ def ap_features(u, v) -> tuple[float, ...]:
         float(min(strengths)),
         bisect_right(ordered, HIGH_STRENGTH_DBM) / n,
         bisect_right(ordered, AVG_STRENGTH_DBM) / n,
-        dtw_distance(u, v).distance,
+        dtw_distance(u, v),
     )
 
 
-def featurize_pair(
-    a: PointRecord, b: PointRecord, trial_a: int = 0, trial_b: int | None = None
-) -> np.ndarray:
-    """18-value feature vector, AP-major in the order md, savg, smin, high, avg, dtw.
-
-    The pair is compared at the chosen trials; trial_b defaults to trial_a.
-    """
-    if trial_b is None:
-        trial_b = trial_a
+def featurize_pair(a: PointRecord, b: PointRecord, trial_a: int, trial_b: int) -> np.ndarray:
+    """18-value feature vector, AP-major in the order md, savg, smin, high, avg, dtw,
+    of a at trial_a against b at trial_b."""
     values = []
     for ap_id in AP_IDS:
         try:

@@ -193,8 +193,6 @@ class SupportVectorMachine:
     def decision_function(self, X):
         X = check_predict_input(X, self.n_features_)
         mask = self.support_mask_
-        if not mask.any():
-            return np.full(len(X), self.bias_)
         K = rbf_kernel(self.X_[mask], X, self.gamma_)
         return (self.alphas_[mask] * self.y_signed_[mask]) @ K + self.bias_
 

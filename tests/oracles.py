@@ -138,7 +138,7 @@ def ap_features_oracle(u, v):
         float(min(strengths)),
         sum(1 for s in union if s <= -50) / n,
         sum(1 for s in union if s <= -70) / n,
-        dtw_distance(u, v).distance,
+        dtw_distance(u, v),
     )
 
 

@@ -34,6 +34,7 @@ from roomsense.evaluation import (
     kde,
     kfold,
     overlap_coefficient,
+    plan,
     standardize_apply,
     standardize_fit,
 )
@@ -80,7 +81,7 @@ def test_c1_dtw_oracle_equivalence():
         flat = costs.reshape(2000, n * m)
         oracle_min = (flat @ mats.T).min(axis=1)
         for row in range(2000):
-            dp = dtw_distance(xs[row], ys[row]).distance
+            dp = dtw_distance(xs[row], ys[row])
             assert dp == oracle_min[row], (xs[row], ys[row])
             checked += 1
     elapsed = time.monotonic() - started
@@ -213,10 +214,10 @@ def test_c5_benchmark_reproduction():
     for seed in range(10):
         dataset = _default_benchmark_dataset(seed)
         X, y = dataset.feature_matrix(), dataset.labels()
-        reports = {
-            algorithm: evaluate(X, y, TrainConfig(algorithm=algorithm, seed=seed))
-            for algorithm in ("rf", "dt", "lr")
-        }
+        reports = {}
+        for algorithm in ("rf", "dt", "lr"):
+            cfg = TrainConfig(algorithm=algorithm, seed=seed)
+            reports[algorithm] = evaluate(X, y, cfg, plan(y, cfg))
         rf_ok += reports["rf"].accuracy >= 0.90
         dt_ok += reports["dt"].accuracy >= 0.90
         rf_ge_lr += reports["rf"].accuracy >= reports["lr"].accuracy
@@ -283,7 +284,8 @@ def test_c7_kde_and_dtw_overlap():
     for seed in (42, 0, 7):
         dataset = _default_benchmark_dataset(seed)
         X, y = dataset.feature_matrix(), dataset.labels()
-        report = evaluate(X, y, TrainConfig(algorithm="rf", seed=seed))
+        cfg = TrainConfig(algorithm="rf", seed=seed)
+        report = evaluate(X, y, cfg, plan(y, cfg))
         importance = np.array(report.importance)
         top_dtw = max(dtw_names, key=lambda n: importance[FEATURE_NAMES.index(n)])
         idx = FEATURE_NAMES.index(top_dtw)

@@ -279,19 +279,6 @@ def test_algorithm_help_names_every_classifier(capsys, command):
     assert "lr, knn, rf, svm, dt (default: rf)" in " ".join(capsys.readouterr().out.split())
 
 
-def test_missing_input_file_exits_2(tmp_path):
-    assert run("featurize", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
-    assert run("evaluate", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
-
-
-def test_malformed_trace_file_exits_2(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("point_x,point_y,ap_id,trial,seq,rssi_dbm\n1,1,1,0,0,99\n")
-    assert run("featurize", str(bad), "--out", str(tmp_path)) == 2
-    bad.write_text("point_x,point_y,ap_id,trial,seq,rssi_dbm\nnan,1,1,0,0,-50\n")
-    assert run("featurize", str(bad), "--out", str(tmp_path)) == 2
-
-
 def _first_leaf(node):
     while "value" not in node:
         node = node["left"]
@@ -407,6 +394,8 @@ TRACE_FILES = {
     "bad-row": "1,1,1,0,0,-50\n1,1,1,0,x,-50\n",
     "one-point-in-a-room": "".join(f"{x},1,{ap},0,0,-50\n" for x in (-1, 1) for ap in (1, 2, 3)),
     "no-trial-with-every-ap": "1,1,1,0,0,-50\n",
+    "rssi-99": "1,1,1,0,0,99\n",
+    "point-x-nan": "nan,1,1,0,0,-50\n",
 }
 
 # (argv, config lines, exit code, stderr fragment) of runs refused before
@@ -432,10 +421,14 @@ REFUSED_RUNS = {
         ("train", "missing"), "", 2, "missing: [Errno 2] No such file or directory"),
     "train-features-directory": (
         ("train", "directory"), "", 2, "directory: [Errno 21] Is a directory"),
+    "train-features-argument-missing": (
+        ("train",), "", 3, "error: config: the following arguments are required: features\n"),
     "train-features-non-utf-8": (
         ("train", "non-utf-8-features"), "", 2,
         "line 57: cannot read {tmp}/non-utf-8-features: 'utf-8' codec can't decode byte 0xff "
         "in position 4009"),
+    "evaluate-features-missing": (
+        ("evaluate", "missing"), "", 2, "missing: [Errno 2] No such file or directory"),
     "evaluate-model-missing": (
         ("evaluate", "features", "--model", "missing"), "", 2,
         "missing: [Errno 2] No such file or directory"),
@@ -453,6 +446,8 @@ REFUSED_RUNS = {
     "simulate-config-non-utf-8": (
         ("simulate", "--config", "non-utf-8-config"), "", 3,
         "non-utf-8-config: 'utf-8' codec can't decode byte 0xff"),
+    "simulate-unknown-flag": (
+        ("simulate", "--bogus"), "", 3, "error: config: unrecognized arguments: --bogus\n"),
     "simulate-one-device-per-room": (
         ("simulate",), "devices_per_room=1", 3,
         "error: config: devices_per_room: 1 device(s) per room leave no pair within a room"),
@@ -466,6 +461,10 @@ REFUSED_RUNS = {
     "featurize-traces-no-trial-with-every-ap": (
         ("featurize", "no-trial-with-every-ap"), "", 2,
         "error: input: point (1.0, 1.0) lacks a trace for every access point"),
+    "featurize-traces-rssi-99": (
+        ("featurize", "rssi-99"), "", 2, "rssi is reported in negative dBm, got 99"),
+    "featurize-traces-point-x-nan": (
+        ("featurize", "point-x-nan"), "", 2, "non-finite coordinate (nan, 1.0)"),
     "featurize-no-samples": (
         ("featurize", "traces"), "n_positive=0\nn_negative=0", 3,
         "error: config: n_positive, n_negative: both are 0, so there is nothing to fit"),
@@ -515,6 +514,9 @@ REFUSED_RUNS = {
     "evaluate-lr-one-class": (
         ("evaluate", "one-class", "--algorithm", "lr"), "", 3,
         "error: config: algorithm: lr requires both classes in the training data"),
+    "evaluate-importance-not-rf": (
+        ("evaluate", "features", "--algorithm", "lr", "--importance"), "", 3,
+        "error: config: --importance requires the rf algorithm\n"),
     "evaluate-kde-one-class": (
         ("evaluate", "one-class", "--algorithm", "knn", "--kde"), "", 3,
         "error: config: --kde requires both classes, but "),
@@ -706,18 +708,6 @@ def test_bad_config_exits_3(tmp_path, line):
     out = tmp_path / "out"
     assert run("simulate", "--config", str(bad_cfg), "--out", str(out)) == 3
     assert not out.exists()  # rejected before any output is written
-
-
-def test_importance_without_rf_exits_3(tmp_path, config_path):
-    out = tmp_path / "out"
-    run("simulate", "--config", config_path, "--seed", "5", "--out", str(out))
-    run("featurize", str(out / "traces.csv"), "--config", config_path, "--seed", "5",
-        "--out", str(out))
-    code = run(
-        "evaluate", str(out / "features.csv"), "--config", config_path, "--seed", "5",
-        "--out", str(out), "--algorithm", "lr", "--importance",
-    )
-    assert code == 3
 
 
 # a non-default value for every config key, in echo order

@@ -7,35 +7,34 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_dtw, dtw_oracle
-from roomsense.dtw import dtw_distance
+from roomsense.dtw import dtw_distance, dtw_path
 from roomsense.simulator import SimConfig, generate
 
 ALPHABET = (-80, -70, -60, -50)
 
 
 def test_identical_sequences():
-    result = dtw_distance([-50, -60, -70], [-50, -60, -70])
-    assert result.distance == 0.0
-    assert result.path == ((0, 0), (1, 1), (2, 2))
+    assert dtw_distance([-50, -60, -70], [-50, -60, -70]) == 0.0
+    assert dtw_path([-50, -60, -70], [-50, -60, -70]) == (0.0, ((0, 0), (1, 1), (2, 2)))
 
 
 def test_single_cell():
-    result = dtw_distance([0], [5])
-    assert result.distance == 5.0
-    assert result.path == ((0, 0),)
+    assert dtw_distance([0], [5]) == 5.0
+    assert dtw_path([0], [5]) == (5.0, ((0, 0),))
 
 
 def test_unequal_lengths_example():
     # expected value confirmed by exhaustive path enumeration
     assert brute_force_dtw([1, 2, 3], [2, 2, 2, 3, 4]) == 2
-    assert dtw_distance([1, 2, 3], [2, 2, 2, 3, 4]).distance == 2.0
+    assert dtw_distance([1, 2, 3], [2, 2, 2, 3, 4]) == 2.0
 
 
 def test_empty_sequences_rejected():
-    with pytest.raises(ValueError):
-        dtw_distance([], [1])
-    with pytest.raises(ValueError):
-        dtw_distance([1], [])
+    for dtw in (dtw_distance, dtw_path):
+        with pytest.raises(ValueError, match="nonempty"):
+            dtw([], [1])
+        with pytest.raises(ValueError, match="nonempty"):
+            dtw([1], [])
 
 
 @pytest.mark.parametrize("x", [
@@ -48,19 +47,20 @@ def test_empty_sequences_rejected():
     b"12",
 ], ids=["2d-list", "n-by-1-array", "n-by-2-array", "0d-array", "scalar", "str", "bytes"])
 def test_non_1d_input_rejected(x):
-    with pytest.raises(ValueError, match="1-D"):
-        dtw_distance(x, [1.0, 2.0])
-    with pytest.raises(ValueError, match="1-D"):
-        dtw_distance([1.0, 2.0], x)
+    for dtw in (dtw_distance, dtw_path):
+        with pytest.raises(ValueError, match="1-D"):
+            dtw(x, [1.0, 2.0])
+        with pytest.raises(ValueError, match="1-D"):
+            dtw([1.0, 2.0], x)
 
 
 def test_list_tuple_and_array_inputs_agree():
     x, y = [-61, -58, -70, -58], [-60, -71, -59]
-    results = [dtw_distance(kind(x), kind(y)) for kind in (list, tuple, np.array)]
-    results.append(dtw_distance(np.array(x, dtype=float), np.array(y, dtype=float)))
+    inputs = [(kind(x), kind(y)) for kind in (list, tuple, np.array)]
+    inputs.append((np.array(x, dtype=float), np.array(y, dtype=float)))
+    results = [(dtw_distance(*pair), dtw_path(*pair)) for pair in inputs]
     for result in results[1:]:
-        assert result.distance == results[0].distance
-        assert result.path == results[0].path
+        assert result == results[0]
 
 
 def _non_finite_cases():
@@ -83,8 +83,9 @@ def _non_finite_cases():
     *_non_finite_cases(),
 ])
 def test_non_finite_rejected(x, y):
-    with pytest.raises(ValueError, match="finite"):
-        dtw_distance(x, y)
+    for dtw in (dtw_distance, dtw_path):
+        with pytest.raises(ValueError, match="finite"):
+            dtw(x, y)
 
 
 def _oracle_cases():
@@ -103,10 +104,9 @@ def _oracle_cases():
 
 def test_distance_and_path_match_numpy_grid_oracle():
     for x, y in _oracle_cases():
-        result = dtw_distance(x, y)
         distance, path = dtw_oracle(x, y)
-        assert repr(result.distance) == repr(distance), (x, y)
-        assert result.path == path, (x, y)
+        assert repr(dtw_distance(x, y)) == repr(distance), (x, y)
+        assert dtw_path(x, y) == (distance, path), (x, y)
 
 
 def test_building_scale_traces_match_numpy_grid_oracle():
@@ -115,10 +115,9 @@ def test_building_scale_traces_match_numpy_grid_oracle():
     rng = np.random.default_rng(21)
     for a, b in rng.integers(0, len(uniques), size=(3000, 2)):
         x, y = uniques[a], uniques[b]
-        result = dtw_distance(x, y)
         distance, path = dtw_oracle(x, y)
-        assert repr(result.distance) == repr(distance), (x, y)
-        assert result.path == path, (x, y)
+        assert repr(dtw_distance(x, y)) == repr(distance), (x, y)
+        assert dtw_path(x, y) == (distance, path), (x, y)
 
 
 def test_exhaustive_oracle_equivalence_short_sequences():
@@ -127,7 +126,7 @@ def test_exhaustive_oracle_equivalence_short_sequences():
     ]
     for x in sequences:
         for y in sequences:
-            assert dtw_distance(x, y).distance == brute_force_dtw(x, y)
+            assert dtw_distance(x, y) == brute_force_dtw(x, y)
 
 
 def _path_is_valid(path, n, m):
@@ -146,11 +145,11 @@ def test_path_contract_fuzz():
         n, m = rng.integers(1, 9, size=2)
         x = rng.integers(-100, 1, size=n)
         y = rng.integers(-100, 1, size=m)
-        result = dtw_distance(x, y)
-        assert _path_is_valid(result.path, n, m)
-        path_cost = sum(abs(float(x[i]) - float(y[j])) for i, j in result.path)
-        assert abs(path_cost - result.distance) < 1e-9
-        assert result.distance >= 0
+        distance, path = dtw_path(x, y)
+        assert _path_is_valid(path, n, m)
+        path_cost = sum(abs(float(x[i]) - float(y[j])) for i, j in path)
+        assert abs(path_cost - distance) < 1e-9
+        assert distance >= 0
 
 
 def test_symmetry_fuzz():
@@ -159,9 +158,7 @@ def test_symmetry_fuzz():
         n, m = rng.integers(1, 9, size=2)
         x = rng.normal(size=n)
         y = rng.normal(size=m)
-        assert dtw_distance(x, y).distance == pytest.approx(
-            dtw_distance(y, x).distance, abs=1e-12
-        )
+        assert dtw_distance(x, y) == pytest.approx(dtw_distance(y, x), abs=1e-12)
 
 
 def test_aligned_cost_upper_bound_for_equal_lengths():
@@ -171,18 +168,17 @@ def test_aligned_cost_upper_bound_for_equal_lengths():
         x = rng.normal(size=n)
         y = rng.normal(size=n)
         aligned = float(np.sum(np.abs(x - y)))
-        assert dtw_distance(x, y).distance <= aligned + 1e-12
+        assert dtw_distance(x, y) <= aligned + 1e-12
 
 
 def test_zero_distance_means_zero_cost_alignment():
     # zero can occur without x == y when an all-zero-cost alignment exists
-    result = dtw_distance([1, 1], [1])
-    assert result.distance == 0.0
+    assert dtw_distance([1, 1], [1]) == 0.0
     rng = np.random.default_rng(17)
     for _ in range(200):
         n, m = rng.integers(1, 7, size=2)
         x = rng.integers(0, 3, size=n)
         y = rng.integers(0, 3, size=m)
-        result = dtw_distance(x, y)
-        costs = [abs(float(x[i]) - float(y[j])) for i, j in result.path]
-        assert (result.distance == 0.0) == all(c == 0.0 for c in costs)
+        distance, path = dtw_path(x, y)
+        costs = [abs(float(x[i]) - float(y[j])) for i, j in path]
+        assert (distance == 0.0) == all(c == 0.0 for c in costs)

@@ -230,7 +230,8 @@ def _oracle_dataset(n_pos=40, n_neg=80, seed=0):
 
 def test_evaluate_perfect_features():
     X, y = _oracle_dataset()
-    report = evaluate(X, y, ml.TrainConfig(algorithm="dt", seed=2))
+    cfg = ml.TrainConfig(algorithm="dt", seed=2)
+    report = evaluate(X, y, cfg, plan(y, cfg))
     assert report.accuracy == 1.0
     assert report.f1_class0 == 1.0
     assert report.f1_class1 == 1.0
@@ -246,7 +247,8 @@ def test_evaluate_label_shuffle_matches_majority_rate():
     for seed in range(10):
         y = np.array([1] * 100 + [0] * 200)
         np.random.default_rng(seed).shuffle(y)
-        report = evaluate(X, y, ml.TrainConfig(algorithm="lr", seed=seed))
+        cfg = ml.TrainConfig(algorithm="lr", seed=seed)
+        report = evaluate(X, y, cfg, plan(y, cfg))
         accuracies.append(report.accuracy)
     assert abs(np.mean(accuracies) - 2 / 3) <= 0.1
 
@@ -254,7 +256,7 @@ def test_evaluate_label_shuffle_matches_majority_rate():
 def test_evaluate_rf_fills_importance():
     X, y = _oracle_dataset(seed=3)
     cfg = ml.TrainConfig(algorithm="rf", seed=4, rf=ml.RFParams(n_trees=15))
-    report = evaluate(X, y, cfg)
+    report = evaluate(X, y, cfg, plan(y, cfg))
     assert report.importance is not None
     assert len(report.importance) == 18
     assert abs(sum(report.importance) - 1.0) <= 1e-9
@@ -264,17 +266,19 @@ def test_evaluate_rf_fills_importance():
 def test_evaluate_confusion_sums_to_test_size():
     X, y = _oracle_dataset(n_pos=30, n_neg=50, seed=5)
     for algorithm in ("lr", "knn", "dt"):
-        report = evaluate(X, y, ml.TrainConfig(algorithm=algorithm, seed=6))
+        cfg = ml.TrainConfig(algorithm=algorithm, seed=6)
+        report = evaluate(X, y, cfg, plan(y, cfg))
         assert report.confusion.total == len(train_test_split(y, 0.75, 6)[1])
 
 
 def test_cross_validate_shape():
     X, y = _oracle_dataset(seed=7)
     cfg = ml.TrainConfig(algorithm="knn", seed=8, cv_folds=5)
-    scores = cross_validate(X, y, cfg, plan(y, cfg))
+    jobs = plan(y, cfg)
+    scores = cross_validate(X, y, cfg, jobs)
     assert scores.shape == (5,)
     assert np.all((0.0 <= scores) & (scores <= 1.0))
-    assert tuple(scores.tolist()) == evaluate(X, y, cfg).cv_accuracies
+    assert tuple(scores.tolist()) == evaluate(X, y, cfg, jobs).cv_accuracies
 
 
 @pytest.mark.parametrize("cv_folds", [3, 10])
@@ -297,26 +301,27 @@ def test_plan_is_the_split_then_its_folds(cv_folds):
 def test_report_json_round_trip():
     X, y = _oracle_dataset(seed=9)
     cfg = ml.TrainConfig(algorithm="rf", seed=10, rf=ml.RFParams(n_trees=10))
-    report = evaluate(X, y, cfg)
-    doc = json.loads(report.to_json())
+    report = evaluate(X, y, cfg, plan(y, cfg))
+    extra = {"config": {"seed": "10"}}
+    doc = json.loads(report.to_json(extra))
     assert set(doc) == {
         "algorithm", "seed", "confusion", "accuracy", "f1", "cv_accuracies", "importance",
+        "config",
     }
     assert doc["confusion"].keys() == {"tp", "fp", "fn", "tn"}
-    assert doc == report.to_dict()  # lossless: every float survives the JSON text
+    assert doc == report.to_dict() | extra  # lossless: every float survives the JSON text
 
 
 def test_write_kde_csv_format():
     X, y = _oracle_dataset(seed=11)
     buf = io.StringIO()
-    names = tuple(f"f{i}" for i in range(18))
-    write_kde_csv(X, y, names, [1, 5], buf, points=16, comments={"seed": 11})
+    write_kde_csv(X, y, ("savg_1", "dtw_1"), buf, comments={"seed": 11})
     lines = buf.getvalue().splitlines()
     assert lines[0] == "# seed=11"
     assert lines[1] == "feature,class,x,density"
     body = [line.split(",") for line in lines[2:]]
-    assert len(body) == 2 * 2 * 16  # two features, two classes, 16 grid points
-    assert Counter(row[0] for row in body) == {"f1": 32, "f5": 32}
+    assert len(body) == 2 * 2 * 256  # two features, two classes, 256 grid points
+    assert Counter(row[0] for row in body) == {"savg_1": 512, "dtw_1": 512}
     for row in body:
         assert row[1] in ("0", "1")
         float(row[2]), float(row[3])

@@ -95,7 +95,7 @@ def test_ap_features_match_earlier_form_exactly():
 def test_featurize_identical_traces_zeroes_md_and_dtw():
     a = make_point_same_traces(-17, 11, [-50, -60, -70])
     b = make_point_same_traces(-20, 5, [-50, -60, -70])
-    vec = featurize_pair(a, b)
+    vec = featurize_pair(a, b, 0, 0)
     assert vec.shape == (18,)
     for ap_slot in range(3):
         assert vec[6 * ap_slot + 0] == 0.0  # md
@@ -113,7 +113,7 @@ def test_featurize_matches_per_operation_results():
         5,
         {(1, 0): [-70, -80], (2, 0): [-55], (3, 0): [-60, -61, -62]},
     )
-    vec = featurize_pair(a, b)
+    vec = featurize_pair(a, b, 0, 0)
     expected = (
         naive_features([-50, -60], [-70, -80])
         + naive_features([-45, -45, -52], [-55])
@@ -135,8 +135,8 @@ def test_featurize_symmetry_and_ratio_invariant_fuzz():
         }
         a = make_point(-5, 3, traces_a)
         b = make_point(4, 9, traces_b)
-        ab = featurize_pair(a, b)
-        ba = featurize_pair(b, a)
+        ab = featurize_pair(a, b, 0, 0)
+        ba = featurize_pair(b, a, 0, 0)
         assert np.array_equal(ab, ba)
         for ap_slot in range(3):
             block = ab[6 * ap_slot : 6 * ap_slot + 6]
@@ -151,14 +151,14 @@ def test_duplicate_readings_change_nothing():
     a = make_point_same_traces(-3, 2, [-50, -60, -70])
     a_dup = make_point_same_traces(-3, 2, [-50, -60, -60, -70, -50])
     b = make_point_same_traces(6, 4, [-55, -66])
-    assert np.array_equal(featurize_pair(a, b), featurize_pair(a_dup, b))
+    assert np.array_equal(featurize_pair(a, b, 0, 0), featurize_pair(a_dup, b, 0, 0))
 
 
 def test_missing_ap_trace_is_an_error():
     a = make_point(-3, 2, {(1, 0): [-50], (2, 0): [-50]})  # no AP 3
     b = make_point_same_traces(6, 4, [-55])
     with pytest.raises(ValueError, match="missing trace"):
-        featurize_pair(a, b)
+        featurize_pair(a, b, 0, 0)
 
 
 def test_feature_names_layout():

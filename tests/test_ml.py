@@ -403,6 +403,15 @@ def test_svm_zero_decision_maps_to_class_zero():
     model.bias_ = 0.0
     model.gamma_ = 1.0
     assert model.predict(np.zeros((1, 2)))[0] == 0
+    # a loaded model without support vectors decides by its bias alone
+    params = {"gamma": 0.5, "n_features": 3, "support_vectors": [], "alphas": [], "y_signed": []}
+    X = np.random.default_rng(0).normal(size=(4, 3))
+    for bias, label in ((0.0, 0), (0.25, 1)):
+        doc = {"format_version": ml.MODEL_FORMAT_VERSION, "algorithm": "svm",
+               "params": params | {"bias": bias}}
+        loaded = ml.model_from_dict(json.loads(json.dumps(doc)))
+        assert loaded.decision_function(X).tolist() == [bias] * 4
+        assert loaded.predict(X).tolist() == [label] * 4
 
 
 def test_svm_duals_bounded_and_kkt_satisfied():

@@ -212,7 +212,7 @@ def test_same_room_pairs_have_smaller_dtw_on_average():
                 for ap_id in (1, 2, 3):
                     u = a.traces[(ap_id, 0)].unique
                     v = b.traces[(ap_id, 0)].unique
-                    total += dtw_distance(u, v).distance
+                    total += dtw_distance(u, v)
                     count += 1
             return total / count
 
