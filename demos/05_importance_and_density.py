@@ -18,7 +18,7 @@ dataset = build_pairs(points, PairingConfig(), seed=42)
 X, y = dataset.feature_matrix(), dataset.labels()
 
 cfg = TrainConfig(algorithm="rf", seed=42)
-report = evaluate(X, y, cfg, plan(y, cfg))
+report = evaluate(X, y, cfg, plan(y, cfg)[:1])
 importance = np.array(report.importance)
 
 print("feature importance (mean decrease of impurity), descending:")

@@ -210,7 +210,7 @@ def kde(values, grid) -> np.ndarray:
     return np.exp(-0.5 * z * z).sum(axis=1) / (len(values) * h * math.sqrt(2.0 * math.pi))
 
 
-def density_grid(*value_sets, points: int = 512) -> np.ndarray:
+def density_grid(*value_sets, points: int) -> np.ndarray:
     """Shared evaluation grid spanning all samples plus 3 bandwidths of margin."""
     bandwidths = [silverman_bandwidth(v) for v in value_sets]
     lo = min(float(np.min(v)) for v in value_sets) - 3.0 * max(bandwidths)
@@ -218,9 +218,9 @@ def density_grid(*value_sets, points: int = 512) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
-def overlap_coefficient(values_a, values_b, points: int = 512) -> float:
-    """Integral of min(f_a, f_b) over a shared grid; 1 means identical densities."""
-    grid = density_grid(values_a, values_b, points=points)
+def overlap_coefficient(values_a, values_b) -> float:
+    """Integral of min(f_a, f_b) over a shared 512-point grid; 1 means identical densities."""
+    grid = density_grid(values_a, values_b, points=512)
     fa = kde(values_a, grid)
     fb = kde(values_b, grid)
     return float(np.trapezoid(np.minimum(fa, fb), grid))
@@ -297,8 +297,10 @@ def evaluate(X, y, cfg: ml.TrainConfig, jobs, fitted=None) -> EvalReport:
 
     cfg.seed is the one seed: it draws the plan (the split and the CV folds
     inside its training side; `jobs` is `plan(y, cfg)`) and the model's own
-    randomness.  `fitted` is what `fit` returns for the holdout's fit rows,
-    `jobs[0][0]`, e.g. a saved model; without it the classifier is fit here.
+    randomness.  It scores `jobs[0]` and cross-validates `jobs[1:]`, so
+    `plan(y, cfg)[:1]` is the holdout alone, with no CV accuracies.
+    `fitted` is what `fit` returns for the holdout's fit rows, `jobs[0][0]`,
+    e.g. a saved model; without it the classifier is fit here.
     Random forests also report impurity-based feature importance.
     """
     X = np.asarray(X, dtype=float)

@@ -217,7 +217,7 @@ def test_c5_benchmark_reproduction():
         reports = {}
         for algorithm in ("rf", "dt", "lr"):
             cfg = TrainConfig(algorithm=algorithm, seed=seed)
-            reports[algorithm] = evaluate(X, y, cfg, plan(y, cfg))
+            reports[algorithm] = evaluate(X, y, cfg, plan(y, cfg)[:1])
         rf_ok += reports["rf"].accuracy >= 0.90
         dt_ok += reports["dt"].accuracy >= 0.90
         rf_ge_lr += reports["rf"].accuracy >= reports["lr"].accuracy
@@ -285,7 +285,7 @@ def test_c7_kde_and_dtw_overlap():
         dataset = _default_benchmark_dataset(seed)
         X, y = dataset.feature_matrix(), dataset.labels()
         cfg = TrainConfig(algorithm="rf", seed=seed)
-        report = evaluate(X, y, cfg, plan(y, cfg))
+        report = evaluate(X, y, cfg, plan(y, cfg)[:1])
         importance = np.array(report.importance)
         top_dtw = max(dtw_names, key=lambda n: importance[FEATURE_NAMES.index(n)])
         idx = FEATURE_NAMES.index(top_dtw)

@@ -771,6 +771,14 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg.train.rf.bootstrap is False
 
 
+def test_readme_keys_and_defaults_parse_as_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in readme.split("```")[1::2] if b.startswith("\nseed=0\n"))
+    values = cli.parse_config(block.splitlines(), "README.md")
+    assert set(values) == set(cli.CONFIG_KEYS)
+    assert cli.build_run_config(values).echo() == cli.build_run_config({}).echo()
+
+
 # field values a mutation writes: empty, not a number, not finite, signed zero,
 # small, negative and huge
 MUTANT_VALUES = ("", "x", "nan", "inf", "-inf", "none", "true", "0", "-0", "-1", "1", "2",

@@ -1,7 +1,11 @@
-"""Demos 01-03 print pinned text: their SHA-256 digests hold on any CPU.
+"""Every demo in demos/ runs under `-W error` and exits 0.
 
-These three demos use no BLAS.  Demo 02 prints unique-value sequences and
-DTW paths, so a change to deduplication or warping shows up here.
+Each runs from `tmp_path`: demos 01, 03 and 05 write traces.csv,
+features.csv and kde.csv into their working directory.  Demos 01-03 use no
+BLAS and print pinned text, so their SHA-256 digests hold on any CPU; demo
+02 prints unique-value sequences and DTW paths, so a change to deduplication
+or warping shows up here.  Demos 04 and 05 print LR, SVM and KDE numbers
+that go through BLAS and `exp`, so only their exit status is checked.
 """
 
 import hashlib
@@ -21,11 +25,12 @@ DEMO_STDOUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT_SHA256))
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_prints_pinned_text(tmp_path, demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
         cwd=tmp_path, env=env, capture_output=True, check=True,
     )
-    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo]
+    if demo in DEMO_STDOUT_SHA256:
+        assert hashlib.sha256(done.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo]

@@ -248,7 +248,7 @@ def test_evaluate_label_shuffle_matches_majority_rate():
         y = np.array([1] * 100 + [0] * 200)
         np.random.default_rng(seed).shuffle(y)
         cfg = ml.TrainConfig(algorithm="lr", seed=seed)
-        report = evaluate(X, y, cfg, plan(y, cfg))
+        report = evaluate(X, y, cfg, plan(y, cfg)[:1])
         accuracies.append(report.accuracy)
     assert abs(np.mean(accuracies) - 2 / 3) <= 0.1
 
@@ -256,7 +256,7 @@ def test_evaluate_label_shuffle_matches_majority_rate():
 def test_evaluate_rf_fills_importance():
     X, y = _oracle_dataset(seed=3)
     cfg = ml.TrainConfig(algorithm="rf", seed=4, rf=ml.RFParams(n_trees=15))
-    report = evaluate(X, y, cfg, plan(y, cfg))
+    report = evaluate(X, y, cfg, plan(y, cfg)[:1])
     assert report.importance is not None
     assert len(report.importance) == 18
     assert abs(sum(report.importance) - 1.0) <= 1e-9
@@ -267,7 +267,7 @@ def test_evaluate_confusion_sums_to_test_size():
     X, y = _oracle_dataset(n_pos=30, n_neg=50, seed=5)
     for algorithm in ("lr", "knn", "dt"):
         cfg = ml.TrainConfig(algorithm=algorithm, seed=6)
-        report = evaluate(X, y, cfg, plan(y, cfg))
+        report = evaluate(X, y, cfg, plan(y, cfg)[:1])
         assert report.confusion.total == len(train_test_split(y, 0.75, 6)[1])
 
 
