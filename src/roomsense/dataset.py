@@ -23,6 +23,11 @@ AP_IDS = (1, 2, 3)
 
 TRACE_HEADER = "point_x,point_y,ap_id,trial,seq,rssi_dbm"
 
+# The feature kernel holds readings in this integer type, so its range is the
+# range of readings a Trace accepts.
+READING_DTYPE = np.int16
+READING_RANGE = (int(np.iinfo(READING_DTYPE).min), int(np.iinfo(READING_DTYPE).max))
+
 
 def room_of(x) -> str:
     """Room label for an x coordinate; x = 0 (the partition wall) is invalid."""
@@ -37,17 +42,23 @@ class Trace:
 
     `unique` holds its distinct values in first-occurrence order, computed
     once here; order matters because it feeds dynamic time warping.  Slots
-    keep a building's thousands of traces from each carrying a dict.
+    keep a building's thousands of traces from each carrying a dict.  Every
+    reading must lie in READING_RANGE.
     """
 
     values: tuple[int, ...]
     unique: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if len(self.values) == 0:
+        values = tuple(int(v) for v in self.values)
+        if not values:
             raise ValueError("a trace must hold at least one reading")
-        object.__setattr__(self, "unique", tuple(dict.fromkeys(self.values)))
+        low, high = READING_RANGE
+        if min(values) < low or max(values) > high:
+            bad = next(v for v in values if not low <= v <= high)
+            raise ValueError(f"a reading must lie in [{low}, {high}], got {bad}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "unique", tuple(dict.fromkeys(values)))
 
 
 @dataclass(frozen=True)
@@ -159,7 +170,7 @@ def csv_writer(dest, header, comments=None):
 
 # ---------------------------------------------------------------------------
 # Trace file: header `point_x,point_y,ap_id,trial,seq,rssi_dbm`.  Coordinates
-# are finite signed feet, rssi_dbm an integer <= 0.
+# are finite signed feet, rssi_dbm an integer in [READING_RANGE[0], 0].
 
 
 def _parse_row(line_no, fields):
@@ -182,6 +193,8 @@ def _parse_row(line_no, fields):
         raise InputError(line_no, f"seq must be >= 0, got {seq}")
     if rssi > 0:
         raise InputError(line_no, f"rssi is reported in negative dBm, got {rssi}")
+    if rssi < READING_RANGE[0]:
+        raise InputError(line_no, f"rssi must be >= {READING_RANGE[0]} dBm, got {rssi}")
     return (x, y), ap_id, trial, seq, rssi
 
 
@@ -297,7 +310,7 @@ def build_pairs(points, config: PairingConfig, seed: int) -> Dataset:
     raise InputError, and a class count above its combinations
     ConfigError, both before any pair is featurized.
     """
-    from .features import featurize_pair  # deferred: features needs this module's types
+    from .features import featurize_samples  # deferred: features needs this module's types
 
     points = tuple(sorted(points, key=lambda p: p.point))
     i, j, same, counts, member, trial_ids = _pair_counts(points, config.trial_matching)
@@ -323,8 +336,5 @@ def build_pairs(points, config: PairingConfig, seed: int) -> Dataset:
         drawn.append(np.column_stack([class_i[pair], class_j[pair], trial_a, trial_b]))
 
     samples = np.concatenate(drawn)
-    X = np.empty((len(samples), 18))
-    for k, (i, j, ta, tb) in enumerate(samples.tolist()):
-        X[k] = featurize_pair(points[i], points[j], trial_a=ta, trial_b=tb)
     y = np.repeat(np.array([1, 0]), [config.n_positive, config.n_negative])
-    return Dataset(points, samples, X, y)
+    return Dataset(points, samples, featurize_samples(points, samples), y)

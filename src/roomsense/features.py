@@ -1,23 +1,24 @@
-"""Six per-access-point features for a pair of device points.
+"""Six per-access-point features for pairs of device points.
 
-`ap_features` computes all six from the two points' unique-RSSI sequences for
-one AP.  Statistical features work on absolute dBm magnitudes (so "minimum
-strength" names the strongest observed signal); the ratio features count
-values at or below the -50 dBm (high) and -70 dBm (average) marks over the
-deduplicated union; signal similarity is the DTW distance between the ordered
-sequences.  Concatenating the six features over the three APs yields the
-18-value vector, which is symmetric in the two points.
+`featurize_samples` computes them for every (i, j, trial_a, trial_b) row of
+a pair dataset from the two points' unique-RSSI sequences per AP.
+Statistical features work on absolute dBm magnitudes (so "minimum strength"
+names the strongest observed signal); the ratio features count values at or
+below the -50 dBm (high) and -70 dBm (average) marks over the deduplicated
+union; signal similarity is the DTW distance between the ordered sequences.
+Concatenating the six features over the three APs yields the 18-value
+vector, which is symmetric in the two points.
 """
 
 import math
 import sys
 from array import array
-from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
 from ._schema import InputError
-from .dataset import AP_IDS, PointRecord, csv_reader, csv_writer
+from .dataset import AP_IDS, READING_DTYPE, PointRecord, csv_reader, csv_writer
 from .dtw import dtw_distance
 
 HIGH_STRENGTH_DBM = -50
@@ -27,44 +28,82 @@ AP_FEATURE_NAMES = ("md", "savg", "smin", "high", "avg", "dtw")
 FEATURE_NAMES = tuple(f"{name}_{ap}" for ap in AP_IDS for name in AP_FEATURE_NAMES)
 FEATURE_CSV_HEADER = "label," + ",".join(FEATURE_NAMES)
 
+# Padded readings per side in one chunk of rows: 341 rows (1,023 (pair, AP)
+# items) when the longest unique-value sequence holds 8.  It bounds the
+# chunk's temporaries whatever the traces' lengths.
+_CHUNK_READINGS = 1 << 13
 
-def ap_features(u, v) -> tuple[float, ...]:
-    """The six features for one AP from two unique-value sequences, in AP_FEATURE_NAMES order.
 
-    md is the gap between the two points' mean absolute RSSI; savg and smin
-    are the mean and smallest absolute RSSI over the union of both points'
-    values; high and avg are the fractions of that union at or below -50 and
-    -70 dBm; dtw is the DTW distance between u and v.
+def _trace_table(points, trials):
+    """The unique-value tuples of the points' traces at `trials`, and the
+    points x APs x trials array of each trace's index in them (-1: none)."""
+    column = {trial: c for c, trial in enumerate(trials.tolist())}
+    numbers = np.full((len(points), len(AP_IDS), len(trials)), -1, dtype=np.int32)
+    uniques = []
+    for p, record in enumerate(points):
+        for (ap_id, trial), trace in record.traces.items():
+            if ap_id in AP_IDS and trial in column:
+                numbers[p, AP_IDS.index(ap_id), column[trial]] = len(uniques)
+                uniques.append(trace.unique)
+    return uniques, numbers
+
+
+def featurize_samples(points, samples) -> np.ndarray:
+    """The n x 18 feature matrix of the (i, j, trial_a, trial_b) `samples`
+    rows into `points`: row k compares points[i] at trial_a with points[j] at
+    trial_b, AP-major in the order md, savg, smin, high, avg, dtw.
+
+    md is the gap between the two points' mean absolute RSSI.  It and the
+    union's four statistics are integer sums and counts, each divided once,
+    as array operations over chunks of rows; dtw is one `dtw_distance` call
+    per (pair, AP), in row-then-AP order.  A missing trace raises ValueError.
     """
-    if len(u) == 0 or len(v) == 0:
-        raise ValueError("feature inputs must be nonempty")
-    union = set(u) | set(v)
-    # summed in the set's own order; the sorted copy only counts the marks
-    strengths = list(map(abs, union))
-    ordered = sorted(union)
-    n = len(union)
-    return (
-        float(abs(sum(map(abs, u)) / len(u) - sum(map(abs, v)) / len(v))),
-        float(sum(strengths) / n),
-        float(min(strengths)),
-        bisect_right(ordered, HIGH_STRENGTH_DBM) / n,
-        bisect_right(ordered, AVG_STRENGTH_DBM) / n,
-        dtw_distance(u, v),
-    )
+    samples = np.asarray(samples, dtype=np.int64)
+    if len(samples) and not 0 <= samples[:, :2].min() <= samples[:, :2].max() < len(points):
+        raise IndexError(f"sample rows must index the {len(points)} points")
+    trials = np.unique(samples[:, 2:])
+    uniques, numbers = _trace_table(points, trials)
+    lengths = np.fromiter(map(len, uniques), np.int64, len(uniques))
+    values = np.fromiter(chain.from_iterable(uniques), READING_DTYPE, int(lengths.sum()))
+    starts = np.cumsum(lengths) - lengths
+    means = np.add.reduceat(np.abs(values, dtype=np.int64), starts) / lengths
+
+    X = np.empty((len(samples), len(FEATURE_NAMES)))
+    width = int(lengths.max(initial=1))
+    columns = np.arange(width)
+    step = max(1, _CHUNK_READINGS // (len(AP_IDS) * width))
+    for lo in range(0, len(samples), step):
+        rows = samples[lo:lo + step]
+        # each row's trace numbers per AP for its (i, trial_a) and (j, trial_b)
+        pair = np.stack([numbers[rows[:, k], :, np.searchsorted(trials, rows[:, k + 2])]
+                         for k in (0, 1)], axis=-1)
+        if pair.min() < 0:
+            row, ap, side = np.argwhere(pair < 0)[0]
+            key = (AP_IDS[ap], int(rows[row, 2 + side]))
+            raise ValueError(f"missing trace for (ap_id, trial) {key}")
+        a, b = pair.reshape(-1, 2).T  # row-then-AP
+        out = X[lo:lo + step].reshape(-1, len(AP_FEATURE_NAMES))  # a view: one row per (pair, AP)
+        # Both traces side by side, each padded to `width` by repeating its last
+        # value, then sorted: each value of the union starts exactly one run.
+        padded = [values[starts[t, None] + np.minimum(columns, lengths[t, None] - 1)]
+                  for t in (a, b)]
+        merged = np.sort(np.concatenate(padded, axis=1), axis=1)
+        first = np.ones(merged.shape, dtype=bool)
+        np.not_equal(merged[:, 1:], merged[:, :-1], out=first[:, 1:])
+        strengths = np.abs(merged, dtype=np.int32)
+        n = first.sum(axis=1)
+        out[:, 0] = np.abs(means[a] - means[b])
+        out[:, 1] = np.where(first, strengths, 0).sum(axis=1) / n
+        out[:, 2] = strengths.min(axis=1)
+        out[:, 3] = (first & (merged <= HIGH_STRENGTH_DBM)).sum(axis=1) / n
+        out[:, 4] = (first & (merged <= AVG_STRENGTH_DBM)).sum(axis=1) / n
+        out[:, 5] = [dtw_distance(uniques[p], uniques[q]) for p, q in zip(a.tolist(), b.tolist())]
+    return X
 
 
 def featurize_pair(a: PointRecord, b: PointRecord, trial_a: int, trial_b: int) -> np.ndarray:
-    """18-value feature vector, AP-major in the order md, savg, smin, high, avg, dtw,
-    of a at trial_a against b at trial_b."""
-    values = []
-    for ap_id in AP_IDS:
-        try:
-            trace_a = a.traces[(ap_id, trial_a)]
-            trace_b = b.traces[(ap_id, trial_b)]
-        except KeyError as exc:
-            raise ValueError(f"missing trace for (ap_id, trial) {exc.args[0]}") from None
-        values += ap_features(trace_a.unique, trace_b.unique)
-    return np.array(values, dtype=float)
+    """`featurize_samples` of one row: a at trial_a against b at trial_b."""
+    return featurize_samples((a, b), [(0, 1, trial_a, trial_b)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_point_same_traces
 from oracles import (
     naive_features,
     path_cost_matrices,
@@ -23,7 +24,7 @@ from oracles import (
     trapezoid,
 )
 from roomsense import cli, ml
-from roomsense.dataset import PairingConfig, Trace, build_pairs, ingest_traces, write_traces
+from roomsense.dataset import PairingConfig, build_pairs, ingest_traces, write_traces
 from roomsense.dtw import dtw_distance
 from roomsense.evaluation import (
     ConfusionMatrix,
@@ -38,7 +39,7 @@ from roomsense.evaluation import (
     standardize_apply,
     standardize_fit,
 )
-from roomsense.features import FEATURE_NAMES, ap_features
+from roomsense.features import FEATURE_NAMES, featurize_pair
 from roomsense.ml import (
     KNearestNeighbors,
     KNNParams,
@@ -141,18 +142,19 @@ FEATURE_FIXTURES = [
 def test_c2_feature_correctness():
     assert len(FEATURE_FIXTURES) == 20
     for trace_x, trace_y, frozen in FEATURE_FIXTURES:
-        u, v = Trace(trace_x).unique, Trace(trace_y).unique
-        block = np.array(ap_features(u, v))
-        assert np.allclose(block, frozen, atol=1e-9), (trace_x, trace_y)
-        assert np.allclose(block, naive_features(trace_x, trace_y), atol=1e-9)
+        x, y = make_point_same_traces(-1, 1, trace_x), make_point_same_traces(1, 1, trace_y)
+        for block in featurize_pair(x, y, 0, 0).reshape(3, 6):
+            assert np.allclose(block, frozen, atol=1e-9), (trace_x, trace_y)
+            assert np.allclose(block, naive_features(trace_x, trace_y), atol=1e-9)
 
     rng = np.random.default_rng(77)
     for _ in range(1000):
         u = list(rng.integers(-100, 1, size=rng.integers(1, 12)))
         v = list(rng.integers(-100, 1, size=rng.integers(1, 12)))
-        forward = ap_features(u, v)
-        backward = ap_features(v, u)
-        assert forward == backward
+        x, y = make_point_same_traces(-1, 1, u), make_point_same_traces(1, 1, v)
+        forward = featurize_pair(x, y, 0, 0)
+        backward = featurize_pair(y, x, 0, 0)
+        assert forward.tolist() == backward.tolist()
         assert forward[3] >= forward[4]  # rssi_high >= rssi_avg
     print("ACCEPTANCE 2 PASS: 20 frozen fixtures at 1e-9; symmetry and "
           "high>=avg on 1,000 fuzzed pairs")

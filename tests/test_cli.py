@@ -395,6 +395,7 @@ TRACE_FILES = {
     "one-point-in-a-room": "".join(f"{x},1,{ap},0,0,-50\n" for x in (-1, 1) for ap in (1, 2, 3)),
     "no-trial-with-every-ap": "1,1,1,0,0,-50\n",
     "rssi-99": "1,1,1,0,0,99\n",
+    "rssi-huge": f"1,1,1,0,0,{-10**30}\n",
     "point-x-nan": "nan,1,1,0,0,-50\n",
 }
 
@@ -463,6 +464,9 @@ REFUSED_RUNS = {
         "error: input: point (1.0, 1.0) lacks a trace for every access point"),
     "featurize-traces-rssi-99": (
         ("featurize", "rssi-99"), "", 2, "rssi is reported in negative dBm, got 99"),
+    "featurize-traces-rssi-huge": (
+        ("featurize", "rssi-huge"), "", 2,
+        "error: input: line 2: rssi must be >= -32768 dBm, got -1000000000000000000000000000000\n"),
     "featurize-traces-point-x-nan": (
         ("featurize", "point-x-nan"), "", 2, "non-finite coordinate (nan, 1.0)"),
     "featurize-no-samples": (

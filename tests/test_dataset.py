@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import make_point_same_traces
-from oracles import pair_rows_oracle
+from oracles import ap_features_oracle, pair_rows_oracle
 from roomsense import features, ml
 from roomsense._schema import ConfigError, InputError
 from roomsense._seeds import derive_seed
 from roomsense.cli import build_run_config
 from roomsense.dataset import (
+    READING_RANGE,
     Dataset,
     PairingConfig,
     PointRecord,
@@ -23,7 +24,7 @@ from roomsense.dataset import (
     room_of,
     write_traces,
 )
-from roomsense.features import read_feature_matrix
+from roomsense.features import featurize_pair, read_feature_matrix
 from roomsense.simulator import SimConfig, generate
 
 HEADER = "point_x,point_y,ap_id,trial,seq,rssi_dbm\n"
@@ -103,6 +104,16 @@ def test_ingest_rejects_bad_rows(row, match):
     with pytest.raises(InputError, match=match) as err:
         ingest_traces(io.StringIO(HEADER + row + "\n"))
     assert err.value.line_no == 2
+
+
+def test_ingest_accepts_readings_down_to_the_reading_range():
+    low = READING_RANGE[0]
+    records = ingest_traces(io.StringIO(HEADER + f"5,5,1,0,0,{low}\n"))
+    assert records[0].traces[(1, 0)].values == (low,)
+    # -10**400 once reached the features and failed there, -10**30 passed
+    for rssi in (low - 1, -10**30, -10**400):
+        with pytest.raises(InputError, match=f"^line 2: rssi must be >= {low} dBm, got {rssi}$"):
+            ingest_traces(io.StringIO(HEADER + f"5,5,1,0,0,{rssi}\n"))
 
 
 def test_ingest_rejects_duplicate_key():
@@ -246,13 +257,13 @@ def test_build_pairs_distinct_pair_inventory():
 
 def test_build_pairs_unreachable_counts(monkeypatch):
     calls = []
-    featurize_pair = features.featurize_pair
+    featurize_samples = features.featurize_samples
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return featurize_pair(*args, **kwargs)
+        return featurize_samples(*args, **kwargs)
 
-    monkeypatch.setattr(features, "featurize_pair", counted)
+    monkeypatch.setattr(features, "featurize_samples", counted)
     one_room = [
         make_point_same_traces(-5, 4, [-60]),
         make_point_same_traces(-7, 6, [-62]),
@@ -264,6 +275,8 @@ def test_build_pairs_unreachable_counts(monkeypatch):
     with pytest.raises(ConfigError, match="^n_positive: 50 samples requested but only 2 distinct"):
         build_pairs(points, PairingConfig(n_positive=50, n_negative=1), seed=0)
     assert calls == []  # both counts are checked before any pair is featurized
+    build_pairs(points, PairingConfig(n_positive=2, n_negative=1), seed=0)
+    assert len(calls) == 1  # the counted kernel is the one build_pairs calls
 
 
 def test_build_pairs_requires_two_points_per_room():
@@ -321,6 +334,23 @@ def test_build_pairs_memory_grows_with_pairs_not_combinations():
     assert peak < 8 * 2**20
 
 
+def test_build_pairs_peak_at_building_scale(monkeypatch):
+    # building-featurize's 100 points and 4,000/8,000 pairs.  The per-pair loop
+    # this kernel replaced peaked at 5.16 MB here, the kernel in one chunk at
+    # 12.6 MB.  DTW's memory lasts one call, so it is stubbed out: under
+    # tracemalloc its 36,000 calls would take seconds.
+    monkeypatch.setattr(features, "dtw_distance", lambda x, y: 0.0)
+    points = generate(SimConfig(devices_per_room=50, seed=1))
+    build_pairs(points, PairingConfig(1, 1), seed=0)  # numpy's first calls allocate caches
+    tracemalloc.start()
+    try:
+        build_pairs(points, PairingConfig(4000, 8000), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.25 * 2**20
+
+
 def test_paper_default_pairs_call_dtw_once_per_ap(monkeypatch):
     # the counts a traced `benchmark --seed 42` reads as dtw.calls and dtw.cells
     cfg = build_run_config({"seed": 42})
@@ -337,22 +367,19 @@ def test_paper_default_pairs_call_dtw_once_per_ap(monkeypatch):
     assert sum(cells) == 36183
 
 
-def test_pair_features_are_featurize_pair_floats(monkeypatch):
+def test_pair_features_are_featurize_pair_floats():
     points = generate(SimConfig(devices_per_room=4, trials=3, seed=5))
-    drawn = []
-    featurize_pair = features.featurize_pair
-
-    def recorded(a, b, trial_a, trial_b):
-        drawn.append((a, b, trial_a, trial_b))
-        return featurize_pair(a, b, trial_a, trial_b)
-
-    monkeypatch.setattr(features, "featurize_pair", recorded)
     cfg = PairingConfig(n_positive=10, n_negative=14, trial_matching="random")
     ds = build_pairs(points, cfg, seed=2)
-    assert len(drawn) == len(ds.samples)
-    for (i, j, ta, tb), row, (a, b, trial_a, trial_b) in zip(ds.samples.tolist(), ds.X, drawn):
-        assert (ds.points[i], ds.points[j], ta, tb) == (a, b, trial_a, trial_b)
-        assert row.tolist() == featurize_pair(a, b, trial_a, trial_b).tolist()
+    assert any(ta != tb for _, _, ta, tb in ds.samples.tolist())
+    for (i, j, ta, tb), row in zip(ds.samples.tolist(), ds.X.tolist()):
+        a, b = ds.points[i], ds.points[j]
+        # == per AP against the earlier per-AP form, on freshly deduplicated traces
+        want = [f for ap in (1, 2, 3)
+                for f in ap_features_oracle(Trace(a.traces[(ap, ta)].values).unique,
+                                            Trace(b.traces[(ap, tb)].values).unique)]
+        assert row == want
+        assert row == featurize_pair(a, b, ta, tb).tolist()
 
 
 def test_dataset_invariants():

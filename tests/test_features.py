@@ -11,16 +11,26 @@ import pytest
 from conftest import make_point, make_point_same_traces
 from oracles import ap_features_oracle, naive_features
 from roomsense._schema import InputError
+from roomsense.dataset import READING_RANGE, Trace
 from roomsense.evaluation import standardize_fit
 from roomsense.features import (
     AP_FEATURE_NAMES,
     FEATURE_CSV_HEADER,
     FEATURE_NAMES,
-    ap_features,
     featurize_pair,
+    featurize_samples,
     read_feature_matrix,
     write_feature_matrix,
 )
+
+
+def _pair_block(u, v):
+    """The six features of traces u and v through `featurize_pair`, with the
+    same traces on every AP; the three AP blocks must agree."""
+    vec = featurize_pair(make_point_same_traces(-1, 1, u), make_point_same_traces(1, 1, v), 0, 0)
+    blocks = vec.reshape(3, len(AP_FEATURE_NAMES)).tolist()
+    assert blocks[0] == blocks[1] == blocks[2]
+    return tuple(blocks[0])
 
 
 # (feature name, u, v, expected): worked examples for each of the six features
@@ -52,24 +62,24 @@ AP_FEATURE_EXAMPLES = [
     ids=[f"{row[0]}-{k % 3}" for k, row in enumerate(AP_FEATURE_EXAMPLES)],
 )
 def test_ap_features_examples(name, u, v, expected):
-    assert ap_features(u, v)[AP_FEATURE_NAMES.index(name)] == expected
+    assert _pair_block(u, v)[AP_FEATURE_NAMES.index(name)] == expected
 
 
 @pytest.mark.parametrize("u, v", [([], [-50]), ([-50], [])], ids=["u-empty", "v-empty"])
 def test_ap_features_rejects_empty_inputs(u, v):
-    with pytest.raises(ValueError, match="nonempty"):
-        ap_features(u, v)
+    # an empty trace cannot be built, so no pair reaches the kernel without readings
+    with pytest.raises(ValueError, match="at least one reading"):
+        _pair_block(u, v)
 
 
 def test_ap_features_against_naive_oracle():
     x, y = [-45, -52, -67], [-71, -88, -90, -64, -55]
-    block = ap_features(x, y)
-    assert np.allclose(block, naive_features(x, y), atol=1e-9)
+    assert np.allclose(_pair_block(x, y), naive_features(x, y), atol=1e-9)
 
 
 def _feature_oracle_cases():
-    """2,000 seeded pairs: RSSI-range integers, integers on both sides of 0,
-    and floats of mixed sign and magnitude, with repeats across u and v."""
+    """1,000 seeded integer trace pairs: RSSI-range values, and values on both
+    sides of 0, with repeats within and across u and v."""
     rng = np.random.default_rng(31)
     for _ in range(700):
         n, m = rng.integers(1, 9, size=2)
@@ -77,19 +87,47 @@ def _feature_oracle_cases():
     for _ in range(300):
         n, m = rng.integers(1, 9, size=2)
         yield rng.integers(-90, 90, size=n).tolist(), rng.integers(-90, 90, size=m).tolist()
-    for _ in range(1000):
-        n, m = rng.integers(1, 13, size=2)
-        u = (rng.normal(-60, 25, size=n) * 10.0 ** rng.integers(-3, 4)).tolist()
-        v = (rng.normal(-60, 25, size=m) * 10.0 ** rng.integers(-3, 4)).tolist()
-        yield u, v + u[: int(rng.integers(0, n + 1))]
 
 
 def test_ap_features_match_earlier_form_exactly():
     # == rather than allclose: a changed summation order shows in the last bit
     for u, v in _feature_oracle_cases():
-        got, want = ap_features(u, v), ap_features_oracle(u, v)
+        got, want = _pair_block(u, v), ap_features_oracle(Trace(u).unique, Trace(v).unique)
         assert got == want, (u, v)
         assert list(map(type, got)) == list(map(type, want)), (u, v)
+
+
+def test_features_at_the_ends_of_the_reading_range():
+    low, high = READING_RANGE
+    for u, v in (([low], [low]), ([low, high], [0, -1]), ([high, low + 1], [low, 5, high])):
+        assert _pair_block(u, v) == ap_features_oracle(Trace(u).unique, Trace(v).unique), (u, v)
+    for bad in (low - 1, high + 1):
+        with pytest.raises(ValueError, match=rf"^a reading must lie in \[{low}, {high}\], got {bad}$"):
+            Trace([-50, bad])
+
+
+def test_featurize_samples_rows_are_featurize_pair_across_chunks():
+    # the longest unique-value sequence here holds 46 values, which makes chunks
+    # of 178 (pair, AP) items, so 200 rows of 3 APs span four chunks
+    rng = np.random.default_rng(8)
+    points = [
+        make_point(x, 1, {(ap, t): rng.integers(-100, 1, size=rng.integers(1, 61)).tolist()
+                          for ap in (1, 2, 3) for t in (0, 1)})
+        for x in (-3, -2, -1, 1, 2, 3)
+    ]
+    samples = np.column_stack([rng.integers(0, 6, size=(200, 2)), rng.integers(0, 2, size=(200, 2))])
+    X = featurize_samples(points, samples)
+    assert X.shape == (200, 18)
+    assert featurize_samples(points, samples[:0]).shape == (0, 18)
+    for bad in ((-1, 0, 0, 0), (0, 6, 0, 0)):
+        with pytest.raises(IndexError, match="^sample rows must index the 6 points$"):
+            featurize_samples(points, [bad])
+    for (i, j, ta, tb), row in zip(samples.tolist(), X.tolist()):
+        assert row == featurize_pair(points[i], points[j], ta, tb).tolist()
+        want = [f for ap in (1, 2, 3)
+                for f in ap_features_oracle(points[i].traces[(ap, ta)].unique,
+                                            points[j].traces[(ap, tb)].unique)]
+        assert row == want
 
 
 def test_featurize_identical_traces_zeroes_md_and_dtw():
