@@ -126,6 +126,10 @@ def _csv(header, rows, comments):
 
 def _config_values(args) -> dict:
     """Typed values from the --config file, then from each flag given, parsed as its config key."""
+    out = Path(args.out)  # refused before any work if `_write` could not make it a directory
+    existing = next(path for path in (out, *out.parents) if path.is_symlink() or path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out: {existing} exists and is not a directory")
     values = {}
     if args.config:
         try:
@@ -194,6 +198,9 @@ def _load_fitted(path):
         scaler = evaluation.Standardizer.from_dict(doc["pipeline"]["standardizer"])
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise InputError(None, f"bad pipeline info in model document ({exc})") from None
+    if cfg.train.algorithm != doc["algorithm"]:
+        raise InputError(None, f"model is {doc['algorithm']} but its config echo records "
+                               f"algorithm={cfg.train.algorithm}")
     if len(scaler.mean) != model.n_features_:
         widths = f"{len(scaler.mean)} features but the model has {model.n_features_}"
         raise InputError(None, f"standardizer has {widths}")
@@ -223,7 +230,7 @@ def cmd_evaluate(args) -> int:
     cfg = build_run_config(given)
     fitted = None
     if args.model:
-        # the model's own config runs the evaluation; a given value may only repeat it
+        # its own config scores its holdout, with no fit; a given value may only repeat it
         fitted, saved = _load_fitted(args.model)
         wanted, recorded = cfg.echo(), saved.echo()
         for key in given:
@@ -235,11 +242,11 @@ def cmd_evaluate(args) -> int:
     if args.importance and cfg.train.algorithm != "rf":
         raise ConfigError("--importance requires the rf algorithm")
     X, y = read_feature_matrix(args.features)
-    jobs = _check_fits(y, cfg.train, (cfg.train.algorithm,), args.features)
+    jobs = _check_fits(y, cfg.train, () if fitted else (cfg.train.algorithm,), args.features)
     if args.kde and len(set(y.tolist())) < 2:
         raise ConfigError(f"--kde requires both classes, but {args.features} has only class {y[0]}")
 
-    report = evaluation.evaluate(X, y, cfg.train, jobs, fitted)
+    report = evaluation.evaluate(X, y, cfg.train, jobs[:1] if fitted else jobs, fitted)
     outputs = _report_file(report, cfg)
     if args.importance:
         rows = [(name, repr(value)) for name, value in zip(FEATURE_NAMES, report.importance)]

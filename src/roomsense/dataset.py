@@ -70,6 +70,8 @@ class PointRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "point", (float(self.point[0]), float(self.point[1])))
+        if not all(map(math.isfinite, self.point)):
+            raise ValueError(f"non-finite coordinate {self.point}")
         room_of(self.point[0])  # rejects a point on the partition wall
 
     @property
@@ -222,9 +224,19 @@ def ingest_traces(source) -> list[PointRecord]:
 
 
 def write_traces(points, dest, comments=None):
-    """Write PointRecords in the trace-file format (deterministic row order)."""
+    """Write PointRecords in the trace-file format (deterministic row order).
+
+    A reading above 0 dBm, which `ingest_traces` refuses, raises ValueError
+    before `dest` is opened.
+    """
+    points = sorted(points, key=lambda p: p.point)
+    for record in points:
+        for key, trace in record.traces.items():
+            if (high := max(trace.values)) > 0:
+                raise ValueError(f"point {record.point}, (ap_id, trial) {key}: rssi is reported "
+                                 f"in negative dBm, got {high}")
     with csv_writer(dest, TRACE_HEADER, comments) as out:
-        for record in sorted(points, key=lambda p: p.point):
+        for record in points:
             x, y = record.point
             for (ap_id, trial) in sorted(record.traces):
                 prefix = f"{x!r},{y!r},{ap_id},{trial},"

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roomsense import cli, dataset, evaluation
+from roomsense import cli, dataset, evaluation, ml
 from roomsense.dataset import ingest_traces
 from roomsense.features import FEATURE_CSV_HEADER, read_feature_matrix, write_feature_matrix
 
@@ -127,7 +127,11 @@ def test_train_then_evaluate_model_matches_direct_evaluate(tmp_path, config_path
         "evaluate", str(out / "features.csv"), "--config", config_path, "--seed", "42",
         "--out", str(via_model), "--model", str(out / "model_rf.json"),
     ) == 0
-    assert (direct / "report_rf.json").read_bytes() == (via_model / "report_rf.json").read_bytes()
+    # the saved model scores the holdout alone: every field but the empty CV accuracies
+    direct_report = json.loads((direct / "report_rf.json").read_text())
+    assert len(direct_report["cv_accuracies"]) == 3
+    assert json.loads((via_model / "report_rf.json").read_text()) == direct_report | {
+        "cv_accuracies": []}
 
 
 def test_evaluate_importance_and_kde_outputs(tmp_path, config_path):
@@ -338,6 +342,7 @@ TAMPERED_MODELS = {
     "knn-y-1e308": ("knn", lambda d: d["params"]["y"].__setitem__(0, 1e308)),
     "svm-n-features-inf": ("svm", lambda d: d["params"].update(n_features=float("inf"))),
     "dt-tree-5000-deep": ("dt", lambda d: _nested_tree_text(d, 5000)),
+    "dt-echo-algorithm-lr": ("dt", lambda d: d["config"].update(algorithm="lr")),
 }
 
 
@@ -382,10 +387,35 @@ def test_scaler_width_mismatch_exits_2_naming_both_counts(tmp_path, saved_models
 
 
 def test_saved_model_reports_match_benchmark_reports(saved_models):
-    """`evaluate --model` runs and echoes the model's own config, as benchmark did."""
+    """`evaluate --model` runs and echoes the model's own config, as benchmark did, and
+    scores the holdout alone: every field is benchmark's but the empty CV accuracies."""
     for algorithm in ("lr", "knn", "rf", "svm", "dt"):
         name = f"report_{algorithm}.json"
-        assert (saved_models / "check" / name).read_bytes() == (saved_models / name).read_bytes()
+        benchmark = json.loads((saved_models / name).read_text())
+        assert len(benchmark["cv_accuracies"]) == 3
+        saved = json.loads((saved_models / "check" / name).read_text())
+        assert saved == benchmark | {"cv_accuracies": []}, algorithm
+
+
+def test_saved_model_is_scored_without_a_fit(tmp_path, saved_models, monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("evaluate --model fit a classifier")
+    monkeypatch.setattr(ml, "train", no_fit)
+    features = str(saved_models / "features.csv")
+    for algorithm in ("lr", "knn", "rf", "svm", "dt"):
+        out = tmp_path / algorithm
+        assert run("evaluate", features, "--model", str(saved_models / f"model_{algorithm}.json"),
+                   "--out", str(out)) == 0
+        assert (out / f"report_{algorithm}.json").read_bytes() == (
+            saved_models / "check" / f"report_{algorithm}.json").read_bytes()
+    # one class is no refusal: no fit sees it, and the holdout holds 4 of its 14 rows
+    X, y = read_feature_matrix(features)
+    write_feature_matrix(X[y == 0], y[y == 0], tmp_path / "one-class.csv")
+    out = tmp_path / "one-class"
+    assert run("evaluate", str(tmp_path / "one-class.csv"),
+               "--model", str(saved_models / "model_lr.json"), "--out", str(out)) == 0
+    confusion = json.loads((out / "report_lr.json").read_text())["confusion"]
+    assert confusion["tp"] == confusion["fn"] == 0 and confusion["fp"] + confusion["tn"] == 4
 
 
 # trace files for featurize, by name: the rows after the header
@@ -616,6 +646,29 @@ def test_refused_run_leaves_no_output(tmp_path, saved_models, capsys, case):
     assert err.startswith({2: "error: input: ", 3: "error: config: "}[code])
     assert message.replace("{tmp}", str(tmp_path)) in err and "line None" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["file", "under-a-file", "dangling-symlink"])
+@pytest.mark.parametrize("argv", [("simulate",), ("featurize", "traces.csv"),
+                                  ("train", "features.csv"), ("evaluate", "features.csv"),
+                                  ("benchmark",)], ids=lambda argv: argv[0])
+def test_out_that_is_not_a_directory_exits_3_before_any_work(
+        tmp_path, saved_models, capsys, monkeypatch, argv, kind):
+    trained = []
+    monkeypatch.setattr(ml, "train", lambda *args: trained.append(args))
+    taken = tmp_path / "taken"
+    if kind == "dangling-symlink":
+        taken.symlink_to(tmp_path / "missing")
+    else:
+        taken.write_text("kept\n", encoding="utf-8")
+    out = taken / "out" if kind == "under-a-file" else taken
+    argv = [argv[0], *(str(saved_models / name) for name in argv[1:])]
+    assert run(*argv, "--seed", "42", "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        f"error: config: --out: {taken} exists and is not a directory\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["taken"]
+    assert taken.is_symlink() or taken.read_text(encoding="utf-8") == "kept\n"
+    assert trained == []
 
 
 def test_benchmark_draws_the_split_and_folds_once(tmp_path, config_path, monkeypatch):

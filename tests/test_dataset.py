@@ -138,6 +138,36 @@ def test_write_ingest_round_trip(tmp_path):
     assert ingest_traces(path) == sorted(points, key=lambda p: p.point)
 
 
+@pytest.mark.parametrize("values, x", [([5, -50], 1.0), ([-50], float("nan")),
+                                       ([0, READING_RANGE[0]], 1.0)],
+                         ids=["rssi-5", "point-x-nan", "rssi-0-and-floor"])
+def test_written_traces_read_back_or_are_refused_before_the_file_exists(tmp_path, values, x):
+    path = tmp_path / "traces.csv"
+    try:
+        points = [make_point_same_traces(x, 1.0, values)]
+        write_traces(points, path)
+    except ValueError:
+        assert not path.exists()
+        return
+    assert ingest_traces(path) == points
+
+
+def test_point_record_refuses_a_non_finite_coordinate():
+    for point in ((float("nan"), 1.0), (1.0, float("inf"))):
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            make_point_same_traces(*point, [-50])
+
+
+def test_write_traces_names_the_positive_reading(tmp_path):
+    points = [make_point_same_traces(-1.5, 2.0, [-50]),
+              PointRecord((3.0, 4.0), {(1, 0): Trace([-50]), (2, 7): Trace([-60, 5, 9])})]
+    path = tmp_path / "traces.csv"
+    with pytest.raises(ValueError, match=re.escape(
+            "point (3.0, 4.0), (ap_id, trial) (2, 7): rssi is reported in negative dBm, got 9")):
+        write_traces(points, path)
+    assert not path.exists()
+
+
 def test_unreadable_paths_raise_the_format_error_chained_from_the_cause(tmp_path):
     not_utf_8 = tmp_path / "not-utf-8"
     not_utf_8.write_bytes(b"point_x,point_y,ap_id,trial,seq,rssi_dbm\n\xff\n")
