@@ -207,18 +207,23 @@ def _load_fitted(path):
     return (model, scaler), cfg
 
 
-def _check_fits(y, train: ml.TrainConfig, algorithms, features=None):
-    """The evaluation plan of labels `y`, refused before any fit if they cannot meet it.
-
-    A class with one row fits no split: bad input in a `features` file, else
-    a bad n_positive or n_negative.  `plan` refuses a cv_folds the training
-    side cannot meet, and every algorithm must be trainable on every fit of
-    the plan, the holdout's and each fold's (`ml.check_trainable`).
-    """
+def _check_split(y, features=None):
+    """Refuse labels `y` with a class of one row, which fits no split: bad input
+    in a `features` file, else a bad n_positive or n_negative."""
     for cls in np.flatnonzero(np.bincount(y) == 1):
         if features:
             raise InputError(None, f"{features}: class {cls} has 1 row; need >= 2")
         raise ConfigError(f"{('n_negative', 'n_positive')[cls]}: 1 sample fits no split; need >= 2")
+
+
+def _check_fits(y, train: ml.TrainConfig, algorithms, features=None):
+    """The evaluation plan of labels `y`, refused before any fit if they cannot meet it.
+
+    Beyond `_check_split`, `plan` refuses a cv_folds the training side cannot
+    meet, and every algorithm must be trainable on every fit of the plan, the
+    holdout's and each fold's (`ml.check_trainable`).
+    """
+    _check_split(y, features)
     jobs = evaluation.plan(y, train)
     for (rows, _), algorithm in product(jobs, algorithms):
         ml.check_trainable(y[rows], algorithm, train.knn.k)
@@ -242,11 +247,15 @@ def cmd_evaluate(args) -> int:
     if args.importance and cfg.train.algorithm != "rf":
         raise ConfigError("--importance requires the rf algorithm")
     X, y = read_feature_matrix(args.features)
-    jobs = _check_fits(y, cfg.train, () if fitted else (cfg.train.algorithm,), args.features)
+    if fitted:  # nothing is fit: the plan is the holdout the model scores
+        _check_split(y, args.features)
+        jobs = [evaluation.holdout(y, cfg.train)]
+    else:
+        jobs = _check_fits(y, cfg.train, (cfg.train.algorithm,), args.features)
     if args.kde and len(set(y.tolist())) < 2:
         raise ConfigError(f"--kde requires both classes, but {args.features} has only class {y[0]}")
 
-    report = evaluation.evaluate(X, y, cfg.train, jobs[:1] if fitted else jobs, fitted)
+    report = evaluation.evaluate(X, y, cfg.train, jobs, fitted)
     outputs = _report_file(report, cfg)
     if args.importance:
         rows = [(name, repr(value)) for name, value in zip(FEATURE_NAMES, report.importance)]

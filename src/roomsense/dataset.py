@@ -10,6 +10,8 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,13 @@ TRACE_HEADER = "point_x,point_y,ap_id,trial,seq,rssi_dbm"
 # range of readings a Trace accepts.
 READING_DTYPE = np.int16
 READING_RANGE = (int(np.iinfo(READING_DTYPE).min), int(np.iinfo(READING_DTYPE).max))
+
+# CSV files are read and written this many data lines at a time: 2,048 ran no
+# faster and raised a building file's peak RSS by about 5 MB.
+CSV_CHUNK_LINES = 512
+# `np.loadtxt` skips these ASCII separators around a number as spaces; Python's
+# int and float refuse them.
+_NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 
 
 def room_of(x) -> str:
@@ -50,7 +59,7 @@ class Trace:
     unique: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
+        values = tuple(map(int, self.values))
         if not values:
             raise ValueError("a trace must hold at least one reading")
         low, high = READING_RANGE
@@ -121,7 +130,7 @@ class Dataset:
 
 @contextmanager
 def csv_reader(source, header):
-    """The data rows of `source` as (line number, fields), after its header.
+    """The data lines of `source` as (line number, stripped text), after its header.
 
     `source` may be a path, an open text file, or an iterable of lines.
     Blank and '#' comment lines are skipped; a missing or different header
@@ -144,12 +153,62 @@ def csv_reader(source, header):
                     line_no, exc = data.count(b"\n", 0, in_file.start) + 1, in_file
             raise InputError(line_no, f"cannot read {source}: {exc}") from exc
         return
-    lines = ((n, raw.strip()) for n, raw in enumerate(source, start=1))
-    lines = ((n, line) for n, line in lines if line and not line.startswith("#"))
+    lines = ((n, line) for n, raw in enumerate(source, start=1)
+             if (line := raw.strip()) and line[0] != "#")
     line_no, first = next(lines, (1, None))
     if first != header:
         raise InputError(line_no, f"expected header {header!r}")
-    yield ((n, line.split(",")) for n, line in lines)
+    yield lines
+
+
+def read_csv_chunks(source, header, dtype, parse_row, valid):
+    """Yield the data rows of CSV `source` as (line numbers, `dtype` records) chunks.
+
+    A file's numbers are Python's int and float syntax in ASCII, without '_'.
+    Chunks of CSV_CHUNK_LINES lines are parsed by one `np.loadtxt` call each and
+    kept when `valid`, the array form of the row rules, passes every row.  A
+    chunk that numpy refuses, that breaks a rule, or whose text numpy's parser
+    could read differently from Python's (non-ASCII, or an ASCII separator it
+    skips as a space) is parsed again line by line: `parse_row(line_no, line)`
+    returns a row's field values or raises the row's InputError, which is
+    raised here once the rows before it have been yielded.
+    """
+    with csv_reader(source, header) as lines:
+        while chunk := list(islice(lines, CSV_CHUNK_LINES)):
+            line_nos, texts = zip(*chunk)
+            records = _loadtxt(texts, dtype)
+            if records is not None and valid(records).all():
+                yield np.array(line_nos), records
+                continue
+            rows, error = [], None
+            for line_no, text in chunk:
+                try:
+                    rows.append(parse_row(line_no, text))
+                except InputError as exc:
+                    error = exc
+                    break
+            yield np.array(line_nos[:len(rows)], dtype=np.int64), np.array(rows, dtype=dtype)
+            if error is not None:
+                raise error
+
+
+def _loadtxt(texts, dtype):
+    """The lines `texts` as `dtype` records, or None if numpy's parser could not
+    read them as Python's int and float would."""
+    joined = "".join(texts)
+    if not joined.isascii() or any(sep in joined for sep in _NUMPY_ONLY_SPACES):
+        return None
+    try:
+        return np.loadtxt(texts, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def check_number_syntax(line_no, text):
+    """Refuse a data line that Python's int and float read but `np.loadtxt` does not."""
+    bad = next((ch for ch in text if not ch.isascii() or ch == "_"), None)
+    if bad is not None:
+        raise InputError(line_no, f"unparseable field (numbers are ASCII without '_', got {bad!r})")
 
 
 @contextmanager
@@ -172,10 +231,17 @@ def csv_writer(dest, header, comments=None):
 
 # ---------------------------------------------------------------------------
 # Trace file: header `point_x,point_y,ap_id,trial,seq,rssi_dbm`.  Coordinates
-# are finite signed feet, rssi_dbm an integer in [READING_RANGE[0], 0].
+# are finite signed feet, rssi_dbm an integer in [READING_RANGE[0], 0], trial
+# and seq integers from 0 to INT64_MAX.
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+_TRACE_DTYPE = np.dtype([(name, np.float64 if name.startswith("point") else np.int64)
+                         for name in TRACE_HEADER.split(",")])
 
 
-def _parse_row(line_no, fields):
+def _parse_row(line_no, text):
+    """A trace row's six values, or the InputError of the first rule it breaks."""
+    fields = text.split(",")
     if len(fields) != 6:
         raise InputError(line_no, f"expected 6 fields, got {len(fields)}")
     try:
@@ -183,6 +249,7 @@ def _parse_row(line_no, fields):
         ap_id, trial, seq, rssi = map(int, fields[2:])
     except ValueError as exc:
         raise InputError(line_no, f"unparseable field ({exc})") from None
+    check_number_syntax(line_no, text)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InputError(line_no, f"non-finite coordinate ({x}, {y})")
     if x == 0:
@@ -197,7 +264,30 @@ def _parse_row(line_no, fields):
         raise InputError(line_no, f"rssi is reported in negative dBm, got {rssi}")
     if rssi < READING_RANGE[0]:
         raise InputError(line_no, f"rssi must be >= {READING_RANGE[0]} dBm, got {rssi}")
-    return (x, y), ap_id, trial, seq, rssi
+    if max(trial, seq) > INT64_MAX:
+        raise InputError(line_no, f"trial and seq must be <= {INT64_MAX}, got {trial} and {seq}")
+    return x, y, ap_id, trial, seq, rssi
+
+
+def _valid_rows(rows):
+    """`_parse_row`'s rules on trace records numpy parsed."""
+    x, y, rssi = rows["point_x"], rows["point_y"], rows["rssi_dbm"]
+    return (np.isfinite(x) & np.isfinite(y) & (x != 0) & np.isin(rows["ap_id"], AP_IDS)
+            & (rows["trial"] >= 0) & (rows["seq"] >= 0)
+            & (rssi <= 0) & (rssi >= READING_RANGE[0]))
+
+
+def _read_trace_rows(source):
+    """The trace rows of `source` in file order with their line numbers, and the
+    InputError of its first bad row (None: every row is good)."""
+    chunks, error = [(np.empty(0, np.int64), np.empty(0, _TRACE_DTYPE))], None
+    try:
+        for chunk in read_csv_chunks(source, TRACE_HEADER, _TRACE_DTYPE, _parse_row, _valid_rows):
+            chunks.append(chunk)
+    except InputError as exc:  # the rows before it are in `chunks`: an earlier repeat wins
+        error = exc
+    line_nos, rows = map(np.concatenate, zip(*chunks))
+    return line_nos, rows, error
 
 
 def ingest_traces(source) -> list[PointRecord]:
@@ -205,43 +295,75 @@ def ingest_traces(source) -> list[PointRecord]:
 
     `source` may be a path, an open text file, or an iterable of lines.
     Readings are grouped into traces by (point, ap_id, trial) and ordered by
-    seq; the room label comes from the sign of x.
+    seq; a point's traces are in (ap_id, trial) order, and its coordinates
+    are those of its first row.  The room label comes from the sign of x.
+    The first bad line raises InputError: a row that breaks a rule, or one
+    that repeats an earlier row's (point, ap_id, trial, seq).
     """
-    grouped = {}  # point -> (ap_id, trial) -> seq -> rssi
-    with csv_reader(source, TRACE_HEADER) as rows:
-        for line_no, fields in rows:
-            point, ap_id, trial, seq, rssi = _parse_row(line_no, fields)
-            readings = grouped.setdefault(point, {}).setdefault((ap_id, trial), {})
-            if seq in readings:
-                key = (point, ap_id, trial, seq)
-                raise InputError(line_no, f"duplicate reading key {key}")
-            readings[seq] = rssi
-    return [
-        PointRecord(point, {key: Trace([by_seq[s] for s in sorted(by_seq)])
-                            for key, by_seq in traces.items()})
-        for point, traces in sorted(grouped.items())
-    ]
+    line_nos, rows, error = _read_trace_rows(source)
+    # one stable sort by (point, ap_id, trial, seq): equal keys keep file order
+    order = np.lexsort([rows[name] for name in reversed(TRACE_HEADER.split(",")[:5])])
+    line_nos, rows = line_nos[order], rows[order]
+    keys = [rows[name] for name in TRACE_HEADER.split(",")[:5]]
+    changed = np.ones((len(keys), len(rows)), dtype=bool)  # does row k start a new key value
+    for start, key in zip(changed, keys):
+        np.not_equal(key[1:], key[:-1], out=start[1:])
+    new_point = changed[0] | changed[1]
+    new_trace = new_point | changed[2] | changed[3]
+    repeats = np.flatnonzero(~(new_trace | changed[4]))
+    if len(repeats):
+        row = repeats[np.argmin(line_nos[repeats])]
+        if error is None or error.line_no is not None and line_nos[row] < error.line_no:
+            x, y, ap_id, trial, seq, _ = rows[row].item()
+            key = ((x, y), ap_id, trial, seq)
+            raise InputError(int(line_nos[row]), f"duplicate reading key {key}")
+    if error is not None:
+        raise error
+
+    trace_starts, point_starts = np.flatnonzero(new_trace), np.flatnonzero(new_point)
+    bounds = np.append(trace_starts, len(rows)).tolist()
+    rssi = rows["rssi_dbm"].tolist()
+    traces = [Trace(rssi[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    trace_keys = list(zip(keys[2][trace_starts].tolist(), keys[3][trace_starts].tolist()))
+    # a point's first row in the file gives its coordinates: -0.0 == 0.0 in one point
+    first_lines = np.minimum.reduceat(line_nos, point_starts) if len(rows) else line_nos
+    sizes = np.diff(np.append(point_starts, len(rows)))
+    first_rows = rows[line_nos == np.repeat(first_lines, sizes)]
+    points = zip(first_rows["point_x"].tolist(), first_rows["point_y"].tolist())
+    groups = np.append(np.searchsorted(trace_starts, point_starts), len(traces)).tolist()
+    return [PointRecord(point, dict(zip(trace_keys[lo:hi], traces[lo:hi])))
+            for point, lo, hi in zip(points, groups, groups[1:])]
 
 
 def write_traces(points, dest, comments=None):
     """Write PointRecords in the trace-file format (deterministic row order).
 
-    A reading above 0 dBm, which `ingest_traces` refuses, raises ValueError
+    Only files that `ingest_traces` reads back are written: two records at one
+    point, a record without traces, a key outside (ap_id in AP_IDS, trial from
+    0 to INT64_MAX) or a reading above 0 dBm raises ValueError naming the point
     before `dest` is opened.
     """
     points = sorted(points, key=lambda p: p.point)
-    for record in points:
-        for key, trace in record.traces.items():
+    for before, record in zip([None, *points], points):
+        if not record.traces:
+            raise ValueError(f"point {record.point}: a record without traces")
+        if before is not None and before.point == record.point:
+            raise ValueError(f"point {record.point}: two records at this point")
+        for (ap_id, trial), trace in record.traces.items():
+            where = f"point {record.point}, (ap_id, trial) {(ap_id, trial)}"
+            if not (isinstance(ap_id, Integral) and ap_id in AP_IDS):
+                raise ValueError(f"{where}: ap_id must be one of {AP_IDS}")
+            if not (isinstance(trial, Integral) and 0 <= trial <= INT64_MAX):
+                raise ValueError(f"{where}: trial must be an integer from 0 to {INT64_MAX}")
             if (high := max(trace.values)) > 0:
-                raise ValueError(f"point {record.point}, (ap_id, trial) {key}: rssi is reported "
-                                 f"in negative dBm, got {high}")
+                raise ValueError(f"{where}: rssi is reported in negative dBm, got {high}")
     with csv_writer(dest, TRACE_HEADER, comments) as out:
         for record in points:
             x, y = record.point
-            for (ap_id, trial) in sorted(record.traces):
-                prefix = f"{x!r},{y!r},{ap_id},{trial},"
-                values = record.traces[(ap_id, trial)].values
-                out.write("".join([f"{prefix}{seq},{rssi}\n" for seq, rssi in enumerate(values)]))
+            for (ap_id, trial), trace in sorted(record.traces.items()):
+                prefix = f"{x!r},{y!r},{int(ap_id)},{int(trial)},"
+                out.write("".join([f"{prefix}{seq},{rssi}\n"
+                                   for seq, rssi in enumerate(trace.values)]))
 
 
 # ---------------------------------------------------------------------------

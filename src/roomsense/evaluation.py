@@ -256,12 +256,18 @@ class EvalReport:
         return json.dumps(self.to_dict() | extra, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def holdout(y, cfg: ml.TrainConfig) -> tuple:
+    """The (train, test) rows into y of cfg.seed's split: `plan`'s first job, and all
+    that a saved model scores."""
+    return train_test_split(np.asarray(y, dtype=int), cfg.train_fraction, cfg.seed)
+
+
 def plan(y, cfg: ml.TrainConfig) -> list:
     """Every fit of one evaluation as (fit rows, scored rows) into y: the holdout
     (train, test) of cfg.seed's split, then each CV fold as (train[fit], train[val]).
     A cv_folds that the training side cannot meet is a ConfigError naming it."""
     y = np.asarray(y, dtype=int)
-    train_idx, test_idx = train_test_split(y, cfg.train_fraction, cfg.seed)
+    train_idx, test_idx = holdout(y, cfg)
     try:
         folds = kfold(y[train_idx], k=cfg.cv_folds, seed=derive_seed(cfg.seed, "cv"))
     except ValueError as exc:
@@ -298,7 +304,7 @@ def evaluate(X, y, cfg: ml.TrainConfig, jobs, fitted=None) -> EvalReport:
     cfg.seed is the one seed: it draws the plan (the split and the CV folds
     inside its training side; `jobs` is `plan(y, cfg)`) and the model's own
     randomness.  It scores `jobs[0]` and cross-validates `jobs[1:]`, so
-    `plan(y, cfg)[:1]` is the holdout alone, with no CV accuracies.
+    `[holdout(y, cfg)]` scores the holdout alone, with no CV accuracies.
     `fitted` is what `fit` returns for the holdout's fit rows, `jobs[0][0]`,
     e.g. a saved model; without it the classifier is fit here.
     Random forests also report impurity-based feature importance.

@@ -18,7 +18,10 @@ from itertools import chain
 import numpy as np
 
 from ._schema import InputError
-from .dataset import AP_IDS, READING_DTYPE, PointRecord, csv_reader, csv_writer
+from .dataset import (
+    AP_IDS, CSV_CHUNK_LINES, READING_DTYPE, PointRecord, check_number_syntax, csv_writer,
+    read_csv_chunks,
+)
 from .dtw import dtw_distance
 
 HIGH_STRENGTH_DBM = -50
@@ -111,8 +114,15 @@ def featurize_pair(a: PointRecord, b: PointRecord, trial_a: int, trial_b: int) -
 # row of finite values, '#'-prefixed comment lines ignored.
 
 
+_FEATURE_DTYPE = np.dtype([("label", np.int64), ("X", np.float64, (len(FEATURE_NAMES),))])
+
+
 def write_feature_matrix(X, y, dest, comments=None):
-    """Write a labeled feature matrix as CSV (deterministic float repr)."""
+    """Write a labeled feature matrix as CSV, each value as `repr` of its float.
+
+    Each chunk of rows formats every distinct float bit pattern once, so
+    -0.0 and 0.0 keep their own text.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or X.shape[1] != len(FEATURE_NAMES):
@@ -120,38 +130,52 @@ def write_feature_matrix(X, y, dest, comments=None):
     if len(y) != len(X):
         raise ValueError("label count does not match row count")
     with csv_writer(dest, FEATURE_CSV_HEADER, comments) as out:
-        # one row of Python floats at a time: boxing the whole matrix at once
-        # raised the paper-default run's peak RSS
-        for label, row in zip(y.tolist(), X):
-            out.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")
+        for lo in range(0, len(X), CSV_CHUNK_LINES):
+            bits = np.ascontiguousarray(X[lo:lo + CSV_CHUNK_LINES]).view(np.int64)
+            distinct, cell = np.unique(bits, return_inverse=True)
+            text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+            rows = text[cell.reshape(bits.shape)].tolist()
+            labels = y[lo:lo + CSV_CHUNK_LINES].tolist()
+            out.write("".join([f"{label},{','.join(row)}\n" for label, row in zip(labels, rows)]))
+
+
+def _parse_row(line_no, text):
+    """A feature row's (label, values), or the InputError of the first rule it breaks."""
+    fields = text.split(",")
+    if len(fields) != 1 + len(FEATURE_NAMES):
+        raise InputError(line_no, f"expected {1 + len(FEATURE_NAMES)} fields, got {len(fields)}")
+    try:
+        label = int(fields[0])
+        row = list(map(float, fields[1:]))
+    except ValueError as exc:
+        raise InputError(line_no, f"unparseable field ({exc})") from None
+    check_number_syntax(line_no, text)
+    if label not in (0, 1):
+        raise InputError(line_no, f"label must be 0 or 1, got {label}")
+    if not all(map(math.isfinite, row)):
+        raise InputError(line_no, "non-finite feature value")
+    return label, row
+
+
+def _valid_rows(rows):
+    """`_parse_row`'s rules on feature records numpy parsed."""
+    return np.isin(rows["label"], (0, 1)) & np.isfinite(rows["X"]).all(axis=1)
 
 
 def read_feature_matrix(source):
     """Read a feature-matrix CSV back into (X, y).
 
-    Rows are parsed one at a time into flat buffers, so X is a writable view
-    of the parsed doubles, not a copy of a list of rows.
+    Each chunk of rows is appended to flat buffers, so X is a writable view
+    of the parsed doubles, not a copy of a list of chunks.
     """
-    width = len(FEATURE_NAMES)
     values, labels = array("d"), array("b")
-    with csv_reader(source, FEATURE_CSV_HEADER) as lines:
-        for line_no, fields in lines:
-            if len(fields) != 1 + width:
-                raise InputError(line_no, f"expected {1 + width} fields, got {len(fields)}")
-            try:
-                label = int(fields[0])
-                row = list(map(float, fields[1:]))
-            except ValueError as exc:
-                raise InputError(line_no, f"unparseable field ({exc})") from None
-            if label not in (0, 1):
-                raise InputError(line_no, f"label must be 0 or 1, got {label}")
-            if not all(map(math.isfinite, row)):
-                raise InputError(line_no, "non-finite feature value")
-            labels.append(label)
-            values.extend(row)
+    for _, rows in read_csv_chunks(source, FEATURE_CSV_HEADER, _FEATURE_DTYPE,
+                                   _parse_row, _valid_rows):
+        values.frombytes(rows["X"].tobytes())
+        labels.frombytes(rows["label"].astype(np.int8).tobytes())
     if not labels:
         raise InputError(1, "no samples in the file")
-    X = np.frombuffer(values).reshape(-1, width)
+    X = np.frombuffer(values).reshape(-1, len(FEATURE_NAMES))
     # a standardizer sums the squared deviations of up to len(X) rows; keep that sum finite
     limit = math.sqrt(sys.float_info.max / len(X)) / 4
     if max(X.max(), -X.min()) >= limit:  # whole-matrix reductions: no n x 18 temporary

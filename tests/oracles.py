@@ -10,18 +10,23 @@ regression takes one loss per gradient step, and pair
 draws list every (pair, trial) combination before drawing from the list.
 The simulator and per-AP feature oracles are the library's earlier loop
 forms: one `sample_rssi` call per reading, and the union statistics taken
-with generator expressions.
+with generator expressions.  The trace and feature file oracles are the
+earlier row-at-a-time readers: Python's int and float on each field, with
+the library's `csv_reader` for decoding, header and comment lines.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from statistics import mean
 
 import numpy as np
 
+from roomsense._schema import InputError
 from roomsense._seeds import generator
-from roomsense.dataset import PointRecord, Trace
+from roomsense.dataset import AP_IDS, READING_RANGE, TRACE_HEADER, PointRecord, Trace, csv_reader
 from roomsense.dtw import dtw_distance
+from roomsense.features import FEATURE_CSV_HEADER, FEATURE_NAMES
 from roomsense.simulator import _room_points, sample_rssi
 
 
@@ -198,6 +203,79 @@ def pair_rows_oracle(points, n_positive, n_negative, trial_matching, seed):
                                                       replace=False)
         rows += [list(combos[label][k]) for k in picks]
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Trace and feature files, one row at a time
+
+
+def _trace_row_oracle(line_no, fields):
+    if len(fields) != 6:
+        raise InputError(line_no, f"expected 6 fields, got {len(fields)}")
+    try:
+        x, y = float(fields[0]), float(fields[1])
+        ap_id, trial, seq, rssi = map(int, fields[2:])
+    except ValueError as exc:
+        raise InputError(line_no, f"unparseable field ({exc})") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InputError(line_no, f"non-finite coordinate ({x}, {y})")
+    if x == 0:
+        raise InputError(line_no, "point_x = 0 lies on the partition wall")
+    if ap_id not in AP_IDS:
+        raise InputError(line_no, f"ap_id must be one of {AP_IDS}, got {ap_id}")
+    if trial < 0:
+        raise InputError(line_no, f"trial must be >= 0, got {trial}")
+    if seq < 0:
+        raise InputError(line_no, f"seq must be >= 0, got {seq}")
+    if rssi > 0:
+        raise InputError(line_no, f"rssi is reported in negative dBm, got {rssi}")
+    if rssi < READING_RANGE[0]:
+        raise InputError(line_no, f"rssi must be >= {READING_RANGE[0]} dBm, got {rssi}")
+    return (x, y), ap_id, trial, seq, rssi
+
+
+def ingest_traces_oracle(source):
+    """The row-level trace reader: Python's int and float per field, nested dicts
+    keyed by point, then (ap_id, trial), then seq; the first bad row raises."""
+    grouped = {}
+    with csv_reader(source, TRACE_HEADER) as lines:
+        for line_no, text in lines:
+            point, ap_id, trial, seq, rssi = _trace_row_oracle(line_no, text.split(","))
+            readings = grouped.setdefault(point, {}).setdefault((ap_id, trial), {})
+            if seq in readings:
+                key = (point, ap_id, trial, seq)
+                raise InputError(line_no, f"duplicate reading key {key}")
+            readings[seq] = rssi
+    return [
+        PointRecord(point, {key: Trace([by_seq[s] for s in sorted(by_seq)])
+                            for key, by_seq in traces.items()})
+        for point, traces in sorted(grouped.items())
+    ]
+
+
+def read_feature_matrix_oracle(source):
+    """The row-level feature reader: (X, y) from one int and 18 float parses per row."""
+    width = len(FEATURE_NAMES)
+    rows, labels = [], []
+    with csv_reader(source, FEATURE_CSV_HEADER) as lines:
+        for line_no, text in lines:
+            fields = text.split(",")
+            if len(fields) != 1 + width:
+                raise InputError(line_no, f"expected {1 + width} fields, got {len(fields)}")
+            try:
+                label = int(fields[0])
+                row = list(map(float, fields[1:]))
+            except ValueError as exc:
+                raise InputError(line_no, f"unparseable field ({exc})") from None
+            if label not in (0, 1):
+                raise InputError(line_no, f"label must be 0 or 1, got {label}")
+            if not all(map(math.isfinite, row)):
+                raise InputError(line_no, "non-finite feature value")
+            labels.append(label)
+            rows.append(row)
+    if not labels:
+        raise InputError(1, "no samples in the file")
+    return np.array(rows).reshape(-1, width), np.array(labels)
 
 
 # ---------------------------------------------------------------------------

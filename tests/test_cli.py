@@ -398,8 +398,8 @@ def test_saved_model_reports_match_benchmark_reports(saved_models):
 
 
 def test_saved_model_is_scored_without_a_fit(tmp_path, saved_models, monkeypatch):
-    def no_fit(*args):
-        raise AssertionError("evaluate --model fit a classifier")
+    def no_fit(*args, **kwargs):
+        raise AssertionError("evaluate --model fit a classifier or drew CV folds")
     monkeypatch.setattr(ml, "train", no_fit)
     features = str(saved_models / "features.csv")
     for algorithm in ("lr", "knn", "rf", "svm", "dt"):
@@ -416,6 +416,15 @@ def test_saved_model_is_scored_without_a_fit(tmp_path, saved_models, monkeypatch
                "--model", str(saved_models / "model_lr.json"), "--out", str(out)) == 0
     confusion = json.loads((out / "report_lr.json").read_text())["confusion"]
     assert confusion["tp"] == confusion["fn"] == 0 and confusion["fp"] + confusion["tn"] == 4
+    # too few rows for the model's cv_folds=3 is no refusal either: no fold is drawn
+    two_per_class = [*np.flatnonzero(y == 0)[:2], *np.flatnonzero(y == 1)[:2]]
+    write_feature_matrix(X[two_per_class], y[two_per_class], tmp_path / "two-per-class.csv")
+    monkeypatch.setattr(evaluation, "kfold", no_fit)
+    out = tmp_path / "two-per-class"
+    assert run("evaluate", str(tmp_path / "two-per-class.csv"),
+               "--model", str(saved_models / "model_dt.json"), "--out", str(out)) == 0
+    report = json.loads((out / "report_dt.json").read_text())
+    assert report["cv_accuracies"] == [] and sum(report["confusion"].values()) == 2
 
 
 # trace files for featurize, by name: the rows after the header

@@ -7,14 +7,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_point_same_traces
-from oracles import ap_features_oracle, pair_rows_oracle
-from roomsense import features, ml
+from conftest import make_point, make_point_same_traces
+from oracles import (
+    ap_features_oracle, ingest_traces_oracle, pair_rows_oracle, read_feature_matrix_oracle,
+)
+from roomsense import dataset, features, ml
 from roomsense._schema import ConfigError, InputError
 from roomsense._seeds import derive_seed
 from roomsense.cli import build_run_config
 from roomsense.dataset import (
     READING_RANGE,
+    TRACE_HEADER,
     Dataset,
     PairingConfig,
     PointRecord,
@@ -24,7 +27,7 @@ from roomsense.dataset import (
     room_of,
     write_traces,
 )
-from roomsense.features import featurize_pair, read_feature_matrix
+from roomsense.features import FEATURE_CSV_HEADER, featurize_pair, read_feature_matrix
 from roomsense.simulator import SimConfig, generate
 
 HEADER = "point_x,point_y,ap_id,trial,seq,rssi_dbm\n"
@@ -166,6 +169,27 @@ def test_write_traces_names_the_positive_reading(tmp_path):
             "point (3.0, 4.0), (ap_id, trial) (2, 7): rssi is reported in negative dBm, got 9")):
         write_traces(points, path)
     assert not path.exists()
+    # every other record that ingest_traces would refuse, or read back as another record
+    good = make_point_same_traces(-1.5, 2.0, [-50])
+    refused = {
+        ", (ap_id, trial) (7, 0): ap_id must be one of (1, 2, 3)": {(7, 0): Trace([-50])},
+        ", (ap_id, trial) (1.0, 0): ap_id must be one of (1, 2, 3)": {(1.0, 0): Trace([-50])},
+        ", (ap_id, trial) (1, -2): trial must be an integer from 0 to 9223372036854775807":
+            {(1, -2): Trace([-50])},
+        ", (ap_id, trial) (1, 9223372036854775808): trial must be an integer from 0 to ":
+            {(1, 2**63): Trace([-50])},
+        ": a record without traces": {},
+    }
+    for message, traces in refused.items():
+        with pytest.raises(ValueError, match=re.escape(f"point (3.0, 4.0){message}")):
+            write_traces([good, PointRecord((3.0, 4.0), traces)], path)
+        assert not path.exists()
+    with pytest.raises(ValueError, match=re.escape("point (-1.5, 2.0): two records at this point")):
+        write_traces([good, make_point(-1.5, 2.0, {(1, 1): [-60]})], path)
+    assert not path.exists()
+    # integer keys of other types are written as the ints they equal
+    write_traces([make_point(-1.5, 2.0, {(np.int64(1), True): [-50]})], path)
+    assert ingest_traces(path)[0].traces == {(1, 1): Trace([-50])}
 
 
 def test_unreadable_paths_raise_the_format_error_chained_from_the_cause(tmp_path):
@@ -195,6 +219,110 @@ def test_non_utf_8_byte_is_named_by_its_line_and_file_position(tmp_path):
         ingest_traces(path)
     assert raised.value.line_no == 1502
     assert str(raised.value).startswith(f"line 1502: cannot read {path}: ")
+
+
+# (column, replacement) corruptions of one data row: the refusal kinds of
+# test_ingest_rejects_bad_rows and REFUSED_RUNS, plus text that numpy's parser
+# reads differently from Python's int and float (both readers refuse it)
+TRACE_CORRUPTIONS = [
+    (5, None), (5, "-50,7"), (2, "one"), (5, "-50.5"), (5, "10"), (5, "99"), (0, "0"),
+    (2, "9"), (0, "nan"), (1, "-inf"), (3, "-1"), (4, "-1"), (4, "x"),
+    (5, str(READING_RANGE[0] - 1)), (5, str(-10**30)), (0, "5\x1c"), (5, "-5\u30e9"),
+]
+FEATURE_CORRUPTIONS = [
+    (18, None), (18, "1.0,2.0"), (0, "7"), (0, "x"), (3, "inf"), (7, "nan"), (9, "1..5"),
+    (4, "2\x1f"), (0, "1\u30e9"),
+]
+# text that Python's int and float read but the array readers refuse
+NARROWED = {"underscore": "1_0", "non-ascii digit": "\u0661", "non-ascii space": "\xa01"}
+
+
+def _outcome(read, path):
+    """`read(path)`, or its InputError as (message, line number)."""
+    try:
+        return read(path)
+    except InputError as exc:
+        return str(exc), exc.line_no
+
+
+def _variant(rng, rows, header, corruptions):
+    """File text of `rows` (lists of field strings) shuffled or interleaved, with
+    comment and blank lines, LF or CRLF endings, and up to two corrupted rows."""
+    rows = [list(row) for row in rows]
+    if rng.random() < 0.5:
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+    else:  # interleave five runs of rows (a trace file's points): the k-th row of each, ...
+        rows = [rows[k] for k in np.arange(len(rows)).reshape(5, -1).T.ravel()]
+    for _ in range(rng.integers(0, 3)):
+        at = int(rng.integers(len(rows)))
+        if rng.random() < 0.2:  # a second reading of another row's key
+            rows[at] = rows[int(rng.integers(len(rows)))][:-1] + ["-33"]
+        else:
+            column, text = corruptions[rng.integers(len(corruptions))]
+            rows[at] = rows[at][:column] + ([] if text is None else [text]) + rows[at][column + 1:]
+    lines = [",".join(row) for row in rows]
+    for _ in range(rng.integers(0, 4)):
+        lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(["", "# note", "  "])))
+    end = "\r\n" if rng.random() < 0.5 else "\n"
+    return end.join(["# seed=1", header, *lines]) + end
+
+
+def test_array_readers_match_the_row_level_oracles(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "CSV_CHUNK_LINES", 5)  # small files span many chunks
+    rng = np.random.default_rng(28)
+    coordinates = [(repr(float(x)), repr(float(y))) for x, y in
+                   zip(rng.uniform(1, 30, 5) * [-1, 1, -1, 1, 1], rng.uniform(-9, 9, 5))]
+    coordinates[4] = ("7.5", "0.0")  # its first row in key order says "-0.0": one point
+    trace_rows = [[*coordinates[p], str(ap), str(trial), str(seq), str(-rng.integers(40, 90))]
+                  for p in range(5) for ap in (1, 2, 3) for trial in (0, 1) for seq in range(3)]
+    trace_rows[4 * 18][1] = "-0.0"
+    features_X = rng.choice([0.0, -0.0, 0.1 + 0.2, 1 / 3, 64.0, 1e-300], size=(40, 18))
+    feature_rows = [[str(label), *map(repr, row)] for label, row in
+                    zip(rng.integers(0, 2, 40).tolist(), features_X.tolist())]
+    kinds = {"trace": (ingest_traces, ingest_traces_oracle, trace_rows, TRACE_HEADER,
+                       TRACE_CORRUPTIONS),
+             "feature": (read_feature_matrix, read_feature_matrix_oracle, feature_rows,
+                         FEATURE_CSV_HEADER, FEATURE_CORRUPTIONS)}
+    refused = {"trace": 0, "feature": 0}
+    for case in range(160):
+        kind = ("trace", "feature")[case % 2]
+        read, oracle, rows, header, corruptions = kinds[kind]
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(_variant(rng, rows, header, corruptions).encode())
+        got, want = _outcome(read, path), _outcome(oracle, path)
+        if isinstance(want, tuple) and isinstance(want[0], str):
+            assert got == want, (case, path.read_text())
+            refused[kind] += 1
+        elif kind == "trace":
+            assert repr([(r.point, sorted(r.traces.items())) for r in got]) == repr(
+                [(r.point, sorted(r.traces.items())) for r in want])
+            assert all(list(r.traces) == sorted(r.traces) for r in got)
+        else:
+            assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+            assert np.array_equal(got[1], want[1]) and got[0].flags.c_contiguous
+    assert min(refused.values()) >= 20 and max(refused.values()) <= 70
+
+    # narrowed inputs: the oracles read them, the array readers refuse the line
+    trace_text = f"{TRACE_HEADER}\n5.0,1.0,1,0,0,-50\n"
+    feature_text = FEATURE_CSV_HEADER + "\n1" + ",0.5" * 18 + "\n"
+    for name, text in NARROWED.items():
+        for read, oracle, body in ((ingest_traces, ingest_traces_oracle,
+                                    trace_text.replace("1.0,", text + ",")),
+                                   (read_feature_matrix, read_feature_matrix_oracle,
+                                    feature_text.replace(",0.5\n", f",{text}\n"))):
+            path = tmp_path / "narrowed.csv"
+            path.write_text(body, encoding="utf-8")
+            oracle(path)
+            message, line_no = _outcome(read, path)
+            assert line_no == 2 and message.startswith("line 2: unparseable field (numbers are "
+                                                        "ASCII without '_', got "), (name, message)
+    for field in ("trial", "seq"):
+        path.write_text(trace_text.replace(",0,0,", ",0,9223372036854775808," if field == "seq"
+                                           else ",9223372036854775808,0,"))
+        assert ingest_traces_oracle(path)
+        with pytest.raises(InputError, match="^line 2: trial and seq must be <= "
+                                             "9223372036854775807, got "):
+            ingest_traces(path)
 
 
 def test_trace_unique_examples():

@@ -11,7 +11,7 @@ import pytest
 from conftest import make_point, make_point_same_traces
 from oracles import ap_features_oracle, naive_features
 from roomsense._schema import InputError
-from roomsense.dataset import READING_RANGE, Trace
+from roomsense.dataset import CSV_CHUNK_LINES, READING_RANGE, Trace
 from roomsense.evaluation import standardize_fit
 from roomsense.features import (
     AP_FEATURE_NAMES,
@@ -244,6 +244,16 @@ def test_feature_matrix_text_is_float_repr():
         "1," + ",".join([row] * 3),
         "0," + ",".join([negated] * 3),
     ]
+    # more rows than one writer chunk, few distinct values, -0.0 and 0.0 in every chunk
+    rng = np.random.default_rng(5)
+    X = rng.choice([*values, *(-v for v in values), 0.0, 1 / 3, math.nan, math.inf],
+                   size=(2 * CSV_CHUNK_LINES + 3, 18))
+    X[::100, 0], X[1::100, 0] = -0.0, 0.0
+    y = rng.integers(0, 2, len(X))
+    buf = io.StringIO()
+    write_feature_matrix(X, y, buf)
+    assert buf.getvalue() == FEATURE_CSV_HEADER + "\n" + "".join(
+        f"{label}," + ",".join(repr(float(v)) for v in row) + "\n" for label, row in zip(y, X))
 
 
 def test_feature_matrix_errors():
