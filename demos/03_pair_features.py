@@ -15,10 +15,11 @@ from roomsense.features import FEATURE_NAMES, write_feature_matrix
 points = generate(SimConfig(seed=42))
 dataset = build_pairs(points, PairingConfig(), seed=42)
 
-print(f"samples: {len(dataset.samples)}  counts (pos, neg): {dataset.counts}")
+X, y = dataset.X, dataset.y
+counts = int(y.sum()), int((y == 0).sum())
+print(f"samples: {len(dataset.samples)}  counts (pos, neg): {counts}")
 print()
 
-X, y = dataset.feature_matrix(), dataset.labels()
 for k in (0, -1):  # the first adjacent and the last distant sample
     i, j, _, _ = dataset.samples[k]
     kind = "adjacent" if y[k] == 1 else "distant"

@@ -13,7 +13,7 @@ from roomsense.evaluation import plan
 
 points = generate(SimConfig(seed=42))
 dataset = build_pairs(points, PairingConfig(), seed=42)
-X, y = dataset.feature_matrix(), dataset.labels()
+X, y = dataset.X, dataset.y
 
 print(f"{'algorithm':<10s} {'accuracy':>8s} {'f1 (0)':>8s} {'f1 (1)':>8s} {'cv mean':>8s}")
 reports = {}

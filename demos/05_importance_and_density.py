@@ -15,7 +15,7 @@ from roomsense.features import FEATURE_NAMES
 
 points = generate(SimConfig(seed=42))
 dataset = build_pairs(points, PairingConfig(), seed=42)
-X, y = dataset.feature_matrix(), dataset.labels()
+X, y = dataset.X, dataset.y
 
 cfg = TrainConfig(algorithm="rf", seed=42)
 report = evaluate(X, y, cfg, plan(y, cfg)[:1])

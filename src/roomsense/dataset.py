@@ -4,6 +4,9 @@ Two devices form a positive ("adjacent") sample when they sit in the same
 room, a negative ("distant") one otherwise; x < 0 is the left room, x > 0 the
 right one.  A pair dataset is arrays: (i, j, trial_a, trial_b) index rows
 into the sorted point records, the n x 18 feature matrix, and the labels.
+Each CSV format states its row rules once, as a table of (check, message)
+pairs (`_TRACE_RULES` here, `features._FEATURE_RULES`) that `read_csv_chunks`
+checks on numpy's parsed chunks and on its per-line path alike.
 """
 
 import math
@@ -161,29 +164,32 @@ def csv_reader(source, header):
     yield lines
 
 
-def read_csv_chunks(source, header, dtype, parse_row, valid):
+def read_csv_chunks(source, header, dtype, rules):
     """Yield the data rows of CSV `source` as (line numbers, `dtype` records) chunks.
 
     A file's numbers are Python's int and float syntax in ASCII, without '_'.
-    Chunks of CSV_CHUNK_LINES lines are parsed by one `np.loadtxt` call each and
-    kept when `valid`, the array form of the row rules, passes every row.  A
-    chunk that numpy refuses, that breaks a rule, or whose text numpy's parser
-    could read differently from Python's (non-ASCII, or an ASCII separator it
-    skips as a space) is parsed again line by line: `parse_row(line_no, line)`
-    returns a row's field values or raises the row's InputError, which is
-    raised here once the rows before it have been yielded.
+    `rules` are the format's row rules, (check, message) pairs in the order a
+    row is checked: `check(rows)` says which rows of a mapping by field name
+    pass, whether a chunk's records or one line's Python values, and
+    `message(row)` names one line's fault.  Chunks of CSV_CHUNK_LINES lines are
+    parsed by one `np.loadtxt` call each and kept when every row passes every
+    rule.  A chunk that numpy refuses, that breaks a rule, or whose text
+    numpy's parser could read differently from Python's (non-ASCII, or an
+    ASCII separator it skips as a space) is parsed again line by line with
+    Python's int and float under the same rules; the first bad line's
+    InputError is raised once the rows before it have been yielded.
     """
     with csv_reader(source, header) as lines:
         while chunk := list(islice(lines, CSV_CHUNK_LINES)):
             line_nos, texts = zip(*chunk)
             records = _loadtxt(texts, dtype)
-            if records is not None and valid(records).all():
+            if records is not None and all(check(records).all() for check, _ in rules):
                 yield np.array(line_nos), records
                 continue
             rows, error = [], None
             for line_no, text in chunk:
                 try:
-                    rows.append(parse_row(line_no, text))
+                    rows.append(_parse_line(line_no, text, dtype, rules))
                 except InputError as exc:
                     error = exc
                     break
@@ -204,11 +210,29 @@ def _loadtxt(texts, dtype):
         return None
 
 
-def check_number_syntax(line_no, text):
-    """Refuse a data line that Python's int and float read but `np.loadtxt` does not."""
+def _parse_line(line_no, text, dtype, rules):
+    """One data line's values in `dtype`'s field order, each read with Python's
+    int or float by its field's kind, or the InputError of the first rule it breaks."""
+    fields = text.split(",")
+    sizes = [math.prod(dtype[name].shape) for name in dtype.names]
+    if len(fields) != sum(sizes):
+        raise InputError(line_no, f"expected {sum(sizes)} fields, got {len(fields)}")
+    row, at = {}, 0
+    try:
+        for name, size in zip(dtype.names, sizes):
+            convert = float if dtype[name].base.kind == "f" else int
+            values = [convert(field) for field in fields[at:at + size]]
+            row[name] = values if dtype[name].shape else values[0]
+            at += size
+    except ValueError as exc:
+        raise InputError(line_no, f"unparseable field ({exc})") from None
     bad = next((ch for ch in text if not ch.isascii() or ch == "_"), None)
     if bad is not None:
         raise InputError(line_no, f"unparseable field (numbers are ASCII without '_', got {bad!r})")
+    for check, message in rules:
+        if not check(row):
+            raise InputError(line_no, message(row))
+    return tuple(row.values())
 
 
 @contextmanager
@@ -239,42 +263,21 @@ _TRACE_DTYPE = np.dtype([(name, np.float64 if name.startswith("point") else np.i
                          for name in TRACE_HEADER.split(",")])
 
 
-def _parse_row(line_no, text):
-    """A trace row's six values, or the InputError of the first rule it breaks."""
-    fields = text.split(",")
-    if len(fields) != 6:
-        raise InputError(line_no, f"expected 6 fields, got {len(fields)}")
-    try:
-        x, y = float(fields[0]), float(fields[1])
-        ap_id, trial, seq, rssi = map(int, fields[2:])
-    except ValueError as exc:
-        raise InputError(line_no, f"unparseable field ({exc})") from None
-    check_number_syntax(line_no, text)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise InputError(line_no, f"non-finite coordinate ({x}, {y})")
-    if x == 0:
-        raise InputError(line_no, "point_x = 0 lies on the partition wall")
-    if ap_id not in AP_IDS:
-        raise InputError(line_no, f"ap_id must be one of {AP_IDS}, got {ap_id}")
-    if trial < 0:
-        raise InputError(line_no, f"trial must be >= 0, got {trial}")
-    if seq < 0:
-        raise InputError(line_no, f"seq must be >= 0, got {seq}")
-    if rssi > 0:
-        raise InputError(line_no, f"rssi is reported in negative dBm, got {rssi}")
-    if rssi < READING_RANGE[0]:
-        raise InputError(line_no, f"rssi must be >= {READING_RANGE[0]} dBm, got {rssi}")
-    if max(trial, seq) > INT64_MAX:
-        raise InputError(line_no, f"trial and seq must be <= {INT64_MAX}, got {trial} and {seq}")
-    return x, y, ap_id, trial, seq, rssi
-
-
-def _valid_rows(rows):
-    """`_parse_row`'s rules on trace records numpy parsed."""
-    x, y, rssi = rows["point_x"], rows["point_y"], rows["rssi_dbm"]
-    return (np.isfinite(x) & np.isfinite(y) & (x != 0) & np.isin(rows["ap_id"], AP_IDS)
-            & (rows["trial"] >= 0) & (rows["seq"] >= 0)
-            & (rssi <= 0) & (rssi >= READING_RANGE[0]))
+_TRACE_RULES = (
+    (lambda r: np.isfinite(r["point_x"]) & np.isfinite(r["point_y"]),
+     lambda r: f"non-finite coordinate ({r['point_x']}, {r['point_y']})"),
+    (lambda r: r["point_x"] != 0, lambda r: "point_x = 0 lies on the partition wall"),
+    (lambda r: np.isin(r["ap_id"], AP_IDS),
+     lambda r: f"ap_id must be one of {AP_IDS}, got {r['ap_id']}"),
+    (lambda r: r["trial"] >= 0, lambda r: f"trial must be >= 0, got {r['trial']}"),
+    (lambda r: r["seq"] >= 0, lambda r: f"seq must be >= 0, got {r['seq']}"),
+    (lambda r: r["rssi_dbm"] <= 0,
+     lambda r: f"rssi is reported in negative dBm, got {r['rssi_dbm']}"),
+    (lambda r: r["rssi_dbm"] >= READING_RANGE[0],
+     lambda r: f"rssi must be >= {READING_RANGE[0]} dBm, got {r['rssi_dbm']}"),
+    (lambda r: (r["trial"] <= INT64_MAX) & (r["seq"] <= INT64_MAX),
+     lambda r: f"trial and seq must be <= {INT64_MAX}, got {r['trial']} and {r['seq']}"),
+)
 
 
 def _read_trace_rows(source):
@@ -282,7 +285,7 @@ def _read_trace_rows(source):
     InputError of its first bad row (None: every row is good)."""
     chunks, error = [(np.empty(0, np.int64), np.empty(0, _TRACE_DTYPE))], None
     try:
-        for chunk in read_csv_chunks(source, TRACE_HEADER, _TRACE_DTYPE, _parse_row, _valid_rows):
+        for chunk in read_csv_chunks(source, TRACE_HEADER, _TRACE_DTYPE, _TRACE_RULES):
             chunks.append(chunk)
     except InputError as exc:  # the rows before it are in `chunks`: an earlier repeat wins
         error = exc

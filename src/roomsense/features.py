@@ -7,7 +7,8 @@ names the strongest observed signal); the ratio features count values at or
 below the -50 dBm (high) and -70 dBm (average) marks over the deduplicated
 union; signal similarity is the DTW distance between the ordered sequences.
 Concatenating the six features over the three APs yields the 18-value
-vector, which is symmetric in the two points.
+vector, which is symmetric in the two points.  The feature-matrix file's
+row rules, `_FEATURE_RULES`, bind its writer as well as its reader.
 """
 
 import math
@@ -19,8 +20,7 @@ import numpy as np
 
 from ._schema import InputError
 from .dataset import (
-    AP_IDS, CSV_CHUNK_LINES, READING_DTYPE, PointRecord, check_number_syntax, csv_writer,
-    read_csv_chunks,
+    AP_IDS, CSV_CHUNK_LINES, READING_DTYPE, PointRecord, csv_writer, read_csv_chunks,
 )
 from .dtw import dtw_distance
 
@@ -115,20 +115,33 @@ def featurize_pair(a: PointRecord, b: PointRecord, trial_a: int, trial_b: int) -
 
 
 _FEATURE_DTYPE = np.dtype([("label", np.int64), ("X", np.float64, (len(FEATURE_NAMES),))])
+_FEATURE_RULES = (
+    (lambda r: np.isin(r["label"], (0, 1)), lambda r: f"label must be 0 or 1, got {r['label']}"),
+    (lambda r: np.isfinite(r["X"]).all(axis=-1), lambda r: "non-finite feature value"),
+)
 
 
 def write_feature_matrix(X, y, dest, comments=None):
     """Write a labeled feature matrix as CSV, each value as `repr` of its float.
 
-    Each chunk of rows formats every distinct float bit pattern once, so
-    -0.0 and 0.0 keep their own text.
+    Only files that `read_feature_matrix` reads back are written: a sample
+    that breaks a row rule (a label other than 0 or 1, a non-finite value)
+    raises ValueError naming it before `dest` is opened.  Each chunk of rows
+    formats every distinct float bit pattern once, so -0.0 and 0.0 keep their
+    own text.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
     if X.ndim != 2 or X.shape[1] != len(FEATURE_NAMES):
         raise ValueError(f"expected an n x {len(FEATURE_NAMES)} matrix, got {X.shape}")
-    if len(y) != len(X):
+    if y.shape != (len(X),):
         raise ValueError("label count does not match row count")
+    passed = np.array([check({"label": y, "X": X}) for check, _ in _FEATURE_RULES])
+    if not passed.all():  # the first bad sample, by the first rule it breaks
+        k = int(np.argmin(passed.all(axis=0)))
+        _, message = _FEATURE_RULES[np.argmin(passed[:, k])]
+        raise ValueError(f"sample {k + 1}: {message({'label': y[k].item(), 'X': X[k]})}")
+    y = y.astype(int)
     with csv_writer(dest, FEATURE_CSV_HEADER, comments) as out:
         for lo in range(0, len(X), CSV_CHUNK_LINES):
             bits = np.ascontiguousarray(X[lo:lo + CSV_CHUNK_LINES]).view(np.int64)
@@ -139,29 +152,6 @@ def write_feature_matrix(X, y, dest, comments=None):
             out.write("".join([f"{label},{','.join(row)}\n" for label, row in zip(labels, rows)]))
 
 
-def _parse_row(line_no, text):
-    """A feature row's (label, values), or the InputError of the first rule it breaks."""
-    fields = text.split(",")
-    if len(fields) != 1 + len(FEATURE_NAMES):
-        raise InputError(line_no, f"expected {1 + len(FEATURE_NAMES)} fields, got {len(fields)}")
-    try:
-        label = int(fields[0])
-        row = list(map(float, fields[1:]))
-    except ValueError as exc:
-        raise InputError(line_no, f"unparseable field ({exc})") from None
-    check_number_syntax(line_no, text)
-    if label not in (0, 1):
-        raise InputError(line_no, f"label must be 0 or 1, got {label}")
-    if not all(map(math.isfinite, row)):
-        raise InputError(line_no, "non-finite feature value")
-    return label, row
-
-
-def _valid_rows(rows):
-    """`_parse_row`'s rules on feature records numpy parsed."""
-    return np.isin(rows["label"], (0, 1)) & np.isfinite(rows["X"]).all(axis=1)
-
-
 def read_feature_matrix(source):
     """Read a feature-matrix CSV back into (X, y).
 
@@ -169,8 +159,7 @@ def read_feature_matrix(source):
     of the parsed doubles, not a copy of a list of chunks.
     """
     values, labels = array("d"), array("b")
-    for _, rows in read_csv_chunks(source, FEATURE_CSV_HEADER, _FEATURE_DTYPE,
-                                   _parse_row, _valid_rows):
+    for _, rows in read_csv_chunks(source, FEATURE_CSV_HEADER, _FEATURE_DTYPE, _FEATURE_RULES):
         values.frombytes(rows["X"].tobytes())
         labels.frombytes(rows["label"].astype(np.int8).tobytes())
     if not labels:

@@ -215,7 +215,7 @@ def test_c5_benchmark_reproduction():
     rf_ok = dt_ok = rf_ge_lr = lr_f1_order = 0
     for seed in range(10):
         dataset = _default_benchmark_dataset(seed)
-        X, y = dataset.feature_matrix(), dataset.labels()
+        X, y = dataset.X, dataset.y
         reports = {}
         for algorithm in ("rf", "dt", "lr"):
             cfg = TrainConfig(algorithm=algorithm, seed=seed)
@@ -285,7 +285,7 @@ def test_c7_kde_and_dtw_overlap():
     selected = {}
     for seed in (42, 0, 7):
         dataset = _default_benchmark_dataset(seed)
-        X, y = dataset.feature_matrix(), dataset.labels()
+        X, y = dataset.X, dataset.y
         cfg = TrainConfig(algorithm="rf", seed=seed)
         report = evaluate(X, y, cfg, plan(y, cfg)[:1])
         importance = np.array(report.importance)
@@ -355,9 +355,8 @@ def test_c9_dataset_contract(tmp_path):
     points = generate(SimConfig(seed=42))
     dataset = build_pairs(points, PairingConfig(), seed=42)
     assert len(dataset.samples) == 300
-    assert dataset.counts == (100, 200)
-    assert dataset.feature_matrix().shape == (300, 18)
-    labels = dataset.labels()
+    assert dataset.X.shape == (300, 18)
+    labels = dataset.y
     assert int(np.sum(labels == 1)) == 100 and int(np.sum(labels == 0)) == 200
 
     path = tmp_path / "traces.csv"

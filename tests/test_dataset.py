@@ -101,12 +101,20 @@ def test_ingest_skips_comments_and_blank_lines():
         ("nan,5,1,0,0,-50", "non-finite"),
         ("5,5,1,-1,0,-50", "trial"),
         ("5,5,1,0,-1,-50", "seq"),
+        ("5,-inf,1,0,0,-50", "non-finite"),
+        (f"5,5,1,0,0,{READING_RANGE[0] - 1}", "rssi must be >="),
+        (f"5,5,1,0,{2**63},-50", "trial and seq must be <="),
+        ("5,5,1,0,0,-5_0", "ASCII without '_'"),
     ],
 )
 def test_ingest_rejects_bad_rows(row, match):
-    with pytest.raises(InputError, match=match) as err:
-        ingest_traces(io.StringIO(HEADER + row + "\n"))
-    assert err.value.line_no == 2
+    messages = []
+    for then in ("", "1_0\n"):  # alone, then before a line numpy refuses: the per-line parse
+        with pytest.raises(InputError, match=match) as err:
+            ingest_traces(io.StringIO(HEADER + row + "\n" + then))
+        assert err.value.line_no == 2
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_ingest_accepts_readings_down_to_the_reading_range():
@@ -365,23 +373,21 @@ def test_build_pairs_single_positive_pair():
     ]
     ds = build_pairs(points, PairingConfig(n_positive=1, n_negative=0), seed=1)
     assert ds.samples.tolist() == [[0, 1, 0, 0]]
-    assert ds.counts == (1, 0)
-    assert ds.labels().tolist() == [1]
+    assert ds.y.tolist() == [1]
 
 
 def test_build_pairs_default_counts():
     points = _two_room_points(per_room=10, trials=tuple(range(10)))
     ds = build_pairs(points, PairingConfig(), seed=9)
     assert ds.samples.shape == (300, 4)
-    assert ds.feature_matrix().shape == (300, 18)
-    assert ds.counts == (100, 200)
-    assert ds.labels().tolist() == [1] * 100 + [0] * 200
+    assert ds.X.shape == (300, 18)
+    assert ds.y.tolist() == [1] * 100 + [0] * 200
 
 
 def test_build_pairs_labels_match_rooms():
     points = _two_room_points(per_room=3, trials=(0, 1))
     ds = build_pairs(points, PairingConfig(n_positive=5, n_negative=5), seed=2)
-    for (i, j, _, _), label in zip(ds.samples.tolist(), ds.labels().tolist()):
+    for (i, j, _, _), label in zip(ds.samples.tolist(), ds.y.tolist()):
         assert label == int(ds.points[i].room == ds.points[j].room)
 
 
@@ -398,7 +404,7 @@ def test_build_pairs_repeats_point_pairs_beyond_distinct_count():
     # so some point pairs must recur with different trial assignments
     points = _two_room_points(per_room=10, trials=tuple(range(10)))
     ds = build_pairs(points, PairingConfig(), seed=11)
-    pair_keys = [(i, j) for i, j, _, _ in ds.samples[ds.labels() == 1].tolist()]
+    pair_keys = [(i, j) for i, j, _, _ in ds.samples[ds.y == 1].tolist()]
     assert len(set(pair_keys)) < len(pair_keys)
 
 
@@ -454,7 +460,7 @@ def test_build_pairs_random_trial_matching():
     points = _two_room_points(per_room=2, trials=(0, 1))
     cfg = PairingConfig(n_positive=2, n_negative=4, trial_matching="random")
     ds = build_pairs(points, cfg, seed=6)
-    assert ds.counts == (2, 4)
+    assert ds.y.tolist() == [1] * 2 + [0] * 4
 
 
 def _uneven_points():
@@ -547,6 +553,6 @@ def test_dataset_invariants():
     with pytest.raises(ValueError, match="labels"):
         Dataset((), samples, X, np.array([1, 2]))
     ds = Dataset((), samples, X, y)
-    assert ds.feature_matrix() is X and ds.labels() is y
+    assert ds.feature_matrix() is X and ds.labels() is y and ds.counts == (1, 1)
     with pytest.raises(ValueError, match="read-only"):
         X[0, 0] = 1.0

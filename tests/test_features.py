@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import sys
 import warnings
 
@@ -246,8 +247,7 @@ def test_feature_matrix_text_is_float_repr():
     ]
     # more rows than one writer chunk, few distinct values, -0.0 and 0.0 in every chunk
     rng = np.random.default_rng(5)
-    X = rng.choice([*values, *(-v for v in values), 0.0, 1 / 3, math.nan, math.inf],
-                   size=(2 * CSV_CHUNK_LINES + 3, 18))
+    X = rng.choice([*values, *(-v for v in values), 0.0, 1 / 3], size=(2 * CSV_CHUNK_LINES + 3, 18))
     X[::100, 0], X[1::100, 0] = -0.0, 0.0
     y = rng.integers(0, 2, len(X))
     buf = io.StringIO()
@@ -270,6 +270,44 @@ def test_feature_matrix_errors():
         read_feature_matrix(io.StringIO(bad_value))
     with pytest.raises(InputError, match="no samples"):
         read_feature_matrix(io.StringIO("# seed=3\n" + FEATURE_CSV_HEADER + "\n"))
+
+
+@pytest.mark.parametrize("label,values,match", [
+    ("1", ["0.0"] * 17, "^line 2: expected 19 fields, got 18$"),
+    ("1", ["0.0"] * 17 + ["x"], "^line 2: unparseable field"),
+    ("0.5", ["0.0"] * 18, "^line 2: unparseable field"),
+    ("7", ["0.0"] * 18, "^line 2: label must be 0 or 1, got 7$"),
+    ("-1", ["0.0"] * 18, "^line 2: label must be 0 or 1, got -1$"),
+    ("1", ["0.0"] * 17 + ["-inf"], "^line 2: non-finite feature value$"),
+    ("0", ["nan"] + ["0.0"] * 17, "^line 2: non-finite feature value$"),
+    ("1", ["0.0"] * 17 + ["1_0"], "^line 2: unparseable field .*got '_'"),
+])
+def test_feature_matrix_rejects_bad_rows(label, values, match):
+    messages = []
+    for then in ("", "1_0\n"):  # alone, then before a line numpy refuses: the per-line parse
+        text = f"{FEATURE_CSV_HEADER}\n{label},{','.join(values)}\n{then}"
+        with pytest.raises(InputError, match=match) as err:
+            read_feature_matrix(io.StringIO(text))
+        assert err.value.line_no == 2
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("labels,value,match", [
+    ([0, 2, 1], 0.0, "sample 2: label must be 0 or 1, got 2"),
+    ([0, 1.7, 1], 0.0, "sample 2: label must be 0 or 1, got 1.7"),
+    ([0, 1, 1], math.nan, "sample 2: non-finite feature value"),
+    ([0, 1, 7], -math.inf, "sample 2: non-finite feature value"),  # the first bad sample
+    ([0, 2, 1], math.inf, "sample 2: label must be 0 or 1, got 2"),  # by its first rule
+    ([[0], [1], [1]], 0.0, "label count does not match row count"),  # once written as "[0]"
+])
+def test_feature_writer_refuses_what_the_reader_refuses(tmp_path, labels, value, match):
+    X = np.zeros((3, 18))
+    X[1, 4] = value
+    path = tmp_path / "features.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        write_feature_matrix(X, np.array(labels), path)
+    assert not path.exists()
 
 
 def test_feature_values_too_large_to_standardize_are_refused():
