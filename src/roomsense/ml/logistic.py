@@ -24,7 +24,8 @@ LOSS_BLOCK = 64  # steps whose z are kept and scored together
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
+    # clamped below only: above 500, 1 + exp(-z) already rounds to 1.0
+    return 1.0 / (1.0 + np.exp(-np.maximum(z, -500.0)))
 
 
 class LogisticRegression:

@@ -1,5 +1,6 @@
 """Binary classification tree grown on Gini impurity."""
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -135,7 +136,9 @@ def _cut_sizes(n):
 
 
 def _best_split(X, y, feature_indices, parent_impurity, sizes):
-    """Best (feature, threshold, decrease) over candidate features, or None.
+    """Best (feature, threshold, decrease, n_left, ones_left) over candidate
+    features, or None; the last two count the rows, and the class-1 rows among
+    them, that go left.
 
     Thresholds are midpoints between consecutive sorted unique values.  Ties
     resolve to the lowest feature index, then the lowest threshold; zero-gain
@@ -167,7 +170,38 @@ def _best_split(X, y, feature_indices, parent_impurity, sizes):
     if not valid[c, f]:  # every cell is -inf: no cut separates two values
         return None
     threshold = (cols[c, f] + cols[c + 1, f]) / 2.0
-    return int(feature_indices[f]), float(threshold), float(decrease[c, f])
+    return int(feature_indices[f]), float(threshold), float(decrease[c, f]), c + 1, int(ones[c, f])
+
+
+_DRAW_BLOCK = 32  # split nodes whose feature draws one `integers` call makes
+
+
+def _candidate_features(n, k, rng):
+    """Endless stream of the candidate features of each split node in turn.
+
+    With k None or >= n every node gets all n features.  Otherwise node after
+    node gets `np.sort(rng.choice(n, k, replace=False))`, made without calling
+    `choice`: one `rng.integers(0, highs)` call makes the bounded draws of 32
+    nodes, and each node resolves its subset from its row only when it is
+    used.  numpy makes these same draws whenever it uses Floyd's algorithm (up
+    to 10,000 features, or k <= n / 50), which covers every fit roomsense
+    makes: k draws with highs n - k + 1 ... n, where draw v for j = n - k ...
+    n - 1 picks j if v is already picked and v otherwise, then k - 1 shuffle
+    draws with highs k ... 2, discarded here because the pick is sorted
+    (ascending keeps the lowest-index tie rule meaningful).  A caller's `rng`
+    ends a fit advanced by whole blocks, past the last node's draws; the
+    forest discards each tree's `rng` after its fit, so no output moves.
+    """
+    if k is None or k >= n:
+        yield from itertools.repeat(np.arange(n))
+    firsts = range(n - k, n)
+    highs = np.tile(np.r_[n - k + 1 : n + 1, k:1:-1], (_DRAW_BLOCK, 1))
+    while True:
+        for row in rng.integers(0, highs).tolist():
+            picked = set()
+            for j, v in zip(firsts, row):
+                picked.add(j if v in picked else v)
+            yield np.array(sorted(picked))
 
 
 class DecisionTree:
@@ -204,24 +238,20 @@ class DecisionTree:
         if rng is None:
             rng = generator(self.seed, "dt")
         self.n_features_ = X.shape[1]
+        draws = _candidate_features(self.n_features_, self.params.max_features, rng)
         # no node has more rows than the root, so one table serves every split search
-        self.root_ = self._grow(X, y, depth=0, rng=rng, sizes=_cut_sizes(len(y)))
+        self.root_ = self._grow(X, y, None, len(y), int(np.count_nonzero(y)), 0, draws,
+                                _cut_sizes(len(y)))
         return self
 
     @staticmethod
     def _leaf(ones, n):
         return Node(value=int(2 * ones > n), n_samples=n)  # a tie goes to class 0
 
-    def _candidate_features(self, rng):
-        if self.params.max_features is None or self.params.max_features >= self.n_features_:
-            return np.arange(self.n_features_)
-        picked = rng.choice(self.n_features_, size=self.params.max_features, replace=False)
-        picked.sort()  # ascending keeps the lowest-index tie rule meaningful
-        return picked
-
-    def _grow(self, X, y, depth, rng, sizes):
-        n = len(y)
-        ones = int(np.count_nonzero(y))
+    def _grow(self, X, y, rows, n, ones, depth, draws, sizes):
+        """Subtree over the n rows of X and y that the mask `rows` keeps (all
+        of them when it is None), `ones` of them class 1.  A node that stops
+        growing becomes a leaf before its rows are copied out."""
         impurity = _impurity(ones, n)
         if (
             impurity == 0.0
@@ -229,15 +259,17 @@ class DecisionTree:
             or (self.params.max_depth is not None and depth >= self.params.max_depth)
         ):
             return self._leaf(ones, n)
-        split = _best_split(X, y, self._candidate_features(rng), impurity, sizes)
+        if rows is not None:
+            X, y = X.compress(rows, axis=0), y.compress(rows)
+        split = _best_split(X, y, next(draws), impurity, sizes)
         if split is None:
             return self._leaf(ones, n)
-        feature, threshold, decrease = split
-        mask = X[:, feature] <= threshold
+        feature, threshold, decrease, n_left, ones_left = split
+        left = X[:, feature] <= threshold
         return Node(
             feature=feature, threshold=threshold, n_samples=n, impurity_decrease=decrease,
-            left=self._grow(X.compress(mask, axis=0), y.compress(mask), depth + 1, rng, sizes),
-            right=self._grow(X.compress(~mask, axis=0), y.compress(~mask), depth + 1, rng, sizes),
+            left=self._grow(X, y, left, n_left, ones_left, depth + 1, draws, sizes),
+            right=self._grow(X, y, ~left, n - n_left, ones - ones_left, depth + 1, draws, sizes),
         )
 
     def predict(self, X):

@@ -30,7 +30,7 @@ from roomsense.ml import (
 from roomsense.ml import svm
 from roomsense.ml._input import check_labels
 from roomsense.ml.svm import rbf_kernel
-from roomsense.ml.tree import Node, _best_split, _cut_sizes
+from roomsense.ml.tree import _DRAW_BLOCK, Node, _best_split, _candidate_features, _cut_sizes
 
 
 def separable_clusters(n=60, seed=0):
@@ -225,9 +225,32 @@ def test_best_split_matches_per_feature_oracle():
     # one table for the largest case, as every node of a tree reads its root's
     sizes = _cut_sizes(max(len(y) for _, y, _ in cases))
     for X, y, f in cases:
-        assert _best_split(X, y, f, gini(y), sizes) == best_split_oracle(X, y, f, gini(y))
+        split = _best_split(X, y, f, gini(y), sizes)
+        if split is None:
+            assert best_split_oracle(X, y, f, gini(y)) is None
+            continue
+        feature, threshold, decrease, n_left, ones_left = split
+        assert (feature, threshold, decrease) == best_split_oracle(X, y, f, gini(y))
+        left = X[:, feature] <= threshold  # the child counts, counted directly
+        assert (n_left, ones_left) == (np.count_nonzero(left), np.count_nonzero(y[left]))
     constant = [c for c in cases if np.all(c[0] == c[0][0])]
     assert constant and all(_best_split(X, y, f, gini(y), sizes) is None for X, y, f in constant)
+
+
+def test_candidate_features_match_choice_node_after_node():
+    # rng.choice stays the reference: the stream must make its draws, block after block
+    nodes = 2 * _DRAW_BLOCK + 1  # into a third block
+    for seed in range(1000):
+        for n, k in ((18, 4), (18, 1), (18, 17), (5, 2), (2, 1)):
+            rng, twin_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for r in (rng, twin_rng):  # as a forest's bootstrap: leaves a buffered half-word
+                r.integers(0, 225, size=225)
+            stream = _candidate_features(n, k, rng)
+            for _ in range(nodes):
+                expected = sorted(twin_rng.choice(n, k, replace=False).tolist())
+                assert next(stream).tolist() == expected, (seed, n, k)
+    for k in (None, 18, 30):
+        assert next(_candidate_features(18, k, None)).tolist() == list(range(18))
 
 
 def test_tree_predict_matches_per_row_walk():
