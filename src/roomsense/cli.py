@@ -207,6 +207,18 @@ def _load_fitted(path):
     return (model, scaler), cfg
 
 
+def _check_scaled(scaler, X, rows, model):
+    """Refuse a saved standardizer that scales a value of the scored `rows` of X
+    past the float range.  A tiny std alone is no fault: a fit can make one."""
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(evaluation.standardize_apply(scaler, X[rows]))
+    if not finite.all():
+        row, f = np.argwhere(~finite)[0]
+        raise InputError(None, f"{model}: standardizer (mean {scaler.mean[f]!r}, std "
+                               f"{scaler.std[f]!r}) scales feature {FEATURE_NAMES[f]} of sample "
+                               f"{rows[row] + 1} past the float range")
+
+
 def _check_split(y, features=None):
     """Refuse labels `y` with a class of one row, which fits no split: bad input
     in a `features` file, else a bad n_positive or n_negative."""
@@ -250,6 +262,7 @@ def cmd_evaluate(args) -> int:
     if fitted:  # nothing is fit: the plan is the holdout the model scores
         _check_split(y, args.features)
         jobs = [evaluation.holdout(y, cfg.train)]
+        _check_scaled(fitted[1], X, jobs[0][1], args.model)
     else:
         jobs = _check_fits(y, cfg.train, (cfg.train.algorithm,), args.features)
     if args.kde and len(set(y.tolist())) < 2:

@@ -1,5 +1,6 @@
 """Binary classification tree grown on Gini impurity."""
 
+import functools
 import itertools
 import math
 import operator
@@ -137,71 +138,70 @@ def _cut_sizes(n):
 
 def _best_split(X, y, feature_indices, parent_impurity, sizes):
     """Best (feature, threshold, decrease, n_left, ones_left) over candidate
-    features, or None; the last two count the rows, and the class-1 rows among
-    them, that go left.
+    features of the feature-major X (features x rows), or None; the last two
+    count the rows, and the class-1 rows among them, that go left.
 
     Thresholds are midpoints between consecutive sorted unique values.  Ties
     resolve to the lowest feature index, then the lowest threshold; zero-gain
     splits are allowed so impure nodes keep splitting (XOR-style structure
-    needs them).  All candidate features are scored in one array pass: row c
-    of the sorted columns is the cut after the first c + 1 samples.
-
-    `n_left`, `n_right` and their doubles are views of `sizes`, a `_cut_sizes`
-    table for at least len(y) rows: exact integers in float, so every product
-    rounds the same as with `n_left * 2.0`.
+    needs them).  All candidate features are scored in one array pass: column
+    c of the sorted values is the cut after the first c + 1 samples.  `sizes` is a
+    `_cut_sizes` table for at least len(y) rows: its exact float integers give
+    every product the rounding of `n_left * 2.0`.
     """
     n = len(y)
-    n_left, twice_left = sizes[0, : n - 1, None], sizes[1, : n - 1, None]
-    n_right, twice_right = sizes[0, n - 2 :: -1, None], sizes[1, n - 2 :: -1, None]
-    sub = X.take(feature_indices, axis=1)
-    order = sub.argsort(axis=0)  # equal values in any order: a valid cut keeps them on one side
-    cols = sub[order, np.arange(sub.shape[1])]
-    ones = y[order].cumsum(axis=0)
-    valid = cols[1:] > cols[:-1]  # a cut between equal values splits nothing
-    p_left = ones[:-1] / n_left
-    p_right = (ones[-1] - ones[:-1]) / n_right
-    child_impurity = (
-        twice_left * p_left * (1.0 - p_left)
-        + twice_right * p_right * (1.0 - p_right)
-    ) / n
-    decrease = np.where(valid, parent_impurity - child_impurity, -np.inf)
+    n_left, twice_left = sizes[0, : n - 1], sizes[1, : n - 1]
+    n_right, twice_right = sizes[0, n - 2 :: -1], sizes[1, n - 2 :: -1]
+    values = X.take(feature_indices, axis=0)  # a row per candidate feature
+    # equal values in any order: a valid cut keeps them on one side
+    ones = y.take(values.argsort(axis=1)).cumsum(axis=1)
+    values.sort(axis=1)
+    invalid = values[:, 1:] <= values[:, :-1]  # a cut between equal values splits nothing
+    p = ones[:, :-1] / n_left
+    decrease = twice_left * p
+    decrease *= np.subtract(1.0, p, out=p)
+    np.divide(ones[:, -1:] - ones[:, :-1], n_right, out=p)
+    right = twice_right * p
+    right *= np.subtract(1.0, p, out=p)
+    decrease += right
+    decrease /= n  # the children's impurity, weighted
+    np.subtract(parent_impurity, decrease, out=decrease)
+    decrease[invalid] = -np.inf
     # first maximum in (feature, cut) order: lowest feature, then lowest threshold
-    f, c = divmod(int(decrease.T.argmax()), n - 1)
-    if not valid[c, f]:  # every cell is -inf: no cut separates two values
+    f, c = divmod(int(decrease.argmax()), n - 1)
+    if invalid[f, c]:  # every cell is -inf: no cut separates two values
         return None
-    threshold = (cols[c, f] + cols[c + 1, f]) / 2.0
-    return int(feature_indices[f]), float(threshold), float(decrease[c, f]), c + 1, int(ones[c, f])
+    threshold = (values[f, c] + values[f, c + 1]) / 2.0
+    return int(feature_indices[f]), float(threshold), float(decrease[f, c]), c + 1, int(ones[f, c])
 
 
 _DRAW_BLOCK = 32  # split nodes whose feature draws one `integers` call makes
+_draw_highs = functools.cache(  # a block's bounds, per node: Floyd's k draws, k - 1 shuffles
+    lambda n, k: np.tile(np.r_[n - k + 1 : n + 1, k:1:-1], (_DRAW_BLOCK, 1)))
 
 
 def _candidate_features(n, k, rng):
     """Endless stream of the candidate features of each split node in turn.
 
     With k None or >= n every node gets all n features.  Otherwise node after
-    node gets `np.sort(rng.choice(n, k, replace=False))`, made without calling
-    `choice`: one `rng.integers(0, highs)` call makes the bounded draws of 32
-    nodes, and each node resolves its subset from its row only when it is
-    used.  numpy makes these same draws whenever it uses Floyd's algorithm (up
-    to 10,000 features, or k <= n / 50), which covers every fit roomsense
-    makes: k draws with highs n - k + 1 ... n, where draw v for j = n - k ...
-    n - 1 picks j if v is already picked and v otherwise, then k - 1 shuffle
-    draws with highs k ... 2, discarded here because the pick is sorted
-    (ascending keeps the lowest-index tie rule meaningful).  A caller's `rng`
-    ends a fit advanced by whole blocks, past the last node's draws; the
+    node gets `np.sort(rng.choice(n, k, replace=False))` without a `choice`
+    call: one `rng.integers(0, highs)` call makes the draws of 32 nodes, and
+    array operations resolve their subsets together.  numpy makes these draws
+    whenever it uses Floyd's algorithm (up to 10,000 features, or k <= n / 50),
+    as in every fit roomsense makes: k draws with highs n - k + 1 ... n, where
+    draw v for j = n - k ... n - 1 picks j if v is already picked and v
+    otherwise, then k - 1 shuffle draws with highs k ... 2, unused as the pick
+    is sorted.  A caller's `rng` ends a fit advanced by whole blocks; the
     forest discards each tree's `rng` after its fit, so no output moves.
     """
     if k is None or k >= n:
         yield from itertools.repeat(np.arange(n))
-    firsts = range(n - k, n)
-    highs = np.tile(np.r_[n - k + 1 : n + 1, k:1:-1], (_DRAW_BLOCK, 1))
+    highs = _draw_highs(n, k)
     while True:
-        for row in rng.integers(0, highs).tolist():
-            picked = set()
-            for j, v in zip(firsts, row):
-                picked.add(j if v in picked else v)
-            yield np.array(sorted(picked))
+        picked = rng.integers(0, highs)[:, :k]
+        for i in range(1, k):  # column i is draw v for j = n - k + i, one row per node
+            picked[(picked[:, :i] == picked[:, i, None]).any(axis=1), i] = n - k + i
+        yield from np.sort(picked, axis=1)
 
 
 class DecisionTree:
@@ -210,7 +210,8 @@ class DecisionTree:
     max_features, when set, samples that many candidate features per node
     from the supplied RNG (used by the random forest); by default every
     feature is considered.  Leaf class ties go to class 0.  Labels are
-    checked once per fit, not per node.
+    checked once per fit, not per node, and the tree grows on a feature-major
+    copy of X and float labels, the layout the split search reads fastest.
     """
 
     def __init__(self, params=DTParams(), seed=0):
@@ -239,9 +240,9 @@ class DecisionTree:
             rng = generator(self.seed, "dt")
         self.n_features_ = X.shape[1]
         draws = _candidate_features(self.n_features_, self.params.max_features, rng)
-        # no node has more rows than the root, so one table serves every split search
-        self.root_ = self._grow(X, y, None, len(y), int(np.count_nonzero(y)), 0, draws,
-                                _cut_sizes(len(y)))
+        # no node has more rows than the root: one cut-size table serves every split
+        self.root_ = self._grow(X.T.copy(), y.astype(float), None, len(y),
+                                int(np.count_nonzero(y)), 0, draws, _cut_sizes(len(y)))
         return self
 
     @staticmethod
@@ -249,23 +250,21 @@ class DecisionTree:
         return Node(value=int(2 * ones > n), n_samples=n)  # a tie goes to class 0
 
     def _grow(self, X, y, rows, n, ones, depth, draws, sizes):
-        """Subtree over the n rows of X and y that the mask `rows` keeps (all
-        of them when it is None), `ones` of them class 1.  A node that stops
-        growing becomes a leaf before its rows are copied out."""
+        """Subtree over the n labels of y, and columns of the feature-major X,
+        that the mask `rows` keeps (all of them when it is None), `ones` of them
+        class 1.  A node that stops growing becomes a leaf before any copy."""
         impurity = _impurity(ones, n)
-        if (
-            impurity == 0.0
-            or n < self.params.min_samples_split
-            or (self.params.max_depth is not None and depth >= self.params.max_depth)
-        ):
+        max_depth = self.params.max_depth
+        if impurity == 0.0 or n < self.params.min_samples_split or (
+                max_depth is not None and depth >= max_depth):
             return self._leaf(ones, n)
         if rows is not None:
-            X, y = X.compress(rows, axis=0), y.compress(rows)
+            X, y = X.compress(rows, axis=1), y.compress(rows)
         split = _best_split(X, y, next(draws), impurity, sizes)
         if split is None:
             return self._leaf(ones, n)
         feature, threshold, decrease, n_left, ones_left = split
-        left = X[:, feature] <= threshold
+        left = X[feature] <= threshold
         return Node(
             feature=feature, threshold=threshold, n_samples=n, impurity_decrease=decrease,
             left=self._grow(X, y, left, n_left, ones_left, depth + 1, draws, sizes),

@@ -5,7 +5,8 @@ are enumerated explicitly, DTW with its backtrack also runs on an inf-bordered
 numpy grid, features are recomputed with plain Python sets and
 statistics, metrics are recounted from raw label pairs, and integrals use the
 trapezoid rule over explicit grids.  The tree split search, SMO and tree
-prediction keep their per-feature, per-check and per-row loop forms, logistic
+prediction keep their per-feature, per-check and per-row loop forms, whole
+trees grow one node at a time with a `Generator.choice` draw per node, logistic
 regression takes one loss per gradient step, and pair
 draws list every (pair, trial) combination before drawing from the list.
 The simulator and per-AP feature oracles are the library's earlier loop
@@ -344,6 +345,40 @@ def best_split_oracle(X, y, feature_indices, parent_impurity):
             threshold = (col[cut[k]] + col[cut[k] + 1]) / 2.0
             best = (int(f), float(threshold), best_decrease)
     return best
+
+
+def grow_tree_oracle(X, y, max_features, rng):
+    """`Node.to_dict()` form of a Gini tree grown node by node in pre-order,
+    with the default DTParams: until its leaves are pure.
+
+    Each node recounts its rows and labels.  A pure node is a leaf; any other
+    node draws its candidate features with `np.sort(rng.choice(n_features,
+    max_features, replace=False))` (all features when max_features is None or
+    not below n_features) and splits where `best_split_oracle` says, or becomes
+    a leaf of the majority class (a tie goes to class 0) if no cut separates
+    two values.
+    """
+
+    def grow(X, y):
+        n, ones = len(y), int(np.count_nonzero(y))
+        p1 = ones / n
+        p0 = 1.0 - p1
+        impurity = 1.0 - p0 * p0 - p1 * p1
+        leaf = {"value": int(2 * ones > n), "n": n}
+        if impurity == 0.0:
+            return leaf
+        features = np.arange(X.shape[1])
+        if max_features is not None and max_features < X.shape[1]:
+            features = np.sort(rng.choice(X.shape[1], max_features, replace=False))
+        split = best_split_oracle(X, y, features, impurity)
+        if split is None:
+            return leaf
+        feature, threshold, decrease = split
+        left = X[:, feature] <= threshold
+        return {"feature": feature, "threshold": threshold, "n": n, "decrease": decrease,
+                "left": grow(X[left], y[left]), "right": grow(X[~left], y[~left])}
+
+    return grow(np.asarray(X, dtype=float), np.asarray(y, dtype=int))
 
 
 def smo_oracle(K, y_signed, C, tol, max_passes, max_sweeps, rng):

@@ -563,6 +563,9 @@ REFUSED_RUNS = {
     "evaluate-kde-one-class": (
         ("evaluate", "one-class", "--algorithm", "knn", "--kde"), "", 3,
         "error: config: --kde requires both classes, but "),
+    "evaluate-model-standardizer-overflows": (
+        ("evaluate", "features", "--model", "tiny-std-model"), "", 2,
+        "tiny-std-model.json: standardizer (mean 0.0, std 5e-324) scales feature md_1 of sample "),
     "evaluate-model-other-seed": (
         ("evaluate", "features", "--model", "model", "--seed", "7"), "", 3,
         "seed=7 contradicts the model's seed=42"),
@@ -634,6 +637,11 @@ def test_refused_run_leaves_no_output(tmp_path, saved_models, capsys, case):
         "directory": tmp_path / "directory",
     }
     paths["directory"].mkdir()
+    doc = json.loads(paths["model"].read_text(encoding="utf-8"))
+    scaler = doc["pipeline"]["standardizer"]
+    scaler["mean"][0], scaler["std"][0] = 0.0, 5e-324  # a held-out md_1 / 5e-324 overflows
+    paths["tiny-std-model"] = tmp_path / "tiny-std-model.json"
+    paths["tiny-std-model"].write_text(json.dumps(doc), encoding="utf-8")
     (tmp_path / "run.cfg").write_text(config + "\n", encoding="utf-8")
     for kind, path in (("traces", paths["traces"]), ("features", paths["features"]),
                        ("model", paths["model"]), ("config", tmp_path / "run.cfg")):

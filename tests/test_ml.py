@@ -1,17 +1,20 @@
 """Classifier behavior: Gini, trees, forest, KNN, LR, SVM, and serialization."""
 
 import json
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from oracles import best_split_oracle, lr_oracle, smo_oracle, tree_predict_oracle
+from oracles import best_split_oracle, grow_tree_oracle, lr_oracle, smo_oracle, tree_predict_oracle
 
 from roomsense import ml
-from roomsense._seeds import generator
+from roomsense._seeds import derive_seed, generator
 from roomsense._schema import ConfigError, InputError, build, flatten
-from roomsense.evaluation import standardize_apply, standardize_fit
+from roomsense.cli import build_run_config
+from roomsense.dataset import build_pairs
+from roomsense.evaluation import holdout, standardize_apply, standardize_fit
 from roomsense.ml import (
     DecisionTree,
     DTParams,
@@ -31,6 +34,7 @@ from roomsense.ml import svm
 from roomsense.ml._input import check_labels
 from roomsense.ml.svm import rbf_kernel
 from roomsense.ml.tree import _DRAW_BLOCK, Node, _best_split, _candidate_features, _cut_sizes
+from roomsense.simulator import generate
 
 
 def separable_clusters(n=60, seed=0):
@@ -225,7 +229,7 @@ def test_best_split_matches_per_feature_oracle():
     # one table for the largest case, as every node of a tree reads its root's
     sizes = _cut_sizes(max(len(y) for _, y, _ in cases))
     for X, y, f in cases:
-        split = _best_split(X, y, f, gini(y), sizes)
+        split = _best_split(X.T.copy(), y, f, gini(y), sizes)  # the feature-major layout
         if split is None:
             assert best_split_oracle(X, y, f, gini(y)) is None
             continue
@@ -234,7 +238,8 @@ def test_best_split_matches_per_feature_oracle():
         left = X[:, feature] <= threshold  # the child counts, counted directly
         assert (n_left, ones_left) == (np.count_nonzero(left), np.count_nonzero(y[left]))
     constant = [c for c in cases if np.all(c[0] == c[0][0])]
-    assert constant and all(_best_split(X, y, f, gini(y), sizes) is None for X, y, f in constant)
+    assert constant and all(_best_split(X.T.copy(), y, f, gini(y), sizes) is None
+                            for X, y, f in constant)
 
 
 def test_candidate_features_match_choice_node_after_node():
@@ -251,6 +256,24 @@ def test_candidate_features_match_choice_node_after_node():
                 assert next(stream).tolist() == expected, (seed, n, k)
     for k in (None, 18, 30):
         assert next(_candidate_features(18, k, None)).tolist() == list(range(18))
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_benchmark_trees_match_whole_tree_oracle(seed):
+    # the holdout fits of `benchmark --seed <seed>`: each of its forest's 100 trees and
+    # its all-feature tree, grown again by the node-at-a-time oracle
+    cfg = build_run_config({"seed": seed})
+    data = build_pairs(generate(cfg.sim), cfg.pairing, seed=derive_seed(seed, "featurize"))
+    rows = holdout(data.y, cfg.train)[0]
+    X, y = standardize_apply(standardize_fit(data.X[rows]), data.X[rows]), data.y[rows]
+    forest = RandomForest.from_config(cfg.train).fit(X, y)
+    assert len(forest.roots_) == 100
+    for t, root in enumerate(forest.roots_):
+        rng = generator(cfg.train.seed, "rf-tree", t)
+        idx = rng.integers(0, len(y), size=len(y))  # the tree's bootstrap, then its draws
+        assert root.to_dict() == grow_tree_oracle(X[idx], y[idx], math.isqrt(18), rng), t
+    tree = DecisionTree.from_config(cfg.train).fit(X, y)
+    assert tree.root_.to_dict() == grow_tree_oracle(X, y, None, None)
 
 
 def test_tree_predict_matches_per_row_walk():
