@@ -10,11 +10,12 @@ checks on numpy's parsed chunks and on its per-line path alike.
 """
 
 import math
+import operator
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -55,14 +56,18 @@ class Trace:
     `unique` holds its distinct values in first-occurrence order, computed
     once here; order matters because it feeds dynamic time warping.  Slots
     keep a building's thousands of traces from each carrying a dict.  Every
-    reading must lie in READING_RANGE.
+    reading must be an integer (`operator.index`) in READING_RANGE.
     """
 
     values: tuple[int, ...]
     unique: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = tuple(map(int, self.values))
+        try:
+            values = tuple(map(operator.index, self.values))
+        except TypeError:
+            bad = next(v for v in self.values if not isinstance(v, Integral))
+            raise ValueError(f"a reading must be an integer, got {bad!r}") from None
         if not values:
             raise ValueError("a trace must hold at least one reading")
         low, high = READING_RANGE
@@ -75,12 +80,14 @@ class Trace:
 
 @dataclass(frozen=True)
 class PointRecord:
-    """A device location with its traces, keyed by (ap_id, trial)."""
+    """A device location (two finite real numbers) with its traces, keyed by (ap_id, trial)."""
 
     point: tuple[float, float]
     traces: dict[tuple[int, int], Trace]
 
     def __post_init__(self):
+        if bad := [c for c in self.point if not isinstance(c, Real)]:
+            raise ValueError(f"a coordinate must be a real number, got {bad[0]!r}")
         object.__setattr__(self, "point", (float(self.point[0]), float(self.point[1])))
         if not all(map(math.isfinite, self.point)):
             raise ValueError(f"non-finite coordinate {self.point}")
@@ -165,7 +172,7 @@ def csv_reader(source, header):
 
 
 def read_csv_chunks(source, header, dtype, rules):
-    """Yield the data rows of CSV `source` as (line numbers, `dtype` records) chunks.
+    """Yield the data rows of CSV `source` as (line number tuple, `dtype` records) chunks.
 
     A file's numbers are Python's int and float syntax in ASCII, without '_'.
     `rules` are the format's row rules, (check, message) pairs in the order a
@@ -184,7 +191,7 @@ def read_csv_chunks(source, header, dtype, rules):
             line_nos, texts = zip(*chunk)
             records = _loadtxt(texts, dtype)
             if records is not None and all(check(records).all() for check, _ in rules):
-                yield np.array(line_nos), records
+                yield line_nos, records
                 continue
             rows, error = [], None
             for line_no, text in chunk:
@@ -193,7 +200,7 @@ def read_csv_chunks(source, header, dtype, rules):
                 except InputError as exc:
                     error = exc
                     break
-            yield np.array(line_nos[:len(rows)], dtype=np.int64), np.array(rows, dtype=dtype)
+            yield line_nos[:len(rows)], np.array(rows, dtype=dtype)
             if error is not None:
                 raise error
 
@@ -280,19 +287,6 @@ _TRACE_RULES = (
 )
 
 
-def _read_trace_rows(source):
-    """The trace rows of `source` in file order with their line numbers, and the
-    InputError of its first bad row (None: every row is good)."""
-    chunks, error = [(np.empty(0, np.int64), np.empty(0, _TRACE_DTYPE))], None
-    try:
-        for chunk in read_csv_chunks(source, TRACE_HEADER, _TRACE_DTYPE, _TRACE_RULES):
-            chunks.append(chunk)
-    except InputError as exc:  # the rows before it are in `chunks`: an earlier repeat wins
-        error = exc
-    line_nos, rows = map(np.concatenate, zip(*chunks))
-    return line_nos, rows, error
-
-
 def ingest_traces(source) -> list[PointRecord]:
     """Parse a trace file into PointRecords, one per distinct device point.
 
@@ -303,39 +297,16 @@ def ingest_traces(source) -> list[PointRecord]:
     The first bad line raises InputError: a row that breaks a rule, or one
     that repeats an earlier row's (point, ap_id, trial, seq).
     """
-    line_nos, rows, error = _read_trace_rows(source)
-    # one stable sort by (point, ap_id, trial, seq): equal keys keep file order
-    order = np.lexsort([rows[name] for name in reversed(TRACE_HEADER.split(",")[:5])])
-    line_nos, rows = line_nos[order], rows[order]
-    keys = [rows[name] for name in TRACE_HEADER.split(",")[:5]]
-    changed = np.ones((len(keys), len(rows)), dtype=bool)  # does row k start a new key value
-    for start, key in zip(changed, keys):
-        np.not_equal(key[1:], key[:-1], out=start[1:])
-    new_point = changed[0] | changed[1]
-    new_trace = new_point | changed[2] | changed[3]
-    repeats = np.flatnonzero(~(new_trace | changed[4]))
-    if len(repeats):
-        row = repeats[np.argmin(line_nos[repeats])]
-        if error is None or error.line_no is not None and line_nos[row] < error.line_no:
-            x, y, ap_id, trial, seq, _ = rows[row].item()
-            key = ((x, y), ap_id, trial, seq)
-            raise InputError(int(line_nos[row]), f"duplicate reading key {key}")
-    if error is not None:
-        raise error
-
-    trace_starts, point_starts = np.flatnonzero(new_trace), np.flatnonzero(new_point)
-    bounds = np.append(trace_starts, len(rows)).tolist()
-    rssi = rows["rssi_dbm"].tolist()
-    traces = [Trace(rssi[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    trace_keys = list(zip(keys[2][trace_starts].tolist(), keys[3][trace_starts].tolist()))
-    # a point's first row in the file gives its coordinates: -0.0 == 0.0 in one point
-    first_lines = np.minimum.reduceat(line_nos, point_starts) if len(rows) else line_nos
-    sizes = np.diff(np.append(point_starts, len(rows)))
-    first_rows = rows[line_nos == np.repeat(first_lines, sizes)]
-    points = zip(first_rows["point_x"].tolist(), first_rows["point_y"].tolist())
-    groups = np.append(np.searchsorted(trace_starts, point_starts), len(traces)).tolist()
-    return [PointRecord(point, dict(zip(trace_keys[lo:hi], traces[lo:hi])))
-            for point, lo, hi in zip(points, groups, groups[1:])]
+    grouped = {}  # point -> (ap_id, trial) -> seq -> rssi; -0.0 == 0.0 keeps the first key
+    for line_nos, rows in read_csv_chunks(source, TRACE_HEADER, _TRACE_DTYPE, _TRACE_RULES):
+        for line_no, (x, y, ap_id, trial, seq, rssi) in zip(line_nos, rows.tolist()):
+            readings = grouped.setdefault((x, y), {}).setdefault((ap_id, trial), {})
+            if seq in readings:
+                raise InputError(line_no, f"duplicate reading key {((x, y), ap_id, trial, seq)}")
+            readings[seq] = rssi
+    return [PointRecord(point, {key: Trace([by_seq[s] for s in sorted(by_seq)])
+                                for key, by_seq in sorted(traces.items())})
+            for point, traces in sorted(grouped.items())]
 
 
 def write_traces(points, dest, comments=None):

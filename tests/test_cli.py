@@ -441,13 +441,14 @@ TRACE_FILES = {
 # (argv, config lines, exit code, stderr fragment) of runs refused before
 # `--out` exists.  "features", "traces", "one-class", "no-rows" and "model"
 # name input files, and so does each TRACE_FILES name.  "missing" names no
-# file, "directory" a directory, and "non-utf-8-<kind>" the saved file of that
-# kind with a 0xff byte near its end; "{tmp}" in a message is the directory of
-# these files.  "two-per-class" holds 2 rows of each class.  The config
-# lines' file is passed before the rest of argv, so an argv's own `--config`
-# wins.  The saved features have 24 rows, 18 of them on the training side,
-# and 16 in the smallest of 10 fold fits; the saved traces hold 36 positive
-# (pair, trial) combinations.
+# file, "directory" a directory, "non-utf-8-<kind>" the saved file of that
+# kind with a 0xff byte near its end, and "not-json-model" the saved model's
+# first 1,000 bytes; "{tmp}" in a message is the directory of these files.
+# "two-per-class" holds 2 rows of each class.  The config lines' file is
+# passed before the rest of argv, so an argv's own `--config` wins.  The
+# saved features have 24 rows, 18 of them on the training side, and 16 in
+# the smallest of 10 fold fits; the saved traces hold 36 positive (pair,
+# trial) combinations.
 REFUSED_RUNS = {
     "featurize-traces-missing": (
         ("featurize", "missing"), "", 2, "missing: [Errno 2] No such file or directory"),
@@ -478,6 +479,9 @@ REFUSED_RUNS = {
     "evaluate-model-non-utf-8": (
         ("evaluate", "features", "--model", "non-utf-8-model"), "", 2,
         "non-utf-8-model: 'utf-8' codec can't decode byte 0xff"),
+    "evaluate-model-not-json": (
+        ("evaluate", "features", "--model", "not-json-model"), "", 2,
+        "error: input: cannot read {tmp}/not-json-model.json: "),
     "simulate-config-missing": (
         ("simulate", "--config", "missing"), "", 3,
         "missing: [Errno 2] No such file or directory"),
@@ -642,6 +646,8 @@ def test_refused_run_leaves_no_output(tmp_path, saved_models, capsys, case):
     scaler["mean"][0], scaler["std"][0] = 0.0, 5e-324  # a held-out md_1 / 5e-324 overflows
     paths["tiny-std-model"] = tmp_path / "tiny-std-model.json"
     paths["tiny-std-model"].write_text(json.dumps(doc), encoding="utf-8")
+    paths["not-json-model"] = tmp_path / "not-json-model.json"
+    paths["not-json-model"].write_bytes(paths["model"].read_bytes()[:1000])
     (tmp_path / "run.cfg").write_text(config + "\n", encoding="utf-8")
     for kind, path in (("traces", paths["traces"]), ("features", paths["features"]),
                        ("model", paths["model"]), ("config", tmp_path / "run.cfg")):

@@ -167,6 +167,11 @@ def test_point_record_refuses_a_non_finite_coordinate():
     for point in ((float("nan"), 1.0), (1.0, float("inf"))):
         with pytest.raises(ValueError, match="non-finite coordinate"):
             make_point_same_traces(*point, [-50])
+    # text that float() would parse is refused, not converted
+    for point, bad in ((("-1.5", b"2"), "'-1.5'"), ((-1.5, b"2"), "b'2'")):
+        with pytest.raises(ValueError, match=re.escape(f"must be a real number, got {bad}")):
+            make_point_same_traces(*point, [-50])
+    assert make_point_same_traces(np.float32(-1.5), 2, [-50]).point == (-1.5, 2.0)
 
 
 def test_write_traces_names_the_positive_reading(tmp_path):
@@ -324,6 +329,18 @@ def test_array_readers_match_the_row_level_oracles(tmp_path, monkeypatch):
             message, line_no = _outcome(read, path)
             assert line_no == 2 and message.startswith("line 2: unparseable field (numbers are "
                                                         "ASCII without '_', got "), (name, message)
+    # a repeat and a bad row: the first line wins, in one chunk and across chunks 1 and 2
+    good = [f"5.0,1.0,1,0,{seq},-50" for seq in range(8)]
+    for repeat_at, bad_at in ((2, 3), (3, 2), (4, 5), (5, 4), (6, 7), (7, 6)):
+        for bad, refusal in (("9", "ap_id must be"), ("x", "unparseable field")):
+            lines = list(good)
+            lines[repeat_at] = "5.0,1.0,1,0,0,-33"
+            lines[bad_at] = f"5.0,1.0,{bad},0,99,-50"
+            path.write_text("\n".join([TRACE_HEADER, *lines]) + "\n", encoding="utf-8")
+            message, line_no = _outcome(ingest_traces, path)
+            assert (message, line_no) == _outcome(ingest_traces_oracle, path)
+            want = "duplicate reading key" if repeat_at < bad_at else refusal
+            assert line_no == min(repeat_at, bad_at) + 2 and want in message, message
     for field in ("trial", "seq"):
         path.write_text(trace_text.replace(",0,0,", ",0,9223372036854775808," if field == "seq"
                                            else ",9223372036854775808,0,"))
@@ -337,8 +354,14 @@ def test_trace_unique_examples():
     assert Trace([-50, -50, -50]).unique == (-50,)
     assert Trace([-50, -60, -50, -70]).unique == (-50, -60, -70)
     assert Trace([-70, -60, -50]).unique == (-70, -60, -50)
+    assert Trace(np.array([-50, -60])).values == (-50, -60)
     with pytest.raises(ValueError):
         Trace([])
+    # a reading that int() would round or parse is refused, not converted
+    for values, bad in (([-50.7], "-50.7"), (["-50"], "'-50'"),
+                        (np.array([-50.5]), "np.float64(-50.5)"), ([-50, -60.0], "-60.0")):
+        with pytest.raises(ValueError, match=re.escape(f"a reading must be an integer, got {bad}")):
+            Trace(values)
 
 
 def test_trace_unique_leaves_equality_and_repr_alone():
